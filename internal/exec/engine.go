@@ -17,7 +17,7 @@ type Config struct {
 	Seed int64
 	// Ctx, if non-nil, is checked at every scheduling step: once it is
 	// cancelled the engine stops within one step, tears down the PUT's
-	// goroutines, and returns a Result with Cancelled set. A nil (or
+	// threads, and returns a Result with Cancelled set. A nil (or
 	// never-cancelled) context changes nothing — the check is one nil
 	// test plus a non-blocking channel poll per step.
 	Ctx context.Context
@@ -69,18 +69,6 @@ func (r *Result) Buggy() bool { return r.Failure != nil }
 // Steps returns the number of events executed.
 func (r *Result) Steps() int { return r.Trace.Len() }
 
-type noteKind uint8
-
-const (
-	noteParked noteKind = iota + 1
-	noteExited
-)
-
-type notice struct {
-	th   *Thread
-	kind noteKind
-}
-
 // Engine serializes one execution of a Program under a Scheduler. A fresh
 // Engine is built per execution by Run; it is not reusable.
 type Engine struct {
@@ -91,9 +79,7 @@ type Engine struct {
 	objs      []*object // index = VarID-1
 	objByName map[string]*object
 
-	trace   *Trace
-	notify  chan notice
-	running int // PUT goroutines currently executing (not parked/exited)
+	trace *Trace
 
 	// done is Config.Ctx's cancellation channel (nil when no context was
 	// supplied), polled once per scheduling step.
@@ -122,10 +108,9 @@ func Run(name string, p Program, cfg Config) *Result {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
 	e := &Engine{
-		cfg:    cfg,
-		name:   name,
-		trace:  &Trace{intern: cfg.Intern},
-		notify: make(chan notice),
+		cfg:   cfg,
+		name:  name,
+		trace: &Trace{intern: cfg.Intern},
 	}
 	if cfg.Ctx != nil {
 		e.done = cfg.Ctx.Done()
@@ -142,11 +127,10 @@ func Run(name string, p Program, cfg Config) *Result {
 	}
 	cfg.Scheduler.Begin(cfg.Seed)
 
-	main := &Thread{name: "main", eng: e, body: p, grant: make(chan struct{})}
+	main := &Thread{name: "main", eng: e, body: p}
 	e.addThread(main)
-	main.state = tRunning
-	e.running = 1
-	go main.run()
+	main.car = acquireCarrier(main)
+	e.resume(main)
 
 	e.loop()
 	e.teardown()
@@ -180,34 +164,13 @@ func (e *Engine) addThread(th *Thread) {
 
 func (e *Engine) thread(id ThreadID) *Thread { return e.threads[id-1] }
 
-// quiesce blocks until no PUT goroutine is running (all live threads are
-// parked at pending events or have exited).
-func (e *Engine) quiesce() {
-	for e.running > 0 {
-		n := <-e.notify
-		e.running--
-		switch n.kind {
-		case noteParked:
-			n.th.state = tParked
-		case noteExited:
-			n.th.state = tExited
-		}
-	}
-}
-
-// loop is the main scheduling loop: quiesce, collect enabled pendings, let
-// the scheduler pick, execute one step.
+// loop is the main scheduling loop: collect enabled pendings, let the
+// scheduler pick, execute one step. Each step runs the chosen thread to
+// its next park or exit before returning.
 func (e *Engine) loop() {
 	for {
-		e.quiesce()
 		if e.failure != nil {
-			return // thread panic or engine-detected misuse
-		}
-		if th := e.failedThread(); th != nil {
-			p := th.pending
-			e.record(Event{Thread: th.id, Op: OpFail, Loc: p.Loc})
-			e.failure = &Failure{Kind: p.FailKind, Msg: p.FailMsg, Thread: th.id, Loc: p.Loc}
-			return
+			return // failed assertion, thread panic, or engine-detected misuse
 		}
 		if e.done != nil {
 			select {
@@ -394,17 +357,6 @@ func (e *Engine) barrierArrivals(o *object) int {
 	return n
 }
 
-// failedThread returns the thread parked at an OpFail pending, if any. At
-// most one can appear per quiesce since only one thread ran.
-func (e *Engine) failedThread() *Thread {
-	for _, th := range e.threads {
-		if th.state == tParked && th.pending.Op == OpFail {
-			return th
-		}
-	}
-	return nil
-}
-
 func (e *Engine) liveCount() int {
 	n := 0
 	for _, th := range e.threads {
@@ -425,11 +377,29 @@ func (e *Engine) record(ev Event) int {
 }
 
 // resume grants the thread its step; it runs PUT code until its next park
-// or exit.
+// or exit. A thread that parks at OpFail ends the execution: only the
+// thread that just ran can have reached a failing assertion.
 func (e *Engine) resume(th *Thread) {
+	e.switchTo(th)
+	if th.state == tParked && th.pending.Op == OpFail {
+		p := th.pending
+		e.record(Event{Thread: th.id, Op: OpFail, Loc: p.Loc})
+		e.failure = &Failure{Kind: p.FailKind, Msg: p.FailMsg, Thread: th.id, Loc: p.Loc}
+	}
+}
+
+// switchTo runs th on its carrier until the thread parks or exits; an
+// exited thread hands its carrier back to the idle list.
+func (e *Engine) switchTo(th *Thread) {
 	th.state = tRunning
-	e.running++
-	th.grant <- struct{}{}
+	th.car.next()
+	if !th.exited {
+		th.state = tParked
+		return
+	}
+	th.state = tExited
+	releaseCarrier(th.car)
+	th.car = nil
 }
 
 // misuse reports incorrect API usage by the PUT (e.g. unlocking an unheld
@@ -555,9 +525,8 @@ func (e *Engine) step(th *Thread) {
 
 	case OpBegin:
 		e.record(Event{Thread: th.id, Op: OpBegin, Loc: p.Loc})
-		th.state = tRunning
-		e.running++
-		go th.run()
+		th.car = acquireCarrier(th)
+		e.resume(th)
 
 	case OpJoin:
 		e.record(Event{Thread: th.id, Op: OpJoin, Loc: p.Loc, Target: p.Target})
@@ -838,10 +807,12 @@ func (e *Engine) deadlockFailure(blocked []*Thread) *Failure {
 	return &Failure{Kind: FailDeadlock, Msg: b.String()}
 }
 
-// teardown unwinds every remaining thread: parked goroutines are granted
-// with the abort flag set, making their next park panic through the PUT
-// body; threads never started (parked at OpBegin) are simply marked
-// exited. After teardown no PUT goroutine of this engine survives.
+// teardown unwinds every remaining thread: parked threads are resumed with
+// the abort flag set, making their park panic through the PUT body so the
+// carrier returns to the idle list; threads never started (parked at
+// OpBegin) are simply marked exited. After teardown no thread of this
+// engine holds a carrier, unless its body swallowed the abort panic and
+// parked again.
 func (e *Engine) teardown() {
 	e.abort = true
 	for _, th := range e.threads {
@@ -853,9 +824,6 @@ func (e *Engine) teardown() {
 			th.exited = true
 			continue
 		}
-		th.state = tRunning
-		e.running++
-		th.grant <- struct{}{}
-		e.quiesce()
+		e.switchTo(th)
 	}
 }

@@ -7,10 +7,12 @@
 // synchronization operation performed by a program under test (PUT) is a
 // serialized scheduling point. A PUT is an ordinary Go function written
 // against the Thread API (Read, Write, Lock, Unlock, Wait, Signal, Go, Join,
-// Assert, ...). Each virtual thread is a goroutine that parks at every API
-// call, publishing the event it is about to execute; the engine computes the
-// set of enabled pending events and asks a pluggable Scheduler to pick one.
-// Exactly one PUT goroutine runs at any instant, so execution is fully
+// Assert, ...). Each virtual thread runs on a coroutine (an iter.Pull
+// "carrier", pooled across executions) that yields back to the engine at
+// every API call, publishing the event it is about to execute; the engine
+// computes the set of enabled pending events, asks a pluggable Scheduler to
+// pick one, and switches into the chosen thread until its next call.
+// Exactly one PUT thread runs at any instant, so execution is fully
 // serialized, sequentially consistent, and — for a deterministic scheduler
 // and fixed seed — bit-for-bit reproducible.
 //

@@ -11,7 +11,7 @@ type Program func(t *Thread)
 type tstate uint8
 
 const (
-	tRunning tstate = iota + 1 // executing PUT code; engine is waiting for it to park
+	tRunning tstate = iota + 1 // executing PUT code; the engine is inside its carrier's next
 	tParked                    // parked at a pending event
 	tExited                    // body returned (or was aborted)
 )
@@ -22,9 +22,9 @@ type abortPanic struct{}
 
 // Thread is a virtual thread handle: the API surface PUT code uses for all
 // shared-state interaction. Every method that touches shared state parks
-// the goroutine and waits for the engine's scheduler to grant the step, so
-// each call is one scheduling point (one instrumented instruction in the
-// paper's terms).
+// the thread's carrier coroutine until the engine's scheduler grants the
+// step, so each call is one scheduling point (one instrumented instruction
+// in the paper's terms).
 type Thread struct {
 	id   ThreadID
 	name string
@@ -34,7 +34,7 @@ type Thread struct {
 	seq     int
 	pending Pending
 	state   tstate
-	grant   chan struct{}
+	car     *carrier // coroutine hosting the body; nil before OpBegin and after exit
 
 	// engine-managed blocking state
 	signaled bool    // condition wait has been signaled; may reacquire
@@ -64,28 +64,35 @@ func (t *Thread) ID() ThreadID { return t.id }
 // Name returns the thread's name as given at spawn.
 func (t *Thread) Name() string { return t.name }
 
-// park publishes the pending event and blocks until the engine grants the
-// step (or aborts the execution).
+// park publishes the pending event and suspends the thread's carrier until
+// the engine grants the step (or aborts the execution).
 func (t *Thread) park(p Pending) {
 	t.seq++
 	p.Thread = t.id
 	p.Seq = t.seq
 	t.pending = p
-	t.eng.notify <- notice{th: t, kind: noteParked}
-	<-t.grant
-	if t.eng.abort {
+	if !t.car.yield(struct{}{}) || t.eng.abort {
 		panic(abortPanic{})
 	}
 }
 
-// run executes the thread body, converting stray panics into crash
-// failures and always notifying the engine of thread exit.
+// goexitMsg is the FailPanic message for a thread body that called
+// runtime.Goexit (for instance testing.T.FailNow inside a PUT).
+const goexitMsg = "runtime.Goexit in thread body"
+
+// run executes the thread body on its carrier, converting stray panics and
+// runtime.Goexit into crash failures. The engine runs only inside the
+// carrier's next call, so recording the failure here is race-free.
 func (t *Thread) run() {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		goexit := r == nil && !returned
+		if goexit {
+			r = goexitMsg
+		}
+		if r != nil {
 			if _, ok := r.(abortPanic); !ok && !t.eng.abort && t.eng.failure == nil {
-				// The engine is quiescent while this thread runs, so
-				// recording the failure here is race-free.
 				t.eng.failure = &Failure{
 					Kind:   FailPanic,
 					Msg:    fmt.Sprint(r),
@@ -94,9 +101,16 @@ func (t *Thread) run() {
 			}
 		}
 		t.exited = true
-		t.eng.notify <- notice{th: t, kind: noteExited}
+		if goexit {
+			// Letting the Goexit unwind the carrier would make iter.Pull
+			// re-raise it in the engine's goroutine. Suspend mid-unwind
+			// instead; releaseCarrier finishes it on a throwaway goroutine.
+			t.car.goexited = true
+			t.car.yield(struct{}{})
+		}
 	}()
 	t.body(t)
+	returned = true
 }
 
 // --- shared-object creation -------------------------------------------------
@@ -306,7 +320,7 @@ func (t *Thread) BroadcastAt(c *Cond, loc string) {
 // Go spawns a child thread executing body. The child is created parked at
 // its OpBegin event; its body runs only once the scheduler picks it.
 func (t *Thread) Go(name string, body Program) *Thread {
-	child := &Thread{name: name, eng: t.eng, body: body, grant: make(chan struct{})}
+	child := &Thread{name: name, eng: t.eng, body: body}
 	t.newChild = child
 	t.park(Pending{Op: OpSpawn, Loc: callerLoc(1)})
 	return child
