@@ -39,7 +39,8 @@ func (m *machine) vote(v *exec.View, votes []int) {
 	lw, _, ok := v.LastWrite(m.c.Read.Var)
 	writeIsLast := ok && lw == m.c.Write
 
-	for i, p := range v.Enabled {
+	for i := range v.Enabled {
+		p := &v.Enabled[i]
 		instRead := p.IsReadLike() && p.Abstract() == m.c.Read
 		wAbs, isWrite := p.AbstractWrite()
 		instWrite := isWrite && wAbs == m.c.Write
@@ -95,8 +96,8 @@ func (m *machine) vote(v *exec.View, votes []int) {
 // readEnabled reports whether some enabled pending instantiates the
 // constraint's read.
 func (m *machine) readEnabled(v *exec.View) bool {
-	for _, p := range v.Enabled {
-		if p.IsReadLike() && p.Abstract() == m.c.Read {
+	for i := range v.Enabled {
+		if p := &v.Enabled[i]; p.IsReadLike() && p.Abstract() == m.c.Read {
 			return true
 		}
 	}
@@ -194,7 +195,7 @@ func (s *Proactive) Pick(v *exec.View) int {
 		restrict[i] = x == max
 	}
 	idx := s.pos.ArgMax(v.Enabled, restrict)
-	s.pos.ResetRacing(v.Enabled, v.Enabled[idx])
+	s.pos.ResetRacing(v.Enabled, &v.Enabled[idx])
 	return idx
 }
 

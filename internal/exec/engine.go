@@ -238,7 +238,7 @@ func (e *Engine) enabledThreads() []*Thread {
 // delivered value or a closed channel, WaitGroup waits need a zero
 // counter; everything else is always enabled.
 func (e *Engine) enabled(th *Thread) bool {
-	p := th.pending
+	p := &th.pending
 	switch p.Op {
 	case OpLock:
 		return e.objs[p.Var-1].holder == nil
@@ -301,7 +301,7 @@ func (e *Engine) chanReceiver(o *object, sender *Thread) *Thread {
 		if th == sender || th.state != tParked || th.chanMatched {
 			continue
 		}
-		p := th.pending
+		p := &th.pending
 		if p.Op == OpRecv && p.Var == o.id {
 			return th
 		}
@@ -382,7 +382,7 @@ func (e *Engine) record(ev Event) int {
 func (e *Engine) resume(th *Thread) {
 	e.switchTo(th)
 	if th.state == tParked && th.pending.Op == OpFail {
-		p := th.pending
+		p := &th.pending
 		e.record(Event{Thread: th.id, Op: OpFail, Loc: p.Loc})
 		e.failure = &Failure{Kind: p.FailKind, Msg: p.FailMsg, Thread: th.id, Loc: p.Loc}
 	}

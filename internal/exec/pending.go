@@ -62,7 +62,7 @@ func RecvCase(ch *Chan) SelectCase { return SelectCase{Ch: ch} }
 // Abstract projects the pending operation to the abstract event it would
 // instantiate if executed. For RMWs this is the read half; use
 // AbstractWrite for the store half.
-func (p Pending) Abstract() AbstractEvent {
+func (p *Pending) Abstract() AbstractEvent {
 	return AbstractEvent{Op: p.Op, Var: p.VarName, Loc: p.Loc}
 }
 
@@ -71,7 +71,7 @@ func (p Pending) Abstract() AbstractEvent {
 // pendings. For a plain write it equals Abstract(); for an RMW it is the
 // store half; for lock-word updates (lock/unlock/wait) it is the event
 // itself, since later acquisitions read-from the recorded lock event.
-func (p Pending) AbstractWrite() (AbstractEvent, bool) {
+func (p *Pending) AbstractWrite() (AbstractEvent, bool) {
 	switch {
 	case p.Op == OpWrite, p.Op == OpLock, p.Op == OpLockRe, p.Op == OpUnlock, p.Op == OpWait,
 		p.Op == OpSend, p.Op == OpClose, p.Op == OpWgAdd:
@@ -84,13 +84,13 @@ func (p Pending) AbstractWrite() (AbstractEvent, bool) {
 
 // IsWriteLike reports whether executing the pending acts as a reads-from
 // source on its variable (stores, RMWs, and lock-word updates).
-func (p Pending) IsWriteLike() bool {
+func (p *Pending) IsWriteLike() bool {
 	return p.Op == OpWrite || p.RMW != RMWNone || p.Op.ActsAsWrite() && p.Op != OpVarInit
 }
 
 // IsReadLike reports whether executing the pending carries a reads-from
 // edge (loads, RMWs, and lock acquisitions).
-func (p Pending) IsReadLike() bool { return p.Op.ReadsFrom() }
+func (p *Pending) IsReadLike() bool { return p.Op.ReadsFrom() }
 
 // View is the scheduler's window onto the engine state at one scheduling
 // decision: the enabled pending events (in deterministic thread-ID order)
@@ -151,7 +151,7 @@ func (v *View) LiveThreads() int { return v.eng.liveCount() }
 // shared variable with at least one write half, from different threads —
 // or contend for the same mutex. This is the racing relation used by POS
 // to reset priority scores.
-func Races(a, b Pending) bool {
+func Races(a, b *Pending) bool {
 	if a.Thread == b.Thread || a.Var == 0 || a.Var != b.Var {
 		return false
 	}

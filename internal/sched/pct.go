@@ -35,7 +35,7 @@ func NewPCT(depth int) *PCT {
 	if depth < 1 {
 		depth = 1
 	}
-	return &PCT{depth: depth, estLen: 64}
+	return &PCT{depth: depth, estLen: 64, prio: make(map[exec.ThreadID]int), changes: make(map[int]int)}
 }
 
 // Name implements exec.Scheduler.
@@ -48,9 +48,9 @@ func (s *PCT) Name() string {
 
 // Begin implements exec.Scheduler.
 func (s *PCT) Begin(seed int64) {
-	s.rng = rand.New(rand.NewSource(seed))
-	s.prio = make(map[exec.ThreadID]int)
-	s.changes = make(map[int]int)
+	s.rng = reseed(s.rng, seed)
+	clear(s.prio)
+	clear(s.changes)
 	s.step = 0
 	// Sample d-1 distinct change points over the estimated length.
 	points := make(map[int]struct{})
@@ -73,13 +73,14 @@ func (s *PCT) Pick(v *exec.View) int {
 	s.step++
 	best := -1
 	bestPrio := 0
-	for i, p := range v.Enabled {
-		pr, ok := s.prio[p.Thread]
+	for i := range v.Enabled {
+		th := v.Enabled[i].Thread
+		pr, ok := s.prio[th]
 		if !ok {
 			// New threads draw a random priority above the depth band;
 			// collisions are broken by thread ID and are harmless.
 			pr = s.depth + 1 + s.rng.Intn(1<<20)
-			s.prio[p.Thread] = pr
+			s.prio[th] = pr
 		}
 		if best < 0 || pr > bestPrio {
 			best = i

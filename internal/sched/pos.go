@@ -26,30 +26,24 @@ type POS struct {
 }
 
 // NewPOS returns a POS scheduler.
-func NewPOS() *POS { return &POS{} }
+func NewPOS() *POS { return &POS{scores: make(map[eventKey]float64)} }
 
 // Name implements exec.Scheduler.
 func (s *POS) Name() string { return "POS" }
 
 // Begin implements exec.Scheduler.
 func (s *POS) Begin(seed int64) {
-	s.rng = rand.New(rand.NewSource(seed))
-	s.scores = make(map[eventKey]float64)
+	s.rng = reseed(s.rng, seed)
+	clear(s.scores)
 }
 
 // Pick implements exec.Scheduler: argmax of per-event random scores, with
 // score resets for events racing with the chosen one.
 func (s *POS) Pick(v *exec.View) int {
 	best := s.ArgMax(v.Enabled, nil)
-	chosen := v.Enabled[best]
 	// Reset scores of racing events (the chosen event's own score dies
 	// with its key: the thread's next pending has a larger seq).
-	for _, p := range v.Enabled {
-		if exec.Races(p, chosen) {
-			delete(s.scores, eventKey{p.Thread, p.Seq})
-		}
-	}
-	delete(s.scores, eventKey{chosen.Thread, chosen.Seq})
+	s.ResetRacing(v.Enabled, &v.Enabled[best])
 	return best
 }
 
@@ -60,7 +54,8 @@ func (s *POS) Pick(v *exec.View) int {
 func (s *POS) ArgMax(candidates []exec.Pending, restrict []bool) int {
 	best := -1
 	var bestScore float64
-	for i, p := range candidates {
+	for i := range candidates {
+		p := &candidates[i]
 		k := eventKey{p.Thread, p.Seq}
 		sc, ok := s.scores[k]
 		if !ok {
@@ -80,9 +75,9 @@ func (s *POS) ArgMax(candidates []exec.Pending, restrict []bool) int {
 
 // ResetRacing re-draws the scores of candidates racing with chosen; exposed
 // for RFF, which performs its own Pick but must preserve POS's reset rule.
-func (s *POS) ResetRacing(candidates []exec.Pending, chosen exec.Pending) {
-	for _, p := range candidates {
-		if exec.Races(p, chosen) {
+func (s *POS) ResetRacing(candidates []exec.Pending, chosen *exec.Pending) {
+	for i := range candidates {
+		if p := &candidates[i]; exec.Races(p, chosen) {
 			delete(s.scores, eventKey{p.Thread, p.Seq})
 		}
 	}

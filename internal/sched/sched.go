@@ -25,7 +25,18 @@ func NewRandom() *Random { return &Random{} }
 func (s *Random) Name() string { return "Random" }
 
 // Begin implements exec.Scheduler.
-func (s *Random) Begin(seed int64) { s.rng = rand.New(rand.NewSource(seed)) }
+func (s *Random) Begin(seed int64) { s.rng = reseed(s.rng, seed) }
+
+// reseed returns r reseeded with seed, or a new generator if r is nil.
+// Reseeding replays exactly the stream of rand.New(rand.NewSource(seed))
+// without allocating another 4.9 KB source per execution.
+func reseed(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
+}
 
 // Pick implements exec.Scheduler.
 func (s *Random) Pick(v *exec.View) int { return s.rng.Intn(len(v.Enabled)) }

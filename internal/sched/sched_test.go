@@ -109,3 +109,41 @@ func TestRandomDiffersAcrossSeeds(t *testing.T) {
 		t.Fatal("20 seeds produced identical schedules")
 	}
 }
+
+// failsEarly ends on an assertion while writer threads may still hold
+// scored pending events.
+func failsEarly(t *exec.Thread) {
+	x := t.NewVar("x", 0)
+	for _, name := range []string{"a", "b", "c"} {
+		t.Go(name, func(w *exec.Thread) {
+			w.Write(x, 1)
+			w.Write(x, 0)
+		})
+	}
+	t.Assert(t.Read(x) == 0, "read a pending write")
+}
+
+// TestReusedSchedulerMatchesFresh: Begin reseeds a retained generator
+// rather than allocating a new one, so a scheduler reused across
+// executions must replay exactly what a fresh one does at each seed,
+// including after runs that ended with events still pending.
+func TestReusedSchedulerMatchesFresh(t *testing.T) {
+	for _, mk := range []func() exec.Scheduler{
+		func() exec.Scheduler { return sched.NewPOS() },
+		func() exec.Scheduler { return sched.NewRandom() },
+	} {
+		reused := mk()
+		for i, seed := range []int64{5, 0, 17, 5, 3, 42, 0, 8, 9, 10, 11, 12} {
+			prog := twoWriters
+			if i%2 == 1 {
+				prog = failsEarly
+			}
+			got := exec.Run("p", prog, exec.Config{Scheduler: reused, Seed: seed})
+			want := exec.Run("p", prog, exec.Config{Scheduler: mk(), Seed: seed})
+			if !reflect.DeepEqual(got.Trace.Decisions, want.Trace.Decisions) {
+				t.Fatalf("%s seed %d: reused scheduler picked %v, fresh picked %v",
+					reused.Name(), seed, got.Trace.Decisions, want.Trace.Decisions)
+			}
+		}
+	}
+}

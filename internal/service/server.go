@@ -77,6 +77,10 @@ type Server struct {
 	// its terminal state being recorded — the hook drain-race tests use
 	// to cancel the server inside that window deterministically.
 	testAfterRun func()
+	// testAfterTriage, if set, runs once a completed job's artifacts are
+	// triaged and the corpus is persisted — the point tests wait for
+	// before reloading the corpus.
+	testAfterTriage func()
 }
 
 // New builds a server over the store, restoring any queue persisted by
@@ -243,6 +247,9 @@ func (s *Server) execute(j *Job) {
 	s.finishJob(j, entry, err)
 	if err == nil {
 		s.triageEntry(entry)
+		if s.testAfterTriage != nil {
+			s.testAfterTriage()
+		}
 	}
 	s.logf("job %s: %s", j.ID, j.State())
 }

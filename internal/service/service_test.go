@@ -706,6 +706,10 @@ func TestTriageIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, ts := newTestServer(t, Options{Store: st, TriageDir: triageDir, Telemetry: hub})
+	// Set before the submit below; the job queue hand-off orders this
+	// write before the worker's read.
+	triaged := make(chan struct{}, 1)
+	srv.testAfterTriage = func() { triaged <- struct{}{} }
 
 	v := submit(t, ts, CampaignRequest{
 		Program: "CS/account",
@@ -719,10 +723,12 @@ func TestTriageIntegration(t *testing.T) {
 		t.Fatalf("job state %q (error %q)", done.State, done.Error)
 	}
 
-	// Triage runs on the worker after the job seals; poll briefly.
-	deadline := time.Now().Add(30 * time.Second)
-	for srv.triager.Len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// Triage runs on the worker after the job seals. The clusters show up
+	// at Add, before the corpus is saved, so wait for the save itself.
+	select {
+	case <-triaged:
+	case <-time.After(30 * time.Second):
+		t.Fatal("triage did not finish within 30s")
 	}
 	if srv.triager.Len() == 0 {
 		t.Fatal("no clusters after a bug-finding campaign")
