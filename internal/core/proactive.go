@@ -23,72 +23,69 @@ const (
 )
 
 // machine drives one reads-from constraint of the abstract schedule,
-// implementing the Figure 2 prioritization rules.
+// implementing the Figure 2 prioritization rules. Begin resolves the
+// constraint's events to keys, so every step compares integers; keys are
+// equality tokens only (see exec.EventKey).
 type machine struct {
-	c     Constraint
-	phase machinePhase
+	read, write exec.EventKey // keys of the constraint's read and write
+	// rvar is the read's shared object: where "is w the last write?" is
+	// asked, and which other writes can bury w.
+	rvar    exec.VarKey
+	negated bool
+	phase   machinePhase
+}
+
+func newMachine(c Constraint) machine {
+	read := exec.KeyOf(c.Read)
+	return machine{read: read, write: exec.KeyOf(c.Write), rvar: read.Var(), negated: c.Negated}
 }
 
 // vote adds this machine's priority votes for the enabled pendings:
-// +1 boosts, -1 deprioritizes. lastWriteMatches reports whether the
-// constraint's write is currently the last write on its variable.
+// +1 boosts, -1 deprioritizes. An enabled pending may instantiate the
+// constraint's read, its write, or be another write to the read's
+// object (which would bury w); which of those gain or lose depends on
+// the Figure 2 state, read off the live engine state: is w currently the
+// last write, and is the read enabled?
 func (m *machine) vote(v *exec.View, votes []int) {
 	if m.phase != phaseActive {
 		return
 	}
-	lw, _, ok := v.LastWrite(m.c.Read.Var)
-	writeIsLast := ok && lw == m.c.Write
-
+	writeIsLast := v.LastWriteKey(m.rvar) == m.write
+	var readVote, writeVote, otherVote int
+	switch {
+	case !m.negated && writeIsLast:
+		// Positive w -rf-> r (Figure 2a), blue states: w executed and is
+		// still visible — rush the read, hold off overwriters.
+		readVote, otherVote = 1, -1
+	case !m.negated && m.readEnabled(v):
+		// Red states: the read is ready too early — delay it and pull
+		// the target write forward.
+		readVote, writeVote = -1, 1
+	case !m.negated:
+		// Green states (read not enabled, write not last): no bias.
+		return
+	case writeIsLast:
+		// Negative w -/rf/-> r (Figure 2b), yellow states: reading now
+		// would violate — delay the read and push any other write to
+		// bury w.
+		readVote, otherVote = -1, 1
+	default:
+		// Purple states: reading now is safe — do it greedily, and keep
+		// w out of the picture.
+		readVote, writeVote = 1, -1
+	}
 	for i := range v.Enabled {
 		p := &v.Enabled[i]
-		instRead := p.IsReadLike() && p.Abstract() == m.c.Read
-		wAbs, isWrite := p.AbstractWrite()
-		instWrite := isWrite && wAbs == m.c.Write
-		otherWrite := isWrite && !instRead && p.VarName == m.c.Read.Var && wAbs != m.c.Write
-
-		if !m.c.Negated {
-			// Positive w -rf-> r (Figure 2a).
-			if writeIsLast {
-				// Blue states: w executed and still visible — rush the
-				// read, hold off overwriters.
-				if instRead {
-					votes[i]++
-				}
-				if otherWrite {
-					votes[i]--
-				}
-			} else if m.readEnabled(v) {
-				// Red states: the read is ready too early — delay it and
-				// pull the target write forward.
-				if instRead {
-					votes[i]--
-				}
-				if instWrite {
-					votes[i]++
-				}
-			}
-			// Green states (read not enabled, write not last): no bias.
-		} else {
-			// Negative w -/rf/-> r (Figure 2b).
-			if writeIsLast {
-				// Yellow states: reading now would violate — delay the
-				// read and push any other write to bury w.
-				if instRead {
-					votes[i]--
-				}
-				if otherWrite {
-					votes[i]++
-				}
-			} else {
-				// Purple states: reading now is safe — do it greedily,
-				// and keep w out of the picture.
-				if instRead {
-					votes[i]++
-				}
-				if instWrite {
-					votes[i]--
-				}
-			}
+		instRead := p.Key == m.read && p.IsReadLike()
+		if instRead {
+			votes[i] += readVote
+		}
+		switch {
+		case p.WriteKey == 0:
+		case p.WriteKey == m.write:
+			votes[i] += writeVote
+		case !instRead && p.Key.Var() == m.rvar:
+			votes[i] += otherVote
 		}
 	}
 }
@@ -97,21 +94,21 @@ func (m *machine) vote(v *exec.View, votes []int) {
 // constraint's read.
 func (m *machine) readEnabled(v *exec.View) bool {
 	for i := range v.Enabled {
-		if p := &v.Enabled[i]; p.IsReadLike() && p.Abstract() == m.c.Read {
+		if p := &v.Enabled[i]; p.Key == m.read && p.IsReadLike() {
 			return true
 		}
 	}
 	return false
 }
 
-// observe advances the machine on an executed read event (writerAbs is the
-// abstract event of the write it observed).
-func (m *machine) observe(readAbs, writerAbs exec.AbstractEvent) {
-	if m.phase != phaseActive || readAbs != m.c.Read {
+// observe advances the machine on an executed read event with key read
+// (writer is the key of the write it observed).
+func (m *machine) observe(read, writer exec.EventKey) {
+	if m.phase != phaseActive || read != m.read {
 		return
 	}
-	if writerAbs == m.c.Write {
-		if m.c.Negated {
+	if writer == m.write {
+		if m.negated {
 			m.phase = phaseRejected // REJECT: violated for the whole run
 		} else {
 			m.phase = phaseSatisfied // existential: witnessed once, retire
@@ -134,11 +131,11 @@ type Proactive struct {
 	pos      *sched.POS
 	target   Schedule
 	machines []machine
-	// writeAbs resolves executed write event IDs to their abstract events
-	// so reads can be matched to the writer they observed. Trace IDs are
-	// dense and monotonic, so a slice indexed by ID replaces the previous
-	// per-execution map; its backing array is reused across executions.
-	writeAbs []exec.AbstractEvent
+	// writeKeys resolves executed write event IDs to their keys so reads
+	// can be matched to the writer they observed (0: not a write). Trace
+	// IDs are dense and monotonic, so a slice indexed by ID serves; its
+	// backing array is reused across executions.
+	writeKeys []exec.EventKey
 
 	votes    []int
 	restrict []bool
@@ -160,12 +157,11 @@ func (s *Proactive) Name() string { return "RFF" }
 // Begin implements exec.Scheduler: rebuilds one machine per constraint.
 func (s *Proactive) Begin(seed int64) {
 	s.pos.Begin(seed)
-	cs := s.target.Constraints()
 	s.machines = s.machines[:0]
-	for _, c := range cs {
-		s.machines = append(s.machines, machine{c: c})
+	for _, c := range s.target.Constraints() {
+		s.machines = append(s.machines, newMachine(c))
 	}
-	s.writeAbs = s.writeAbs[:0]
+	s.writeKeys = s.writeKeys[:0]
 }
 
 // Pick implements exec.Scheduler: sum machine votes per enabled event, keep
@@ -199,26 +195,25 @@ func (s *Proactive) Pick(v *exec.View) int {
 	return idx
 }
 
-// Executed implements exec.Scheduler: tracks writer abstractions and
-// advances constraint machines on reads.
+// Executed implements exec.Scheduler: tracks writer keys and advances
+// constraint machines on reads.
 func (s *Proactive) Executed(ev exec.Event) {
 	if ev.Op.ActsAsWrite() {
-		for len(s.writeAbs) <= int(ev.ID) {
-			s.writeAbs = append(s.writeAbs, exec.AbstractEvent{})
+		for len(s.writeKeys) <= ev.ID {
+			s.writeKeys = append(s.writeKeys, 0)
 		}
-		s.writeAbs[ev.ID] = ev.Abstract()
+		s.writeKeys[ev.ID] = ev.Key
 	}
 	if ev.Op.ReadsFrom() && ev.RF != 0 {
-		if ev.RF >= len(s.writeAbs) {
+		if ev.RF >= len(s.writeKeys) {
 			return
 		}
-		writer := s.writeAbs[ev.RF]
-		if writer.IsZero() {
+		writer := s.writeKeys[ev.RF]
+		if writer == 0 {
 			return
 		}
-		readAbs := ev.Abstract()
 		for i := range s.machines {
-			s.machines[i].observe(readAbs, writer)
+			s.machines[i].observe(ev.Key, writer)
 		}
 	}
 }

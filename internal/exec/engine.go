@@ -75,9 +75,9 @@ type Engine struct {
 	cfg  Config
 	name string
 
-	threads   []*Thread // index = ThreadID-1
-	objs      []*object // index = VarID-1
-	objByName map[string]*object
+	threads  []*Thread // index = ThreadID-1
+	objs     []*object // index = VarID-1
+	objByKey map[VarKey]*object
 
 	trace *Trace
 
@@ -85,9 +85,10 @@ type Engine struct {
 	// supplied), polled once per scheduling step.
 	done <-chan struct{}
 
-	// Per-step scratch, reused across the whole execution: the candidate
-	// list, the scheduler's View, and its Enabled slice are rebuilt in
-	// place every scheduling point instead of allocated fresh.
+	// Per-step scratch, reused across the whole execution (and, through
+	// Config.Recycle, across executions): the candidate list, the
+	// scheduler's View, and its Enabled slice are rebuilt in place every
+	// scheduling point instead of allocated fresh.
 	candBuf []*Thread
 	view    View
 
@@ -119,11 +120,12 @@ func Run(name string, p Program, cfg Config) *Result {
 		// Adopt the previous execution's backing arrays and sizes: traces
 		// of one program barely vary, so these capacities fit immediately.
 		e.trace.Events, e.trace.Decisions = r.take()
+		e.view.Enabled, e.candBuf = r.takeScratch()
 		e.threads = make([]*Thread, 0, r.prevThreads)
 		e.objs = make([]*object, 0, r.prevObjs)
-		e.objByName = make(map[string]*object, r.prevObjs)
+		e.objByKey = make(map[VarKey]*object, r.prevObjs)
 	} else {
-		e.objByName = make(map[string]*object)
+		e.objByKey = make(map[VarKey]*object)
 	}
 	cfg.Scheduler.Begin(cfg.Seed)
 
@@ -137,7 +139,7 @@ func Run(name string, p Program, cfg Config) *Result {
 
 	cfg.Scheduler.End(e.trace)
 	if r := cfg.Recycle; r != nil {
-		r.record(len(e.threads), len(e.objs), e.trace.Len())
+		r.record(len(e.threads), len(e.objs), e.trace.Len(), e.view.Enabled, e.candBuf)
 	}
 	if t := cfg.Telemetry; t != nil {
 		t.Add(telemetry.MEngineExecutions, 1)
@@ -383,7 +385,7 @@ func (e *Engine) resume(th *Thread) {
 	e.switchTo(th)
 	if th.state == tParked && th.pending.Op == OpFail {
 		p := &th.pending
-		e.record(Event{Thread: th.id, Op: OpFail, Loc: p.Loc})
+		e.record(Event{Thread: th.id, Op: OpFail, Loc: p.Loc, Key: p.Key})
 		e.failure = &Failure{Kind: p.FailKind, Msg: p.FailMsg, Thread: th.id, Loc: p.Loc}
 	}
 }
@@ -417,20 +419,20 @@ func (e *Engine) step(th *Thread) {
 	case OpVarInit:
 		o := th.newObj
 		th.newObj = nil
-		if _, dup := e.objByName[o.name]; dup {
+		if _, dup := e.objByKey[o.key]; dup {
 			e.misuse(th, fmt.Sprintf("duplicate shared object name %q", o.name))
 			return
 		}
 		e.objs = append(e.objs, o)
 		o.id = VarID(len(e.objs))
-		e.objByName[o.name] = o
-		ev := Event{Thread: th.id, Op: OpVarInit, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val}
+		e.objByKey[o.key] = o
+		ev := Event{Thread: th.id, Op: OpVarInit, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val}
 		o.lastWrite = e.record(ev)
 		e.resume(th)
 
 	case OpRead:
 		o := e.objs[p.Var-1]
-		e.record(Event{Thread: th.id, Op: OpRead, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val, RF: o.lastWrite, Atomic: p.RMW != RMWNone})
+		e.record(Event{Thread: th.id, Op: OpRead, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val, RF: o.lastWrite, Atomic: p.RMW != RMWNone})
 		th.retVal = o.val
 		th.retOK = false
 		switch p.RMW {
@@ -438,22 +440,22 @@ func (e *Engine) step(th *Thread) {
 		case RMWCAS:
 			if o.val == p.CASOld {
 				o.val = p.Val
-				o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val, Atomic: true})
+				o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
 				th.retOK = true
 			}
 		case RMWAdd:
 			o.val += p.Val
-			o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val, Atomic: true})
+			o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
 		case RMWSwap:
 			o.val = p.Val
-			o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val, Atomic: true})
+			o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
 		}
 		e.resume(th)
 
 	case OpWrite:
 		o := e.objs[p.Var-1]
 		o.val = p.Val
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
 		e.resume(th)
 
 	case OpLock:
@@ -462,7 +464,7 @@ func (e *Engine) step(th *Thread) {
 		// carries a reads-from edge and is a reads-from source.
 		o := e.objs[p.Var-1]
 		o.holder = th
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpLock, Var: o.id, VarStr: o.name, Loc: p.Loc, RF: o.lastWrite})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpUnlock:
@@ -472,7 +474,7 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.holder = nil
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpWait:
@@ -486,13 +488,13 @@ func (e *Engine) step(th *Thread) {
 		o.waiters = append(o.waiters, th)
 		// The wait releases the mutex: its event becomes the mutex
 		// word's last write, so the next acquisition reads-from it.
-		m.lastWrite = e.record(Event{Thread: th.id, Op: OpWait, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		m.lastWrite = e.record(Event{Thread: th.id, Op: OpWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th) // thread immediately reparks at OpLockRe
 
 	case OpLockRe:
 		o := e.objs[p.Var-1]
 		o.holder = th
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpLockRe, Var: o.id, VarStr: o.name, Loc: p.Loc, RF: o.lastWrite})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpLockRe, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpSignal:
@@ -502,7 +504,7 @@ func (e *Engine) step(th *Thread) {
 			o.waiters = o.waiters[1:]
 			w.signaled = true
 		}
-		e.record(Event{Thread: th.id, Op: OpSignal, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		e.record(Event{Thread: th.id, Op: OpSignal, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpBroadcast:
@@ -511,7 +513,7 @@ func (e *Engine) step(th *Thread) {
 			w.signaled = true
 		}
 		o.waiters = nil
-		e.record(Event{Thread: th.id, Op: OpBroadcast, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		e.record(Event{Thread: th.id, Op: OpBroadcast, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpSpawn:
@@ -519,26 +521,26 @@ func (e *Engine) step(th *Thread) {
 		th.newChild = nil
 		e.addThread(child)
 		child.state = tParked
-		child.pending = Pending{Thread: child.id, Op: OpBegin, Loc: p.Loc}
-		e.record(Event{Thread: th.id, Op: OpSpawn, Loc: p.Loc, Target: child.id})
+		child.pending = Pending{Thread: child.id, Op: OpBegin, Loc: p.Loc, Key: p.Key.withOp(OpBegin)}
+		e.record(Event{Thread: th.id, Op: OpSpawn, Loc: p.Loc, Key: p.Key, Target: child.id})
 		e.resume(th)
 
 	case OpBegin:
-		e.record(Event{Thread: th.id, Op: OpBegin, Loc: p.Loc})
+		e.record(Event{Thread: th.id, Op: OpBegin, Loc: p.Loc, Key: p.Key})
 		th.car = acquireCarrier(th)
 		e.resume(th)
 
 	case OpJoin:
-		e.record(Event{Thread: th.id, Op: OpJoin, Loc: p.Loc, Target: p.Target})
+		e.record(Event{Thread: th.id, Op: OpJoin, Loc: p.Loc, Key: p.Key, Target: p.Target})
 		e.resume(th)
 
 	case OpYield:
-		e.record(Event{Thread: th.id, Op: OpYield, Loc: p.Loc})
+		e.record(Event{Thread: th.id, Op: OpYield, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpTryLock:
 		o := e.objs[p.Var-1]
-		ev := Event{Thread: th.id, Op: OpTryLock, Var: o.id, VarStr: o.name, Loc: p.Loc}
+		ev := Event{Thread: th.id, Op: OpTryLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key}
 		if o.holder == nil {
 			o.holder = th
 			ev.Val = 1
@@ -554,7 +556,7 @@ func (e *Engine) step(th *Thread) {
 	case OpRLock:
 		o := e.objs[p.Var-1]
 		o.readers++
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpRLock, Var: o.id, VarStr: o.name, Loc: p.Loc, RF: o.lastWrite})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpRLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpRUnlock:
@@ -564,13 +566,13 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.readers--
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpRUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpRUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpWLock:
 		o := e.objs[p.Var-1]
 		o.writer = th
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWLock, Var: o.id, VarStr: o.name, Loc: p.Loc, RF: o.lastWrite})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpWUnlock:
@@ -580,19 +582,19 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.writer = nil
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpSemWait:
 		o := e.objs[p.Var-1]
 		o.val--
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpSemWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val, RF: o.lastWrite})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpSemWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpSemPost:
 		o := e.objs[p.Var-1]
 		o.val++
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpSemPost, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpSemPost, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
 		e.resume(th)
 
 	case OpBarrier:
@@ -609,18 +611,18 @@ func (e *Engine) step(th *Thread) {
 			}
 		}
 		delete(o.releasing, th)
-		e.record(Event{Thread: th.id, Op: OpBarrier, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		e.record(Event{Thread: th.id, Op: OpBarrier, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpSend:
 		o := e.objs[p.Var-1]
-		if e.execSend(th, o, p.Val, p.Loc) {
+		if e.execSend(th, o, p.Val, p.Loc, p.Key.loc()) {
 			e.resume(th)
 		}
 
 	case OpRecv:
 		o := e.objs[p.Var-1]
-		e.execRecv(th, o, p.Loc)
+		e.execRecv(th, o, p.Loc, p.Key.loc())
 		e.resume(th)
 
 	case OpClose:
@@ -631,7 +633,7 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.closed = true
-		o.closeEv = e.record(Event{Thread: th.id, Op: OpClose, Var: o.id, VarStr: o.name, Loc: p.Loc})
+		o.closeEv = e.record(Event{Thread: th.id, Op: OpClose, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpTrySend:
@@ -641,7 +643,7 @@ func (e *Engine) step(th *Thread) {
 				Msg: fmt.Sprintf("send on closed channel %q", o.name), Thread: th.id, Loc: p.Loc}
 			return
 		}
-		ev := Event{Thread: th.id, Op: OpTrySend, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: p.Val}
+		ev := Event{Thread: th.id, Op: OpTrySend, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: p.Val}
 		th.retOK = false
 		switch {
 		case o.cap > 0 && len(o.buf) < o.cap:
@@ -664,7 +666,7 @@ func (e *Engine) step(th *Thread) {
 
 	case OpTryRecv:
 		o := e.objs[p.Var-1]
-		ev := Event{Thread: th.id, Op: OpTryRecv, Var: o.id, VarStr: o.name, Loc: p.Loc}
+		ev := Event{Thread: th.id, Op: OpTryRecv, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key}
 		th.retVal, th.retOK, th.retRecvd = 0, false, false
 		switch {
 		case len(o.buf) > 0:
@@ -684,7 +686,7 @@ func (e *Engine) step(th *Thread) {
 			// A sender already committed this select to its matched
 			// receive case; complete the handoff.
 			i := th.chanCase
-			e.execRecv(th, p.Cases[i].Ch.obj, p.Loc)
+			e.execRecv(th, p.Cases[i].Ch.obj, p.Loc, p.Key.loc())
 			th.retCase = i
 			e.resume(th)
 			return
@@ -702,12 +704,12 @@ func (e *Engine) step(th *Thread) {
 		c := p.Cases[fired]
 		th.retCase = fired
 		if c.Send {
-			if !e.execSend(th, c.Ch.obj, c.Val, p.Loc) {
+			if !e.execSend(th, c.Ch.obj, c.Val, p.Loc, p.Key.loc()) {
 				return // send-on-closed crash
 			}
 			th.retVal, th.retOK = 0, true
 		} else {
-			e.execRecv(th, c.Ch.obj, p.Loc)
+			e.execRecv(th, c.Ch.obj, p.Loc, p.Key.loc())
 		}
 		e.resume(th)
 
@@ -718,12 +720,12 @@ func (e *Engine) step(th *Thread) {
 			e.misuse(th, fmt.Sprintf("negative WaitGroup counter on %q", o.name))
 			return
 		}
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWgAdd, Var: o.id, VarStr: o.name, Loc: p.Loc, Val: o.val})
+		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWgAdd, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
 		e.resume(th)
 
 	case OpWgWait:
 		o := e.objs[p.Var-1]
-		e.record(Event{Thread: th.id, Op: OpWgWait, Var: o.id, VarStr: o.name, Loc: p.Loc, RF: o.lastWrite})
+		e.record(Event{Thread: th.id, Op: OpWgWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	default:
@@ -731,17 +733,18 @@ func (e *Engine) step(th *Thread) {
 	}
 }
 
-// execSend applies send semantics for th on channel o at loc: crash on a
+// execSend applies send semantics for th on channel o at loc (whose key is
+// lk): crash on a
 // closed channel, enqueue on a buffered one, deliver into the matched
 // receiver's transfer slot on a rendezvous. Returns false when the send
 // crashed (the execution ends; th is not resumed).
-func (e *Engine) execSend(th *Thread, o *object, val int64, loc string) bool {
+func (e *Engine) execSend(th *Thread, o *object, val int64, loc string, lk locKey) bool {
 	if o.closed {
 		e.failure = &Failure{Kind: FailSendClosed,
 			Msg: fmt.Sprintf("send on closed channel %q", o.name), Thread: th.id, Loc: loc}
 		return false
 	}
-	ev := Event{Thread: th.id, Op: OpSend, Var: o.id, VarStr: o.name, Loc: loc, Val: val}
+	ev := Event{Thread: th.id, Op: OpSend, Var: o.id, VarStr: o.name, Loc: loc, Key: makeEventKey(OpSend, o.key, lk), Val: val}
 	if o.cap > 0 {
 		id := e.record(ev)
 		o.buf = append(o.buf, chanElem{val: val, src: id})
@@ -769,11 +772,12 @@ func (e *Engine) deliver(rcv *Thread, o *object, val int64, sendID int) {
 	}
 }
 
-// execRecv applies receive semantics for th on channel o at loc: drain
+// execRecv applies receive semantics for th on channel o at loc (whose key
+// is lk): drain
 // the transfer slot (rendezvous match), pop the buffer head, or observe
 // the close of a drained channel. Sets the thread's return values.
-func (e *Engine) execRecv(th *Thread, o *object, loc string) {
-	ev := Event{Thread: th.id, Op: OpRecv, Var: o.id, VarStr: o.name, Loc: loc}
+func (e *Engine) execRecv(th *Thread, o *object, loc string, lk locKey) {
+	ev := Event{Thread: th.id, Op: OpRecv, Var: o.id, VarStr: o.name, Loc: loc, Key: makeEventKey(OpRecv, o.key, lk)}
 	switch {
 	case th.chanMatched:
 		th.chanMatched = false

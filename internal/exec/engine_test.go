@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -407,22 +408,30 @@ func TestJoinBlocksUntilExit(t *testing.T) {
 
 func TestViewLastWrite(t *testing.T) {
 	// Use a probe scheduler to observe View state mid-run.
-	probe := &probeScheduler{inner: sched.NewRoundRobin()}
+	probe := &probeScheduler{inner: sched.NewRoundRobin(), a: exec.VarKeyOf("a")}
 	exec.Run("probe", func(t *exec.Thread) {
 		a := t.NewVar("a", 0)
 		t.Write(a, 3)
 		t.Read(a)
 	}, exec.Config{Scheduler: probe, Seed: 1})
+	for _, err := range probe.errs {
+		t.Error(err)
+	}
 	if !probe.sawInitWrite {
-		t.Error("View.LastWrite never reported the init write")
+		t.Error("View.LastWriteKey never reported the init write")
 	}
 	if !probe.sawRealWrite {
-		t.Error("View.LastWrite never reported the real write")
+		t.Error("View.LastWriteKey never reported the real write")
 	}
 }
 
+// probeScheduler checks, at every Pick, that View.LastWriteKey of "a" is
+// the key of the last reads-from source recorded on it (0 before any).
 type probeScheduler struct {
 	inner        exec.Scheduler
+	a            exec.VarKey
+	last         exec.Event
+	errs         []string
 	sawInitWrite bool
 	sawRealWrite bool
 }
@@ -430,15 +439,28 @@ type probeScheduler struct {
 func (p *probeScheduler) Name() string     { return "probe" }
 func (p *probeScheduler) Begin(seed int64) { p.inner.Begin(seed) }
 func (p *probeScheduler) Pick(v *exec.View) int {
-	if ae, _, ok := v.LastWrite("a"); ok {
-		switch ae.Op {
-		case exec.OpVarInit:
-			p.sawInitWrite = true
-		case exec.OpWrite:
-			p.sawRealWrite = true
-		}
+	got := v.LastWriteKey(p.a)
+	if got != p.last.Key {
+		p.errs = append(p.errs, fmt.Sprintf("step %d: LastWriteKey = %#x, want the key %#x of %v",
+			v.Step, got, p.last.Key, p.last))
+	}
+	switch {
+	case got == 0:
+	case p.last.Op == exec.OpVarInit:
+		p.sawInitWrite = true
+	case p.last.Op == exec.OpWrite:
+		p.sawRealWrite = true
 	}
 	return p.inner.Pick(v)
 }
-func (p *probeScheduler) Executed(ev exec.Event) { p.inner.Executed(ev) }
-func (p *probeScheduler) End(t *exec.Trace)      { p.inner.End(t) }
+func (p *probeScheduler) Executed(ev exec.Event) {
+	if ev.Key != exec.KeyOf(ev.Abstract()) {
+		p.errs = append(p.errs, fmt.Sprintf("%v: Key %#x, want the key %#x of its abstract event",
+			ev, ev.Key, exec.KeyOf(ev.Abstract())))
+	}
+	if ev.VarStr == "a" && ev.Op.ActsAsWrite() {
+		p.last = ev
+	}
+	p.inner.Executed(ev)
+}
+func (p *probeScheduler) End(t *exec.Trace) { p.inner.End(t) }

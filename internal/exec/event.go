@@ -8,16 +8,24 @@ import (
 
 // Event is one executed step of a concrete schedule: the paper's
 // e = <id, t, op(x)@l> extended with the observed/stored value and, for
-// reads, the reads-from edge.
+// reads, the reads-from edge. Fields are laid out so the struct packs
+// into 80 bytes: it is appended to the trace and handed to the scheduler
+// by value at every step.
 type Event struct {
-	ID     int      // 1-based position in the trace
-	Thread ThreadID // executing thread
-	Op     Op
-	Var    VarID  // shared object operated on (0 if none, e.g. spawn/yield)
+	ID int // 1-based position in the trace
+	// Key is the key of the event's abstract event (see EventKey),
+	// stamped by the engine; 0 on events built outside an execution.
+	Key    EventKey
 	VarStr string // stable name of the shared object ("" if none)
 	Loc    string // source location of the operation
 	Val    int64  // value read or written (reads/writes/init only)
 	RF     int    // reads only: trace ID of the write event observed
+	Thread ThreadID
+	Var    VarID // shared object operated on (0 if none, e.g. spawn/yield)
+	// Target is the spawned thread for OpSpawn and the joined thread for
+	// OpJoin; 0 otherwise.
+	Target ThreadID
+	Op     Op
 	// Atomic marks the read/write halves of atomic RMWs (CAS,
 	// fetch-add, swap): they synchronize rather than race, which the
 	// happens-before race detector relies on.
@@ -25,10 +33,7 @@ type Event struct {
 	// Ok marks successful channel operations: a receive that observed a
 	// sent value (false for the zero value of a closed drained channel)
 	// and a try-send/try-recv that went through. False elsewhere.
-	Ok     bool
-	Target ThreadID
-	// Target is the spawned thread for OpSpawn and the joined thread for
-	// OpJoin; 0 otherwise.
+	Ok bool
 }
 
 // Abstract projects the concrete event to its abstract event op(x)@loc.

@@ -84,17 +84,20 @@ func TestCallerLocMatchesRuntimeCaller(t *testing.T) {
 		return path.Base(file) + ":" + strconv.Itoa(line)
 	}
 	got, want := callerLoc(0), ref(0)
-	if got != want {
-		t.Errorf("callerLoc(0) = %q, runtime.Caller gives %q", got, want)
+	if got.loc != want {
+		t.Errorf("callerLoc(0) = %q, runtime.Caller gives %q", got.loc, want)
 	}
-	wrap := func() (string, string) { return callerLoc(1), ref(1) }
+	if got.key != locKeyOf(want) {
+		t.Errorf("callerLoc(0) key %d, the location's key is %d", got.key, locKeyOf(want))
+	}
+	wrap := func() (string, string) { return callerLoc(1).loc, ref(1) }
 	if got, want := wrap(); got != want {
 		t.Errorf("callerLoc(1) through a closure = %q, runtime.Caller gives %q", got, want)
 	}
 }
 
 func TestCallerLocWarmAllocatesNothing(t *testing.T) {
-	probe := func() string { return callerLoc(0) }
+	probe := func() site { return callerLoc(0) }
 	probe() // resolve and cache the site
 	if allocs := testing.AllocsPerRun(100, func() { _ = probe() }); allocs != 0 {
 		t.Fatalf("warm callerLoc allocated %.1f objects/call, want 0", allocs)

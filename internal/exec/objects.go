@@ -28,6 +28,7 @@ type object struct {
 	id   VarID
 	kind objKind
 	name string
+	key  VarKey // key of name, looked up once at creation
 
 	// data variables
 	val       int64

@@ -21,28 +21,46 @@ const (
 // Pending describes the event a parked thread is about to execute. The
 // engine exposes the enabled Pendings to the Scheduler each step; picking
 // one grants its thread a single step.
+//
+// Fields are laid out so the struct packs into 128 bytes: the
+// engine copies every enabled Pending into the View at each step.
 type Pending struct {
-	Thread  ThreadID
-	Seq     int // thread-local op counter; (Thread, Seq) identifies this event instance
-	Op      Op
-	Var     VarID
+	Thread ThreadID
+	Var    VarID
+	Seq    int // thread-local op counter; (Thread, Seq) identifies this event instance
+
+	// Key is the key of the abstract event the pending instantiates
+	// (Abstract()). WriteKey is the key of the event under which it
+	// would be recorded as a reads-from source, 0 if it is none: Key
+	// itself for a plain write and for lock-word updates (lock, relock,
+	// unlock, wait — later acquisitions read-from the recorded lock
+	// event), channel sends and closes, and WaitGroup adds; the store
+	// half's key for an RMW.
+	Key      EventKey
+	WriteKey EventKey
+
 	VarName string
 	Loc     string
 	Val     int64 // value to write (writes), delta (RMWAdd), new value (RMWSwap/CAS)
-	Target  ThreadID
 
-	// RMW metadata (Op is OpRead for all RMWs; IsWriteLike additionally
-	// holds so conflict detection sees the store half).
-	RMW    RMWKind
+	// CASOld is the expected value of an RMWCAS.
 	CASOld int64
 
-	// Failure metadata for OpFail pendings.
-	FailKind FailureKind
-	FailMsg  string
+	// FailMsg and FailKind describe the failure of an OpFail pending.
+	FailMsg string
 
 	// Cases holds the channel cases of an OpSelect pending (Var is 0; a
 	// select targets several channels at once).
 	Cases []SelectCase
+
+	Target ThreadID
+	Op     Op
+
+	// RMW marks an atomic read-modify-write (Op is OpRead for all RMWs;
+	// IsWriteLike additionally holds so conflict detection sees the
+	// store half).
+	RMW      RMWKind
+	FailKind FailureKind
 }
 
 // SelectCase is one arm of a deterministic select: a send of Val on Ch,
@@ -60,26 +78,22 @@ func SendCase(ch *Chan, v int64) SelectCase { return SelectCase{Ch: ch, Send: tr
 func RecvCase(ch *Chan) SelectCase { return SelectCase{Ch: ch} }
 
 // Abstract projects the pending operation to the abstract event it would
-// instantiate if executed. For RMWs this is the read half; use
-// AbstractWrite for the store half.
+// instantiate if executed. For RMWs this is the read half; WriteKey
+// identifies the store half.
 func (p *Pending) Abstract() AbstractEvent {
 	return AbstractEvent{Op: p.Op, Var: p.VarName, Loc: p.Loc}
 }
 
-// AbstractWrite returns the abstract event under which this pending would
-// be recorded as a reads-from *source*, and ok=false for non-writing
-// pendings. For a plain write it equals Abstract(); for an RMW it is the
-// store half; for lock-word updates (lock/unlock/wait) it is the event
-// itself, since later acquisitions read-from the recorded lock event.
-func (p *Pending) AbstractWrite() (AbstractEvent, bool) {
+// writeKey derives WriteKey from Key (see Pending).
+func (p *Pending) writeKey() EventKey {
 	switch {
 	case p.Op == OpWrite, p.Op == OpLock, p.Op == OpLockRe, p.Op == OpUnlock, p.Op == OpWait,
 		p.Op == OpSend, p.Op == OpClose, p.Op == OpWgAdd:
-		return p.Abstract(), true
+		return p.Key
 	case p.RMW != RMWNone:
-		return AbstractEvent{Op: OpWrite, Var: p.VarName, Loc: p.Loc}, true
+		return p.Key.withOp(OpWrite)
 	}
-	return AbstractEvent{}, false
+	return 0
 }
 
 // IsWriteLike reports whether executing the pending acts as a reads-from
@@ -104,19 +118,20 @@ type View struct {
 	eng *Engine
 }
 
-// LastWrite returns the abstract event and trace ID of the most recent
-// reads-from source on the named shared object — the last write for a data
-// variable, the last lock-word update for a mutex (the synthetic init
-// event if untouched). For a channel it is the event the *next* receive
-// would read-from: the send at the head of the buffer, or the close once
+// LastWriteKey returns the key of the most recent reads-from source on
+// the shared object with key x — the last write for a data variable, the
+// last lock-word update for a mutex (the synthetic init event if
+// untouched). For a channel it is the event the *next* receive would
+// read-from: the send at the head of the buffer, or the close once
 // drained — the definition the proactive constraint machines need to
-// judge whether a target send is currently observable. ok is false if no
-// such object (or source) exists yet.
-func (v *View) LastWrite(varName string) (ae AbstractEvent, id int, ok bool) {
-	o := v.eng.objByName[varName]
+// judge whether a target send is currently observable. It returns 0 if
+// no such object (or source) exists yet.
+func (v *View) LastWriteKey(x VarKey) EventKey {
+	o := v.eng.objByKey[x]
 	if o == nil {
-		return AbstractEvent{}, 0, false
+		return 0
 	}
+	id := o.lastWrite
 	if o.kind == objChan {
 		switch {
 		case len(o.buf) > 0:
@@ -124,23 +139,13 @@ func (v *View) LastWrite(varName string) (ae AbstractEvent, id int, ok bool) {
 		case o.closed:
 			id = o.closeEv
 		default:
-			return AbstractEvent{}, 0, false
+			return 0
 		}
-		return v.eng.trace.Event(id).Abstract(), id, true
 	}
-	if o.lastWrite == 0 {
-		return AbstractEvent{}, 0, false
+	if id == 0 {
+		return 0
 	}
-	return v.eng.trace.Event(o.lastWrite).Abstract(), o.lastWrite, true
-}
-
-// VarValue returns the current value of the named variable.
-func (v *View) VarValue(varName string) (val int64, ok bool) {
-	o := v.eng.objByName[varName]
-	if o == nil || o.kind != objVar {
-		return 0, false
-	}
-	return o.val, true
+	return v.eng.trace.Events[id-1].Key
 }
 
 // LiveThreads returns the number of threads that have started and not yet

@@ -64,9 +64,22 @@ func (t *Thread) ID() ThreadID { return t.id }
 // Name returns the thread's name as given at spawn.
 func (t *Thread) Name() string { return t.name }
 
-// park publishes the pending event and suspends the thread's carrier until
-// the engine grants the step (or aborts the execution).
-func (t *Thread) park(p Pending) {
+// park publishes the pending event p — on shared object o (nil for none)
+// at location l — and suspends the thread's carrier until the engine
+// grants the step (or aborts the execution). It stamps the pending's keys
+// from o's and l's, so parking hashes no string; only a select, whose
+// pending names all its channels, looks its name up.
+func (t *Thread) park(p Pending, o *object, l site) {
+	var vk VarKey
+	switch {
+	case o != nil:
+		p.Var, p.VarName, vk = o.id, o.name, o.key
+	case p.VarName != "":
+		vk = VarKeyOf(p.VarName)
+	}
+	p.Loc = l.loc
+	p.Key = makeEventKey(p.Op, vk, l.key)
+	p.WriteKey = p.writeKey()
 	t.seq++
 	p.Thread = t.id
 	p.Seq = t.seq
@@ -115,13 +128,22 @@ func (t *Thread) run() {
 
 // --- shared-object creation -------------------------------------------------
 
+// create registers the new shared object o at location l: one OpVarInit
+// scheduling point recording val as the object's initial value. The
+// object's key is looked up here, once per object, so that every later
+// operation on it parks without touching the name.
+func (t *Thread) create(o *object, l site, val int64) {
+	o.key = VarKeyOf(o.name)
+	t.newObj = o
+	t.park(Pending{Op: OpVarInit, Val: val}, o, l)
+}
+
 // NewVar creates a shared integer variable initialized to init. Creation
 // records the synthetic initial write event (the reads-from source for
 // reads observing the initial value). Names must be unique per execution.
 func (t *Thread) NewVar(name string, init int64) *Var {
 	o := &object{kind: objVar, name: name, val: init}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1), Val: init})
+	t.create(o, callerLoc(1), init)
 	return &Var{obj: o, eng: t.eng}
 }
 
@@ -133,8 +155,7 @@ func (t *Thread) NewVars(name string, n int, init int64) []*Var {
 	for i := range vars {
 		nm := fmt.Sprintf("%s[%d]", name, i)
 		o := &object{kind: objVar, name: nm, val: init}
-		t.newObj = o
-		t.park(Pending{Op: OpVarInit, VarName: nm, Loc: loc, Val: init})
+		t.create(o, loc, init)
 		vars[i] = &Var{obj: o, eng: t.eng}
 	}
 	return vars
@@ -143,16 +164,14 @@ func (t *Thread) NewVars(name string, n int, init int64) []*Var {
 // NewMutex creates a mutex. Names must be unique per execution.
 func (t *Thread) NewMutex(name string) *Mutex {
 	o := &object{kind: objMutex, name: name}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1)})
+	t.create(o, callerLoc(1), 0)
 	return &Mutex{obj: o, eng: t.eng}
 }
 
 // NewCond creates a condition variable bound to m.
 func (t *Thread) NewCond(name string, m *Mutex) *Cond {
 	o := &object{kind: objCond, name: name, mutex: m}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1)})
+	t.create(o, callerLoc(1), 0)
 	return &Cond{obj: o, eng: t.eng}
 }
 
@@ -161,50 +180,45 @@ func (t *Thread) NewCond(name string, m *Mutex) *Cond {
 // Read loads the variable's current value. One scheduling point; records a
 // read event whose reads-from edge points at the last write.
 func (t *Thread) Read(v *Var) int64 {
-	t.park(Pending{Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpRead}, v.obj, callerLoc(1))
 	return t.retVal
 }
 
 // ReadAt is Read with an explicit source location, for PUT helpers that
 // want call-site-independent abstract events.
 func (t *Thread) ReadAt(v *Var, loc string) int64 {
-	t.park(Pending{Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: loc})
+	t.park(Pending{Op: OpRead}, v.obj, siteOf(loc))
 	return t.retVal
 }
 
 // Write stores val into the variable. One scheduling point.
 func (t *Thread) Write(v *Var, val int64) {
-	t.park(Pending{Op: OpWrite, Var: v.obj.id, VarName: v.obj.name, Loc: callerLoc(1), Val: val})
+	t.park(Pending{Op: OpWrite, Val: val}, v.obj, callerLoc(1))
 }
 
 // WriteAt is Write with an explicit source location.
 func (t *Thread) WriteAt(v *Var, val int64, loc string) {
-	t.park(Pending{Op: OpWrite, Var: v.obj.id, VarName: v.obj.name, Loc: loc, Val: val})
+	t.park(Pending{Op: OpWrite, Val: val}, v.obj, siteOf(loc))
 }
 
 // AddAt is Add with an explicit source location for both halves.
 func (t *Thread) AddAt(v *Var, delta int64, loc string) int64 {
-	t.park(Pending{Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: loc})
+	l := siteOf(loc)
+	t.park(Pending{Op: OpRead}, v.obj, l)
 	nv := t.retVal + delta
-	t.park(Pending{Op: OpWrite, Var: v.obj.id, VarName: v.obj.name, Loc: loc, Val: nv})
+	t.park(Pending{Op: OpWrite, Val: nv}, v.obj, l)
 	return nv
 }
 
 // CASAt is CAS with an explicit source location.
 func (t *Thread) CASAt(v *Var, old, new int64, loc string) (int64, bool) {
-	t.park(Pending{
-		Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: loc,
-		RMW: RMWCAS, CASOld: old, Val: new,
-	})
+	t.park(Pending{Op: OpRead, RMW: RMWCAS, CASOld: old, Val: new}, v.obj, siteOf(loc))
 	return t.retVal, t.retOK
 }
 
 // AtomicAddAt is AtomicAdd with an explicit source location.
 func (t *Thread) AtomicAddAt(v *Var, delta int64, loc string) int64 {
-	t.park(Pending{
-		Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: loc,
-		RMW: RMWAdd, Val: delta,
-	})
+	t.park(Pending{Op: OpRead, RMW: RMWAdd, Val: delta}, v.obj, siteOf(loc))
 	return t.retVal
 }
 
@@ -214,9 +228,9 @@ func (t *Thread) AtomicAddAt(v *Var, delta int64, loc string) int64 {
 // the classic lost-update race.
 func (t *Thread) Add(v *Var, delta int64) int64 {
 	loc := callerLoc(1)
-	t.park(Pending{Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: loc})
+	t.park(Pending{Op: OpRead}, v.obj, loc)
 	nv := t.retVal + delta
-	t.park(Pending{Op: OpWrite, Var: v.obj.id, VarName: v.obj.name, Loc: loc, Val: nv})
+	t.park(Pending{Op: OpWrite, Val: nv}, v.obj, loc)
 	return nv
 }
 
@@ -225,30 +239,21 @@ func (t *Thread) Add(v *Var, delta int64) int64 {
 // preemption in between. Returns the observed value and whether the swap
 // happened.
 func (t *Thread) CAS(v *Var, old, new int64) (int64, bool) {
-	t.park(Pending{
-		Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: callerLoc(1),
-		RMW: RMWCAS, CASOld: old, Val: new,
-	})
+	t.park(Pending{Op: OpRead, RMW: RMWCAS, CASOld: old, Val: new}, v.obj, callerLoc(1))
 	return t.retVal, t.retOK
 }
 
 // AtomicAdd performs an atomic fetch-and-add in one scheduling point,
 // returning the previous value.
 func (t *Thread) AtomicAdd(v *Var, delta int64) int64 {
-	t.park(Pending{
-		Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: callerLoc(1),
-		RMW: RMWAdd, Val: delta,
-	})
+	t.park(Pending{Op: OpRead, RMW: RMWAdd, Val: delta}, v.obj, callerLoc(1))
 	return t.retVal
 }
 
 // AtomicSwap atomically exchanges the variable's value in one scheduling
 // point, returning the previous value.
 func (t *Thread) AtomicSwap(v *Var, new int64) int64 {
-	t.park(Pending{
-		Op: OpRead, Var: v.obj.id, VarName: v.obj.name, Loc: callerLoc(1),
-		RMW: RMWSwap, Val: new,
-	})
+	t.park(Pending{Op: OpRead, RMW: RMWSwap, Val: new}, v.obj, callerLoc(1))
 	return t.retVal
 }
 
@@ -257,23 +262,23 @@ func (t *Thread) AtomicSwap(v *Var, new int64) int64 {
 // Lock acquires the mutex; the pending lock is enabled only while the mutex
 // is free, so contention is a genuine scheduling choice.
 func (t *Thread) Lock(m *Mutex) {
-	t.park(Pending{Op: OpLock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpLock}, m.obj, callerLoc(1))
 }
 
 // LockAt is Lock with an explicit source location.
 func (t *Thread) LockAt(m *Mutex, loc string) {
-	t.park(Pending{Op: OpLock, Var: m.obj.id, VarName: m.obj.name, Loc: loc})
+	t.park(Pending{Op: OpLock}, m.obj, siteOf(loc))
 }
 
 // Unlock releases the mutex. Unlocking a mutex the thread does not hold is
 // reported as a crash (undefined behaviour in pthreads).
 func (t *Thread) Unlock(m *Mutex) {
-	t.park(Pending{Op: OpUnlock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpUnlock}, m.obj, callerLoc(1))
 }
 
 // UnlockAt is Unlock with an explicit source location.
 func (t *Thread) UnlockAt(m *Mutex, loc string) {
-	t.park(Pending{Op: OpUnlock, Var: m.obj.id, VarName: m.obj.name, Loc: loc})
+	t.park(Pending{Op: OpUnlock}, m.obj, siteOf(loc))
 }
 
 // Wait atomically releases the condition's mutex and blocks until signaled,
@@ -281,38 +286,39 @@ func (t *Thread) UnlockAt(m *Mutex, loc string) {
 // OpLockRe). The caller must hold the mutex.
 func (t *Thread) Wait(c *Cond) {
 	loc := callerLoc(1)
-	t.park(Pending{Op: OpWait, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	t.park(Pending{Op: OpWait}, c.obj, loc)
 	t.signaled = false
-	t.park(Pending{Op: OpLockRe, Var: c.obj.mutex.obj.id, VarName: c.obj.mutex.obj.name, Loc: loc})
+	t.park(Pending{Op: OpLockRe}, c.obj.mutex.obj, loc)
 }
 
 // WaitAt is Wait with an explicit source location.
 func (t *Thread) WaitAt(c *Cond, loc string) {
-	t.park(Pending{Op: OpWait, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	l := siteOf(loc)
+	t.park(Pending{Op: OpWait}, c.obj, l)
 	t.signaled = false
-	t.park(Pending{Op: OpLockRe, Var: c.obj.mutex.obj.id, VarName: c.obj.mutex.obj.name, Loc: loc})
+	t.park(Pending{Op: OpLockRe}, c.obj.mutex.obj, l)
 }
 
 // Signal wakes the longest-waiting thread blocked on the condition, if any;
 // a signal with no waiters is lost (pthread semantics — the source of
 // several SCTBench bugs).
 func (t *Thread) Signal(c *Cond) {
-	t.park(Pending{Op: OpSignal, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpSignal}, c.obj, callerLoc(1))
 }
 
 // SignalAt is Signal with an explicit source location.
 func (t *Thread) SignalAt(c *Cond, loc string) {
-	t.park(Pending{Op: OpSignal, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	t.park(Pending{Op: OpSignal}, c.obj, siteOf(loc))
 }
 
 // Broadcast wakes all threads currently blocked on the condition.
 func (t *Thread) Broadcast(c *Cond) {
-	t.park(Pending{Op: OpBroadcast, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpBroadcast}, c.obj, callerLoc(1))
 }
 
 // BroadcastAt is Broadcast with an explicit source location.
 func (t *Thread) BroadcastAt(c *Cond, loc string) {
-	t.park(Pending{Op: OpBroadcast, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	t.park(Pending{Op: OpBroadcast}, c.obj, siteOf(loc))
 }
 
 // --- threads -------------------------------------------------------------------
@@ -322,32 +328,32 @@ func (t *Thread) BroadcastAt(c *Cond, loc string) {
 func (t *Thread) Go(name string, body Program) *Thread {
 	child := &Thread{name: name, eng: t.eng, body: body}
 	t.newChild = child
-	t.park(Pending{Op: OpSpawn, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpSpawn}, nil, callerLoc(1))
 	return child
 }
 
 // Join blocks until the child thread has finished; enabled only once the
 // target has exited.
 func (t *Thread) Join(child *Thread) {
-	t.park(Pending{Op: OpJoin, Loc: callerLoc(1), Target: child.id})
+	t.park(Pending{Op: OpJoin, Target: child.id}, nil, callerLoc(1))
 }
 
 // JoinAll joins each thread in order.
 func (t *Thread) JoinAll(children ...*Thread) {
 	loc := callerLoc(1)
 	for _, c := range children {
-		t.park(Pending{Op: OpJoin, Loc: loc, Target: c.id})
+		t.park(Pending{Op: OpJoin, Target: c.id}, nil, loc)
 	}
 }
 
 // Yield is a pure scheduling point (sched_yield analogue).
 func (t *Thread) Yield() {
-	t.park(Pending{Op: OpYield, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpYield}, nil, callerLoc(1))
 }
 
 // YieldAt is Yield with an explicit source location.
 func (t *Thread) YieldAt(loc string) {
-	t.park(Pending{Op: OpYield, Loc: loc})
+	t.park(Pending{Op: OpYield}, nil, siteOf(loc))
 }
 
 // --- oracles --------------------------------------------------------------------
@@ -360,7 +366,7 @@ func (t *Thread) Assert(cond bool, msg string) {
 	if cond {
 		return
 	}
-	t.park(Pending{Op: OpFail, Loc: callerLoc(1), FailKind: FailAssert, FailMsg: msg})
+	t.park(Pending{Op: OpFail, FailKind: FailAssert, FailMsg: msg}, nil, callerLoc(1))
 }
 
 // AssertAt is Assert with an explicit source location for the failure
@@ -370,7 +376,7 @@ func (t *Thread) AssertAt(cond bool, msg, loc string) {
 	if cond {
 		return
 	}
-	t.park(Pending{Op: OpFail, Loc: loc, FailKind: FailAssert, FailMsg: msg})
+	t.park(Pending{Op: OpFail, FailKind: FailAssert, FailMsg: msg}, nil, siteOf(loc))
 }
 
 // Assertf is Assert with formatted message construction on failure only.
@@ -378,19 +384,19 @@ func (t *Thread) Assertf(cond bool, format string, args ...any) {
 	if cond {
 		return
 	}
-	t.park(Pending{Op: OpFail, Loc: callerLoc(1), FailKind: FailAssert, FailMsg: fmt.Sprintf(format, args...)})
+	t.park(Pending{Op: OpFail, FailKind: FailAssert, FailMsg: fmt.Sprintf(format, args...)}, nil, callerLoc(1))
 }
 
 // FailMemory reports a simulated memory-safety violation (use-after-free,
 // null dereference, double free) — the crash oracle for the ConVul-style
 // programs.
 func (t *Thread) FailMemory(msg string) {
-	t.park(Pending{Op: OpFail, Loc: callerLoc(1), FailKind: FailMemory, FailMsg: msg})
+	t.park(Pending{Op: OpFail, FailKind: FailMemory, FailMsg: msg}, nil, callerLoc(1))
 }
 
 // Fail reports an explicit crash with the given kind.
 func (t *Thread) Fail(kind FailureKind, msg string) {
-	t.park(Pending{Op: OpFail, Loc: callerLoc(1), FailKind: kind, FailMsg: msg})
+	t.park(Pending{Op: OpFail, FailKind: kind, FailMsg: msg}, nil, callerLoc(1))
 }
 
 // --- reader-writer locks --------------------------------------------------------
@@ -399,57 +405,56 @@ func (t *Thread) Fail(kind FailureKind, msg string) {
 // execution.
 func (t *Thread) NewRWMutex(name string) *RWMutex {
 	o := &object{kind: objRWMutex, name: name}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1)})
+	t.create(o, callerLoc(1), 0)
 	return &RWMutex{obj: o, eng: t.eng}
 }
 
 // RLock acquires the lock in shared mode; enabled while no writer holds
 // it (readers never block each other).
 func (t *Thread) RLock(m *RWMutex) {
-	t.park(Pending{Op: OpRLock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpRLock}, m.obj, callerLoc(1))
 }
 
 // RLockAt is RLock with an explicit source location.
 func (t *Thread) RLockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpRLock, Var: m.obj.id, VarName: m.obj.name, Loc: loc})
+	t.park(Pending{Op: OpRLock}, m.obj, siteOf(loc))
 }
 
 // RUnlock releases a shared hold.
 func (t *Thread) RUnlock(m *RWMutex) {
-	t.park(Pending{Op: OpRUnlock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpRUnlock}, m.obj, callerLoc(1))
 }
 
 // RUnlockAt is RUnlock with an explicit source location.
 func (t *Thread) RUnlockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpRUnlock, Var: m.obj.id, VarName: m.obj.name, Loc: loc})
+	t.park(Pending{Op: OpRUnlock}, m.obj, siteOf(loc))
 }
 
 // WLock acquires the lock exclusively; enabled only once every reader and
 // writer has released.
 func (t *Thread) WLock(m *RWMutex) {
-	t.park(Pending{Op: OpWLock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpWLock}, m.obj, callerLoc(1))
 }
 
 // WLockAt is WLock with an explicit source location.
 func (t *Thread) WLockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpWLock, Var: m.obj.id, VarName: m.obj.name, Loc: loc})
+	t.park(Pending{Op: OpWLock}, m.obj, siteOf(loc))
 }
 
 // WUnlock releases the exclusive hold.
 func (t *Thread) WUnlock(m *RWMutex) {
-	t.park(Pending{Op: OpWUnlock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpWUnlock}, m.obj, callerLoc(1))
 }
 
 // WUnlockAt is WUnlock with an explicit source location.
 func (t *Thread) WUnlockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpWUnlock, Var: m.obj.id, VarName: m.obj.name, Loc: loc})
+	t.park(Pending{Op: OpWUnlock}, m.obj, siteOf(loc))
 }
 
 // TryLock attempts to acquire the mutex without blocking, reporting
 // whether it succeeded. The attempt is a scheduling point either way.
 func (t *Thread) TryLock(m *Mutex) bool {
-	t.park(Pending{Op: OpTryLock, Var: m.obj.id, VarName: m.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpTryLock}, m.obj, callerLoc(1))
 	return t.retOK
 }
 
@@ -458,21 +463,20 @@ func (t *Thread) TryLock(m *Mutex) bool {
 // NewSemaphore creates a counting semaphore with the given initial count.
 func (t *Thread) NewSemaphore(name string, initial int64) *Semaphore {
 	o := &object{kind: objSemaphore, name: name, val: initial}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1), Val: initial})
+	t.create(o, callerLoc(1), initial)
 	return &Semaphore{obj: o, eng: t.eng}
 }
 
 // SemWait decrements the semaphore, blocking while the count is zero
 // (sem_wait).
 func (t *Thread) SemWait(s *Semaphore) {
-	t.park(Pending{Op: OpSemWait, Var: s.obj.id, VarName: s.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpSemWait}, s.obj, callerLoc(1))
 }
 
 // SemPost increments the semaphore, potentially unblocking a waiter
 // (sem_post).
 func (t *Thread) SemPost(s *Semaphore) {
-	t.park(Pending{Op: OpSemPost, Var: s.obj.id, VarName: s.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpSemPost}, s.obj, callerLoc(1))
 }
 
 // --- barriers ---------------------------------------------------------------------
@@ -480,15 +484,14 @@ func (t *Thread) SemPost(s *Semaphore) {
 // NewBarrier creates a barrier for the given number of parties.
 func (t *Thread) NewBarrier(name string, parties int) *Barrier {
 	o := &object{kind: objBarrier, name: name, val: int64(parties)}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1), Val: int64(parties)})
+	t.create(o, callerLoc(1), int64(parties))
 	return &Barrier{obj: o, eng: t.eng}
 }
 
 // BarrierWait joins the barrier, blocking until all parties have arrived
 // (pthread_barrier_wait).
 func (t *Thread) BarrierWait(b *Barrier) {
-	t.park(Pending{Op: OpBarrier, Var: b.obj.id, VarName: b.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpBarrier}, b.obj, callerLoc(1))
 }
 
 // --- channels ---------------------------------------------------------------------
@@ -500,8 +503,7 @@ func (t *Thread) NewChan(name string, capacity int) *Chan {
 		capacity = 0
 	}
 	o := &object{kind: objChan, name: name, cap: capacity}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1), Val: int64(capacity)})
+	t.create(o, callerLoc(1), int64(capacity))
 	return &Chan{obj: o, eng: t.eng}
 }
 
@@ -510,25 +512,25 @@ func (t *Thread) NewChan(name string, capacity int) *Chan {
 // until there is capacity. Sending on a closed channel crashes with
 // FailSendClosed, matching Go.
 func (t *Thread) Send(c *Chan, v int64) {
-	t.park(Pending{Op: OpSend, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1), Val: v})
+	t.park(Pending{Op: OpSend, Val: v}, c.obj, callerLoc(1))
 }
 
 // SendAt is Send with an explicit source location.
 func (t *Thread) SendAt(c *Chan, v int64, loc string) {
-	t.park(Pending{Op: OpSend, Var: c.obj.id, VarName: c.obj.name, Loc: loc, Val: v})
+	t.park(Pending{Op: OpSend, Val: v}, c.obj, siteOf(loc))
 }
 
 // Recv receives from the channel, blocking until a value is available or
 // the channel is closed. Like Go's v, ok := <-ch it returns the value and
 // whether it was a real send (false: closed and drained, v is 0).
 func (t *Thread) Recv(c *Chan) (int64, bool) {
-	t.park(Pending{Op: OpRecv, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpRecv}, c.obj, callerLoc(1))
 	return t.retVal, t.retOK
 }
 
 // RecvAt is Recv with an explicit source location.
 func (t *Thread) RecvAt(c *Chan, loc string) (int64, bool) {
-	t.park(Pending{Op: OpRecv, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	t.park(Pending{Op: OpRecv}, c.obj, siteOf(loc))
 	return t.retVal, t.retOK
 }
 
@@ -536,12 +538,12 @@ func (t *Thread) RecvAt(c *Chan, loc string) (int64, bool) {
 // FailSendClosed when scheduled; receivers drain the buffer and then
 // observe (0, false). Closing twice crashes with FailCloseClosed.
 func (t *Thread) Close(c *Chan) {
-	t.park(Pending{Op: OpClose, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpClose}, c.obj, callerLoc(1))
 }
 
 // CloseAt is Close with an explicit source location.
 func (t *Thread) CloseAt(c *Chan, loc string) {
-	t.park(Pending{Op: OpClose, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	t.park(Pending{Op: OpClose}, c.obj, siteOf(loc))
 }
 
 // TrySend attempts a non-blocking send (select { case ch <- v: default: }),
@@ -549,13 +551,13 @@ func (t *Thread) CloseAt(c *Chan, loc string) {
 // succeeds only against a parked receiver. Sending on a closed channel
 // crashes even when non-blocking, matching Go.
 func (t *Thread) TrySend(c *Chan, v int64) bool {
-	t.park(Pending{Op: OpTrySend, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1), Val: v})
+	t.park(Pending{Op: OpTrySend, Val: v}, c.obj, callerLoc(1))
 	return t.retOK
 }
 
 // TrySendAt is TrySend with an explicit source location.
 func (t *Thread) TrySendAt(c *Chan, v int64, loc string) bool {
-	t.park(Pending{Op: OpTrySend, Var: c.obj.id, VarName: c.obj.name, Loc: loc, Val: v})
+	t.park(Pending{Op: OpTrySend, Val: v}, c.obj, siteOf(loc))
 	return t.retOK
 }
 
@@ -566,13 +568,13 @@ func (t *Thread) TrySendAt(c *Chan, v int64, loc string) bool {
 // sender-active, so a non-blocking receive never pairs with a blocked
 // sender (see DESIGN.md §15).
 func (t *Thread) TryRecv(c *Chan) (v int64, ok, recvd bool) {
-	t.park(Pending{Op: OpTryRecv, Var: c.obj.id, VarName: c.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpTryRecv}, c.obj, callerLoc(1))
 	return t.retVal, t.retOK, t.retRecvd
 }
 
 // TryRecvAt is TryRecv with an explicit source location.
 func (t *Thread) TryRecvAt(c *Chan, loc string) (v int64, ok, recvd bool) {
-	t.park(Pending{Op: OpTryRecv, Var: c.obj.id, VarName: c.obj.name, Loc: loc})
+	t.park(Pending{Op: OpTryRecv}, c.obj, siteOf(loc))
 	return t.retVal, t.retOK, t.retRecvd
 }
 
@@ -583,12 +585,18 @@ func (t *Thread) TryRecvAt(c *Chan, loc string) (v int64, ok, recvd bool) {
 // flag (Go's v, ok := <-ch). There is no default case: express
 // non-blocking arms with TrySend/TryRecv.
 func (t *Thread) Select(cases ...SelectCase) (idx int, v int64, ok bool) {
-	return t.SelectAt(callerLoc(1), cases...)
+	return t.selectAt(callerLoc(1), cases)
 }
 
 // SelectAt is Select with an explicit source location, recorded on
 // whichever case event fires.
 func (t *Thread) SelectAt(loc string, cases ...SelectCase) (idx int, v int64, ok bool) {
+	return t.selectAt(siteOf(loc), cases)
+}
+
+// selectAt parks at a select over cases at location l. The pending names
+// every channel it targets ("a,b"), which costs one key lookup per call.
+func (t *Thread) selectAt(l site, cases []SelectCase) (idx int, v int64, ok bool) {
 	if len(cases) == 0 {
 		panic("exec: select with no cases")
 	}
@@ -599,7 +607,7 @@ func (t *Thread) SelectAt(loc string, cases ...SelectCase) (idx int, v int64, ok
 		}
 		names = append(names, c.Ch.obj.name...)
 	}
-	t.park(Pending{Op: OpSelect, VarName: string(names), Loc: loc, Cases: cases})
+	t.park(Pending{Op: OpSelect, VarName: string(names), Cases: cases}, nil, l)
 	return t.retCase, t.retVal, t.retOK
 }
 
@@ -609,39 +617,38 @@ func (t *Thread) SelectAt(loc string, cases ...SelectCase) (idx int, v int64, ok
 // unique per execution.
 func (t *Thread) NewWaitGroup(name string) *WaitGroup {
 	o := &object{kind: objWaitGroup, name: name}
-	t.newObj = o
-	t.park(Pending{Op: OpVarInit, VarName: name, Loc: callerLoc(1)})
+	t.create(o, callerLoc(1), 0)
 	return &WaitGroup{obj: o, eng: t.eng}
 }
 
 // WgAdd moves the WaitGroup counter by delta. A negative counter crashes,
 // matching sync.WaitGroup.
 func (t *Thread) WgAdd(w *WaitGroup, delta int64) {
-	t.park(Pending{Op: OpWgAdd, Var: w.obj.id, VarName: w.obj.name, Loc: callerLoc(1), Val: delta})
+	t.park(Pending{Op: OpWgAdd, Val: delta}, w.obj, callerLoc(1))
 }
 
 // WgAddAt is WgAdd with an explicit source location.
 func (t *Thread) WgAddAt(w *WaitGroup, delta int64, loc string) {
-	t.park(Pending{Op: OpWgAdd, Var: w.obj.id, VarName: w.obj.name, Loc: loc, Val: delta})
+	t.park(Pending{Op: OpWgAdd, Val: delta}, w.obj, siteOf(loc))
 }
 
 // WgDone is WgAdd(-1).
 func (t *Thread) WgDone(w *WaitGroup) {
-	t.park(Pending{Op: OpWgAdd, Var: w.obj.id, VarName: w.obj.name, Loc: callerLoc(1), Val: -1})
+	t.park(Pending{Op: OpWgAdd, Val: -1}, w.obj, callerLoc(1))
 }
 
 // WgDoneAt is WgDone with an explicit source location.
 func (t *Thread) WgDoneAt(w *WaitGroup, loc string) {
-	t.park(Pending{Op: OpWgAdd, Var: w.obj.id, VarName: w.obj.name, Loc: loc, Val: -1})
+	t.park(Pending{Op: OpWgAdd, Val: -1}, w.obj, siteOf(loc))
 }
 
 // WgWait blocks until the WaitGroup counter is zero. Its event reads-from
 // the counter update (or init) that released it.
 func (t *Thread) WgWait(w *WaitGroup) {
-	t.park(Pending{Op: OpWgWait, Var: w.obj.id, VarName: w.obj.name, Loc: callerLoc(1)})
+	t.park(Pending{Op: OpWgWait}, w.obj, callerLoc(1))
 }
 
 // WgWaitAt is WgWait with an explicit source location.
 func (t *Thread) WgWaitAt(w *WaitGroup, loc string) {
-	t.park(Pending{Op: OpWgWait, Var: w.obj.id, VarName: w.obj.name, Loc: loc})
+	t.park(Pending{Op: OpWgWait}, w.obj, siteOf(loc))
 }

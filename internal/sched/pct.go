@@ -22,7 +22,7 @@ type PCT struct {
 	depth int
 	rng   *rand.Rand
 
-	prio    map[exec.ThreadID]int
+	prio    []prioSlot  // index = ThreadID
 	changes map[int]int // step -> change-point index (1-based)
 	step    int
 	nextLow int // priority assigned at the k-th change point: depth-k
@@ -35,7 +35,13 @@ func NewPCT(depth int) *PCT {
 	if depth < 1 {
 		depth = 1
 	}
-	return &PCT{depth: depth, estLen: 64, prio: make(map[exec.ThreadID]int), changes: make(map[int]int)}
+	return &PCT{depth: depth, estLen: 64, changes: make(map[int]int)}
+}
+
+// prioSlot holds a thread's priority once it has drawn one.
+type prioSlot struct {
+	prio int
+	set  bool
 }
 
 // Name implements exec.Scheduler.
@@ -75,20 +81,22 @@ func (s *PCT) Pick(v *exec.View) int {
 	bestPrio := 0
 	for i := range v.Enabled {
 		th := v.Enabled[i].Thread
-		pr, ok := s.prio[th]
-		if !ok {
+		for int(th) >= len(s.prio) {
+			s.prio = append(s.prio, prioSlot{})
+		}
+		sl := &s.prio[th]
+		if !sl.set {
 			// New threads draw a random priority above the depth band;
 			// collisions are broken by thread ID and are harmless.
-			pr = s.depth + 1 + s.rng.Intn(1<<20)
-			s.prio[th] = pr
+			*sl = prioSlot{prio: s.depth + 1 + s.rng.Intn(1<<20), set: true}
 		}
-		if best < 0 || pr > bestPrio {
+		if best < 0 || sl.prio > bestPrio {
 			best = i
-			bestPrio = pr
+			bestPrio = sl.prio
 		}
 	}
 	if k, isChange := s.changes[s.step]; isChange {
-		s.prio[v.Enabled[best].Thread] = s.depth - k
+		s.prio[v.Enabled[best].Thread].prio = s.depth - k
 	}
 	return best
 }

@@ -6,12 +6,17 @@ import (
 	"rff/internal/exec"
 )
 
-// eventKey identifies one pending event instance within an execution: a
-// thread's k-th operation. Scores are attached to instances, not abstract
-// events, per the POS algorithm.
-type eventKey struct {
-	thread exec.ThreadID
-	seq    int
+// scoreSlot holds a thread's score. Scores are attached to event
+// instances, not abstract events, per the POS algorithm: the slot's score
+// belongs to the thread's seq-th operation, and only while set. A thread
+// has one pending instance at a time and its seq only grows, so one slot
+// per thread holds every score that can still be looked up. set is
+// explicit because seq 0 is a real instance: the OpBegin pending of a
+// spawned thread.
+type scoreSlot struct {
+	seq   int
+	set   bool
+	score float64
 }
 
 // POS implements Partial Order Sampling (Yuan, Yang, Gu — CAV 2018): every
@@ -22,11 +27,11 @@ type eventKey struct {
 // degrades to when no abstract-schedule constraint applies.
 type POS struct {
 	rng    *rand.Rand
-	scores map[eventKey]float64
+	scores []scoreSlot // index = ThreadID
 }
 
 // NewPOS returns a POS scheduler.
-func NewPOS() *POS { return &POS{scores: make(map[eventKey]float64)} }
+func NewPOS() *POS { return &POS{} }
 
 // Name implements exec.Scheduler.
 func (s *POS) Name() string { return "POS" }
@@ -37,12 +42,20 @@ func (s *POS) Begin(seed int64) {
 	clear(s.scores)
 }
 
+// slot returns th's score slot, growing the table on first sight.
+func (s *POS) slot(th exec.ThreadID) *scoreSlot {
+	for int(th) >= len(s.scores) {
+		s.scores = append(s.scores, scoreSlot{})
+	}
+	return &s.scores[th]
+}
+
 // Pick implements exec.Scheduler: argmax of per-event random scores, with
 // score resets for events racing with the chosen one.
 func (s *POS) Pick(v *exec.View) int {
 	best := s.ArgMax(v.Enabled, nil)
 	// Reset scores of racing events (the chosen event's own score dies
-	// with its key: the thread's next pending has a larger seq).
+	// with its instance: the thread's next pending has a larger seq).
 	s.ResetRacing(v.Enabled, &v.Enabled[best])
 	return best
 }
@@ -56,18 +69,16 @@ func (s *POS) ArgMax(candidates []exec.Pending, restrict []bool) int {
 	var bestScore float64
 	for i := range candidates {
 		p := &candidates[i]
-		k := eventKey{p.Thread, p.Seq}
-		sc, ok := s.scores[k]
-		if !ok {
-			sc = s.rng.Float64()
-			s.scores[k] = sc
+		sl := s.slot(p.Thread)
+		if !sl.set || sl.seq != p.Seq {
+			*sl = scoreSlot{seq: p.Seq, set: true, score: s.rng.Float64()}
 		}
 		if restrict != nil && !restrict[i] {
 			continue
 		}
-		if best < 0 || sc > bestScore {
+		if best < 0 || sl.score > bestScore {
 			best = i
-			bestScore = sc
+			bestScore = sl.score
 		}
 	}
 	return best
@@ -78,10 +89,19 @@ func (s *POS) ArgMax(candidates []exec.Pending, restrict []bool) int {
 func (s *POS) ResetRacing(candidates []exec.Pending, chosen *exec.Pending) {
 	for i := range candidates {
 		if p := &candidates[i]; exec.Races(p, chosen) {
-			delete(s.scores, eventKey{p.Thread, p.Seq})
+			s.unset(p)
 		}
 	}
-	delete(s.scores, eventKey{chosen.Thread, chosen.Seq})
+	s.unset(chosen)
+}
+
+// unset drops p's score, if p holds one.
+func (s *POS) unset(p *exec.Pending) {
+	if int(p.Thread) < len(s.scores) {
+		if sl := &s.scores[p.Thread]; sl.seq == p.Seq {
+			sl.set = false
+		}
+	}
 }
 
 // Executed implements exec.Scheduler.
