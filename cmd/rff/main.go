@@ -6,7 +6,7 @@
 //	rff list                                   # list benchmark programs
 //	rff tools [-q] [-json]                     # list registered strategy specs
 //	rff run -prog CS/reorder_100 [-tools rff] [-budget 2000] [-seed 1] [-trials 1]
-//	        [-workers N] [-shards N] [-shard-fast] [-trial-timeout DUR]
+//	        [-workers N] [-shards N] [-trial-timeout DUR]
 //	        [-v] [-minimize] [-races] [-out DIR]
 //	        [-metrics out.json] [-events out.jsonl] [-progress 10s]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -234,7 +234,6 @@ func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	prog := fs.String("prog", "", "benchmark program name (see `rff list`)")
 	toolsFlag := fs.String("tools", "", "comma-separated strategy specs to run (see `rff tools`; default rff)")
-	tool := fs.String("tool", "", "single strategy spec (legacy synonym for -tools)")
 	budget := fs.Int("budget", 2000, "schedule budget per trial")
 	seed := fs.Int64("seed", 1, "base random seed")
 	trials := fs.Int("trials", 1, "number of trials")
@@ -244,8 +243,7 @@ func cmdRun(args []string) {
 	outDir := fs.String("out", "", "directory to write crash artifacts to (rff tool only)")
 	races := fs.Bool("races", false, "run the happens-before race detector over every execution (rff tool only)")
 	workers := fs.Int("workers", 0, "run trials concurrently on this many fleet workers; per-trial results are identical at any count (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "shard each rff trial's fuzz loop across this many work-stealing workers; deterministic — results are identical at any shard count, though not to the unsharded loop (0 = unsharded)")
-	shardFast := fs.Bool("shard-fast", false, "drop the sharded runner's deterministic epoch barrier: fastest throughput, nondeterministic results (requires -shards)")
+	shards := fs.Int("shards", 0, "shard each rff trial's fuzz loop across this many worker shards; deterministic — results are identical at any shard count, though not to the unsharded loop (0 = unsharded)")
 	budgetPolicy := fs.String("budget-policy", "",
 		fmt.Sprintf("adaptive budget policy reallocating the campaign's execution pool across (tool, trial) cells at epoch barriers (%s; empty = fixed per-trial budgets)", strings.Join(budgetpkg.Policies(), "|")))
 	budgetEpochs := fs.Int("budget-epochs", budgetpkg.DefaultEpochs, "allocation epochs under -budget-policy")
@@ -264,9 +262,6 @@ func cmdRun(args []string) {
 	}
 	specText := *toolsFlag
 	if specText == "" {
-		specText = *tool
-	}
-	if specText == "" {
 		specText = "rff"
 	}
 	specs, err := strategy.ParseSpecs(specText)
@@ -274,8 +269,8 @@ func cmdRun(args []string) {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
 		os.Exit(1)
 	}
-	// Canonicalize up front so aliases warn exactly once and later
-	// resolutions are warning-free.
+	// Canonicalize up front: an invalid spec fails before any set-up,
+	// and the paths below compare canonical specs.
 	for i, s := range specs {
 		if specs[i], err = strategy.Canonical(s); err != nil {
 			fmt.Fprintf(os.Stderr, "rff: %v\n", err)
@@ -303,11 +298,7 @@ func cmdRun(args []string) {
 		fmt.Fprintln(os.Stderr, "rff: -shards must be >= 0")
 		os.Exit(1)
 	}
-	if *shardFast && *shards < 1 {
-		fmt.Fprintln(os.Stderr, "rff: -shard-fast requires -shards >= 1")
-		os.Exit(1)
-	}
-	tools, err := strategy.ResolveAll(specs, strategy.Config{Telemetry: ts.sink(), Shards: *shards, ShardFast: *shardFast})
+	tools, err := strategy.ResolveAll(specs, strategy.Config{Telemetry: ts.sink(), Shards: *shards})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
 		os.Exit(1)
@@ -338,8 +329,7 @@ func cmdRun(args []string) {
 		return
 	}
 
-	canon, _ := strategy.Canonical(specs[0])
-	if (*verbose || *doMin || *outDir != "" || *races) && len(tools) == 1 && canon == "rff" {
+	if (*verbose || *doMin || *outDir != "" || *races) && len(tools) == 1 && specs[0] == "rff" {
 		tl := tools[0]
 		raceKeys := make(map[string]struct{})
 		opts := core.Options{
@@ -367,7 +357,7 @@ func cmdRun(args []string) {
 			rep = shard.FuzzContext(ctx, p.Name, p.Body, shard.Options{
 				Budget: opts.Budget, Seed: opts.Seed, MaxSteps: opts.MaxSteps,
 				StopAtFirstBug: true, Telemetry: ts.sink(),
-				Shards: *shards, Fast: *shardFast,
+				Shards: *shards,
 			})
 		} else {
 			rep = core.NewFuzzer(p.Name, p.Body, opts).RunContext(ctx)

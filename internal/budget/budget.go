@@ -13,6 +13,7 @@
 package budget
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -284,6 +285,42 @@ func (a *Allocator) Observe(cell int, r Reward) {
 	}
 	if r.FirstBug {
 		c.Bug = true
+	}
+}
+
+// Yield is one cell's outcome of one epoch, as reported to Spend.
+type Yield struct {
+	Reward Reward
+	// Done retires the cell: it receives no further budget.
+	Done bool
+}
+
+// Spend runs the allocator's epoch loop over total executions. The
+// total splits evenly across the configured epochs, the remainder going
+// to the first ones. While ctx is live and some cell is active, Spend
+// allocates the epoch's pool and hands the shares to run, which spends
+// them and returns one Yield per cell. Spend then observes the reward of
+// every cell that was live this epoch, in cell order, and retires those
+// run reports done; yields of cells retired earlier are ignored.
+func (a *Allocator) Spend(ctx context.Context, total int64, run func(epoch, pool int, shares []int) []Yield) {
+	epochs := a.cfg.Epochs
+	base, extra := total/int64(epochs), total%int64(epochs)
+	for e := 0; e < epochs && ctx.Err() == nil && a.Active() > 0; e++ {
+		pool := base
+		if int64(e) < extra {
+			pool++
+		}
+		shares := a.Allocate(int(pool))
+		ys := run(e, int(pool), shares)
+		for i, y := range ys {
+			if a.cells[i].Done {
+				continue
+			}
+			a.Observe(i, y.Reward)
+			if y.Done {
+				a.MarkDone(i)
+			}
+		}
 	}
 }
 

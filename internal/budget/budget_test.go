@@ -1,6 +1,7 @@
 package budget
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -267,5 +268,88 @@ func TestDefaults(t *testing.T) {
 	}
 	if cfg := a.Config(); cfg.Epochs != DefaultEpochs || cfg.MinShare != DefaultMinShare {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+}
+
+// TestSpendMatchesManualLoop: Spend is exactly the hand-written epoch
+// loop — remainder-first pool split, Allocate, Observe every live cell,
+// MarkDone the reported ones — for every policy.
+func TestSpendMatchesManualLoop(t *testing.T) {
+	const cells, epochs, seed = 4, 5, 7
+	const total = epochs*100 + 3
+	poolOf := func(e int) int {
+		if e < 3 {
+			return 101
+		}
+		return 100
+	}
+	for _, policy := range Policies() {
+		t.Run(policy, func(t *testing.T) {
+			cfg := Config{Policy: policy, Epochs: epochs}
+			want, _ := New(cells, seed, cfg)
+			for e := 0; e < epochs && want.Active() > 0; e++ {
+				shares := want.Allocate(poolOf(e))
+				for i, s := range shares {
+					if want.Done(i) {
+						continue
+					}
+					rw := syntheticReward(seed, i, e, s)
+					want.Observe(i, rw)
+					if rw.FirstBug {
+						want.MarkDone(i)
+					}
+				}
+			}
+
+			got, _ := New(cells, seed, cfg)
+			got.Spend(context.Background(), total, func(e, pool int, shares []int) []Yield {
+				if pool != poolOf(e) {
+					t.Fatalf("epoch %d: pool %d, want %d", e, pool, poolOf(e))
+				}
+				ys := make([]Yield, cells)
+				for i, s := range shares {
+					rw := syntheticReward(seed, i, e, s)
+					ys[i] = Yield{Reward: rw, Done: rw.FirstBug}
+				}
+				return ys
+			})
+			if !reflect.DeepEqual(got.Trace(), want.Trace()) || !reflect.DeepEqual(got.Cells(), want.Cells()) {
+				t.Fatalf("Spend diverged from the manual loop:\n got  %v\n want %v", got.Trace(), want.Trace())
+			}
+		})
+	}
+}
+
+// TestSpendStops: Spend ends early once every cell is done, never
+// calls run under a cancelled context, and ignores the yields of cells
+// retired in earlier epochs.
+func TestSpendStops(t *testing.T) {
+	a, _ := New(2, 1, Config{Policy: "uniform", Epochs: 6})
+	calls := 0
+	a.Spend(context.Background(), 600, func(e, _ int, _ []int) []Yield {
+		calls++
+		// Cell 0 retires at epoch 0 but keeps reporting executions;
+		// cell 1 retires at epoch 2.
+		return []Yield{
+			{Reward: Reward{Executions: 50}, Done: true},
+			{Reward: Reward{Executions: 50}, Done: e == 2},
+		}
+	})
+	if calls != 3 || a.Epoch() != 3 {
+		t.Fatalf("ran %d epochs (%d allocations), want 3", calls, a.Epoch())
+	}
+	if st := a.Cells(); st[0].Spent != 50 || st[1].Spent != 150 {
+		t.Fatalf("spent %d/%d, want 50/150: a retired cell's yield was observed", st[0].Spent, st[1].Spent)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b, _ := New(2, 1, Config{Policy: "uniform"})
+	b.Spend(ctx, 600, func(int, int, []int) []Yield {
+		t.Fatal("run called under a cancelled context")
+		return nil
+	})
+	if b.Epoch() != 0 {
+		t.Fatalf("cancelled Spend allocated %d epochs", b.Epoch())
 	}
 }

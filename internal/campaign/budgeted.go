@@ -173,8 +173,6 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 	bcfg = alloc.Config()
 	totalPool := int64(opts.Budget) * int64(opts.Trials) * int64(len(pairs))
 	epochs := bcfg.Epochs
-	basePool := totalPool / int64(epochs)
-	extra := totalPool % int64(epochs)
 
 	if t := opts.Telemetry; t != nil {
 		t.Emit(telemetry.EvCampaignStart, telemetry.Fields{
@@ -190,13 +188,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 	}
 
 	var globalSpent int64
-	for e := 0; e < epochs && ctx.Err() == nil && alloc.Active() > 0; e++ {
-		pool := basePool
-		if int64(e) < extra {
-			pool++
-		}
-		shares := alloc.Allocate(int(pool))
-
+	alloc.Spend(ctx, totalPool, func(e, pool int, shares []int) []budget.Yield {
 		// Fan the epoch out: each funded pair's share splits evenly
 		// across its live trials (remainder to the lowest indexes),
 		// and every funded (pair, trial) becomes one fleet cell.
@@ -258,15 +250,14 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 		})
 
 		// Barrier: fold the wave back in deterministic job order, then
-		// feed the allocator. Nothing below reads anything
+		// report every live pair's yield. Nothing below reads anything
 		// scheduling-dependent.
-		epochExecs := make([]int64, len(pairs))
-		epochNew := make([]int, len(pairs))
-		epochBug := make([]bool, len(pairs))
+		ys := make([]budget.Yield, len(pairs))
 		for i, r := range results {
 			j := jobs[i]
 			ps := pairs[j.pair]
 			ts := &ps.trials[j.trial]
+			y := &ys[j.pair].Reward
 			out := r.Value
 			if r.Err != nil {
 				out = Outcome{Err: r.Err.Error(), Stack: r.Stack}
@@ -274,7 +265,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			if out.Found() && ts.firstBug == 0 {
 				ts.firstBug = ts.cum + int64(out.FirstBug)
 				ts.done = true
-				epochBug[j.pair] = true
+				y.FirstBug = true
 				if cand := globalSpent + int64(out.FirstBug); ps.firstBug == 0 || cand < ps.firstBug {
 					ps.firstBug = cand
 				}
@@ -292,29 +283,24 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			if out.UniqueSigs > 0 {
 				ts.sigs = out.UniqueSigs
 			}
-			epochExecs[j.pair] += int64(out.Executions)
+			y.Executions += out.Executions
 			for _, pk := range j.col.order {
 				if _, dup := ps.seen[pk]; dup {
 					continue
 				}
 				ps.seen[pk] = struct{}{}
-				epochNew[j.pair]++
+				y.NewPairs++
 				if bcfg.CollectCovers {
 					ps.covers = append(ps.covers, PairCover{Pair: pk, At: globalSpent + int64(j.col.seen[pk])})
 				}
 			}
 		}
 		var waveExecs int64
-		var waveNew int
+		var waveNew, active int
 		for pi, ps := range pairs {
 			if ps.done {
 				continue
 			}
-			alloc.Observe(pi, budget.Reward{
-				Executions: int(epochExecs[pi]),
-				NewPairs:   epochNew[pi],
-				FirstBug:   epochBug[pi],
-			})
 			allDone := true
 			for ti := range ps.trials {
 				if !ps.trials[ti].done {
@@ -322,12 +308,12 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 					break
 				}
 			}
-			if allDone {
-				ps.done = true
-				alloc.MarkDone(pi)
+			if !allDone {
+				active++
 			}
-			waveExecs += epochExecs[pi]
-			waveNew += epochNew[pi]
+			ps.done, ys[pi].Done = allDone, allDone
+			waveExecs += int64(ys[pi].Reward.Executions)
+			waveNew += ys[pi].Reward.NewPairs
 		}
 		globalSpent += waveExecs
 		if t := opts.Telemetry; t != nil {
@@ -337,14 +323,15 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				"pool":       pool,
 				"executions": waveExecs,
 				"new_pairs":  waveNew,
-				"active":     alloc.Active(),
+				"active":     active,
 				"spent":      globalSpent,
 			})
 		}
 		if opts.Progress != nil {
 			opts.Progress(e+1, epochs)
 		}
-	}
+		return ys
+	})
 
 	// Final accounting in matrix order: outcomes, trial events, and the
 	// budget report.
@@ -366,21 +353,8 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			}
 			res.Outcomes[ps.toolName][ps.program.Name][ti] = out
 			if t := opts.Telemetry; t != nil {
-				labels := []telemetry.Label{{Name: "tool", Value: ps.toolName}, {Name: "program", Value: ps.program.Name}}
-				t.Add(telemetry.MTrialsDone, 1, labels...)
-				if out.Errored() {
-					t.Add(telemetry.MTrialPanics, 1, labels...)
-					fields := telemetry.Fields{
-						"tool":    ps.toolName,
-						"program": ps.program.Name,
-						"trial":   ti,
-						"error":   out.Err,
-					}
-					if out.Stack != "" {
-						fields["stack"] = out.Stack
-					}
-					t.Emit(telemetry.EvTrialError, fields)
-				} else {
+				recordTrial(t, ps.toolName, ps.program.Name, ti, out)
+				if !out.Errored() {
 					t.Emit(telemetry.EvTrialDone, telemetry.Fields{
 						"tool":       ps.toolName,
 						"program":    ps.program.Name,

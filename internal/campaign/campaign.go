@@ -159,17 +159,13 @@ type RFFTool struct {
 	// result carrying the program, seed, failure, and replay decisions
 	// but no live trace.
 	Observer ResultObserver
-	// Shards, when >= 1, runs each trial on the sharded work-stealing
-	// runner (internal/shard) with that many worker shards instead of
+	// Shards, when >= 1, runs each trial on the sharded runner
+	// (internal/shard) with that many worker shards instead of
 	// the sequential fuzzer. The sharded runner is a different — still
 	// fully deterministic — algorithm: its reports are bit-identical
 	// across reruns and shard counts, but not to the sequential loop's.
 	// 0 keeps the sequential fuzzer.
 	Shards int
-	// ShardFast drops the sharded runner's epoch barrier (shard.Options
-	// .Fast): maximum throughput, nondeterministic results. Only
-	// meaningful with Shards >= 1.
-	ShardFast bool
 }
 
 // Name implements Tool.
@@ -228,7 +224,7 @@ func (t RFFTool) runScratch(ctx context.Context, p bench.Program, budget, maxSte
 	return out
 }
 
-// runSharded runs the trial on the work-stealing sharded runner. The
+// runSharded runs the trial on the sharded runner. The
 // shard runner owns its own per-shard recyclers, so the fleet worker's
 // scratch recycler is not threaded through.
 func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) Outcome {
@@ -240,7 +236,6 @@ func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSte
 		StopAtFirstBug:  true,
 		Telemetry:       t.Telemetry,
 		Shards:          t.Shards,
-		Fast:            t.ShardFast,
 	}
 	if t.Observer != nil {
 		opts.FailureObserver = func(res *exec.Result) { t.Observer(res) }
@@ -400,9 +395,6 @@ type MatrixOptions struct {
 	BaseSeed int64
 	// Workers caps concurrent trials (0 = GOMAXPROCS).
 	Workers int
-	// Parallelism is the legacy name for Workers, honoured when Workers
-	// is 0.
-	Parallelism int
 	// TrialTimeout, if positive, arms a wall-clock deadline on every
 	// trial. Scheduler-based tools (POS, PCT, Random, Q-Learning) stop
 	// at the deadline mid-trial and record an errored outcome; other
@@ -484,9 +476,6 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 		opts.Budget = 2000
 	}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = opts.Parallelism
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -595,21 +584,7 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 		}
 		res.Outcomes[j.tool.Name()][j.program.Name][j.trial] = out
 		if t := opts.Telemetry; t != nil {
-			labels := []telemetry.Label{{Name: "tool", Value: j.tool.Name()}, {Name: "program", Value: j.program.Name}}
-			t.Add(telemetry.MTrialsDone, 1, labels...)
-			if out.Errored() {
-				t.Add(telemetry.MTrialPanics, 1, labels...)
-				fields := telemetry.Fields{
-					"tool":    j.tool.Name(),
-					"program": j.program.Name,
-					"trial":   j.trial,
-					"error":   out.Err,
-				}
-				if out.Stack != "" {
-					fields["stack"] = out.Stack
-				}
-				t.Emit(telemetry.EvTrialError, fields)
-			}
+			recordTrial(t, j.tool.Name(), j.program.Name, j.trial, out)
 		}
 	}
 	if t := opts.Telemetry; t != nil {
@@ -619,6 +594,23 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 		})
 	}
 	return res
+}
+
+// recordTrial counts one finished trial and, when it errored, emits its
+// trial_error event. Both matrix runners call it at their final barrier,
+// in matrix order.
+func recordTrial(t telemetry.Sink, tool, program string, trial int, out Outcome) {
+	labels := []telemetry.Label{{Name: "tool", Value: tool}, {Name: "program", Value: program}}
+	t.Add(telemetry.MTrialsDone, 1, labels...)
+	if !out.Errored() {
+		return
+	}
+	t.Add(telemetry.MTrialPanics, 1, labels...)
+	fields := telemetry.Fields{"tool": tool, "program": program, "trial": trial, "error": out.Err}
+	if out.Stack != "" {
+		fields["stack"] = out.Stack
+	}
+	t.Emit(telemetry.EvTrialError, fields)
 }
 
 // TrialErrors lists the trials that aborted with an infrastructure

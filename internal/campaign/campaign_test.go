@@ -36,7 +36,7 @@ func miniPrograms(t *testing.T, names ...string) []bench.Program {
 func TestMatrixShapeAndDeterminism(t *testing.T) {
 	tools := mustTools(t, "rff", "pos", "genmc")
 	progs := miniPrograms(t, "CS/account", "CS/lazy01")
-	opts := campaign.MatrixOptions{Trials: 3, Budget: 200, BaseSeed: 7, Parallelism: 2}
+	opts := campaign.MatrixOptions{Trials: 3, Budget: 200, BaseSeed: 7, Workers: 2}
 	m1 := campaign.RunMatrix(tools, progs, opts)
 	m2 := campaign.RunMatrix(tools, progs, opts)
 

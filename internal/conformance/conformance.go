@@ -459,18 +459,7 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 	if err != nil {
 		panic(fmt.Sprintf("conformance: %v", err))
 	}
-	epochs := alloc.Config().Epochs
-	total := int64(opts.Budget) * int64(len(ids))
-	basePool := total / int64(epochs)
-	extra := total % int64(epochs)
-
-	for e := 0; e < epochs && ctx.Err() == nil && alloc.Active() > 0; e++ {
-		pool := basePool
-		if int64(e) < extra {
-			pool++
-		}
-		shares := alloc.Allocate(int(pool))
-
+	alloc.Spend(ctx, int64(opts.Budget)*int64(len(ids)), func(e, _ int, shares []int) []budget.Yield {
 		type job struct{ cell, share int }
 		var jobs []job
 		for i, s := range shares {
@@ -499,8 +488,8 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 		}
 		res := fleet.Run(ctx, cells, fleet.Options{Workers: opts.Workers})
 
-		// Epoch barrier: fold outcomes and feed the allocator, both in
-		// deterministic cell order.
+		// Epoch barrier: fold outcomes and report every cell's yield,
+		// both in deterministic cell order.
 		for k, r := range res {
 			i := jobs[k].cell
 			if r.Err != nil {
@@ -515,29 +504,27 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 				done[i] = true
 			}
 		}
-		for i := range ids {
-			if alloc.Done(i) {
-				continue
-			}
-			col := cols[i]
+		ys := make([]budget.Yield, len(ids))
+		for i, col := range cols {
 			first := false
 			if !bugSeen[i] && len(col.failures) > 0 {
 				bugSeen[i] = true
 				first = true
 				done[i] = true
 			}
-			alloc.Observe(i, budget.Reward{
-				Executions: col.execs - prevExecs[i],
-				NewPairs:   len(col.coverTimes) - prevCovers[i],
-				FirstBug:   first,
-			})
+			ys[i] = budget.Yield{
+				Reward: budget.Reward{
+					Executions: col.execs - prevExecs[i],
+					NewPairs:   len(col.coverTimes) - prevCovers[i],
+					FirstBug:   first,
+				},
+				Done: done[i],
+			}
 			prevExecs[i] = col.execs
 			prevCovers[i] = len(col.coverTimes)
-			if done[i] {
-				alloc.MarkDone(i)
-			}
 		}
-	}
+		return ys
+	})
 
 	states := alloc.Cells()
 	out := make([]fleet.Result[cellResult], len(ids))

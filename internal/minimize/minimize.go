@@ -28,26 +28,21 @@ type Options struct {
 	// original (default: kind only).
 	MatchLoc bool
 	// Budget bounds the number of candidate executions (probes). Zero
-	// falls back to MaxProbes (and then to the 2000 default); a negative
+	// means the 2000 default; a negative
 	// Budget allows no probes at all, in which case Minimize returns the
 	// original switch set unminimized rather than nil — an exhausted
 	// budget is a triage throughput decision, not evidence the artifact
 	// is broken.
 	Budget int
-	// MaxProbes is the legacy name for Budget (0 or negative = 2000).
-	// Budget, when non-zero, takes precedence.
-	MaxProbes int
 }
 
-// probeBudget resolves the effective probe budget from the two fields.
+// probeBudget resolves the effective probe budget.
 func (o Options) probeBudget() int {
 	switch {
 	case o.Budget > 0:
 		return o.Budget
 	case o.Budget < 0:
 		return 0
-	case o.MaxProbes > 0:
-		return o.MaxProbes
 	}
 	return 2000
 }

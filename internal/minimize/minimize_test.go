@@ -80,7 +80,7 @@ func TestMinimizeMemoryBug(t *testing.T) {
 
 func TestMinimizeRespectsProbeBudget(t *testing.T) {
 	p, fr := findFailure(t, "CS/reorder_10")
-	res := minimize.Minimize(p.Name, p.Body, fr.Decisions, fr.Failure, minimize.Options{MaxProbes: 5})
+	res := minimize.Minimize(p.Name, p.Body, fr.Decisions, fr.Failure, minimize.Options{Budget: 5})
 	if res == nil {
 		t.Fatal("even the identity probe should reproduce")
 	}
@@ -119,20 +119,10 @@ func TestMinimizeZeroBudgetReturnsOriginal(t *testing.T) {
 
 func TestMinimizeBudgetFieldBounds(t *testing.T) {
 	p, fr := findFailure(t, "CS/reorder_10")
-	// Budget is the preferred knob and takes precedence over MaxProbes.
-	res := minimize.Minimize(p.Name, p.Body, fr.Decisions, fr.Failure,
-		minimize.Options{Budget: 3, MaxProbes: 500})
-	if res == nil {
-		t.Fatal("even the identity probe should reproduce")
-	}
-	if res.Probes > 3 {
-		t.Fatalf("Budget 3 exceeded: %d probes", res.Probes)
-	}
-	// A zero Budget with zero MaxProbes falls back to the 2000 default
-	// and therefore reduces like the legacy path.
-	legacy := minimize.Minimize(p.Name, p.Body, fr.Decisions, fr.Failure, minimize.Options{})
-	if legacy == nil || legacy.MinimalSwitches > legacy.OriginalSwitches {
-		t.Fatalf("default-budget minimization misbehaved: %+v", legacy)
+	// A zero Budget falls back to the 2000 default.
+	res := minimize.Minimize(p.Name, p.Body, fr.Decisions, fr.Failure, minimize.Options{})
+	if res == nil || res.MinimalSwitches > res.OriginalSwitches {
+		t.Fatalf("default-budget minimization misbehaved: %+v", res)
 	}
 }
 

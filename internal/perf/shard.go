@@ -28,18 +28,16 @@ type ShardPoint struct {
 // ShardScaling is one program's shard-count scaling curve: how a single
 // campaign's execs/sec moves as its fuzz loop spreads over worker
 // shards, and whether the merged report stayed bit-identical while it
-// did (the deterministic-mode contract).
+// did (the shard runner's determinism contract).
 type ShardScaling struct {
 	Program string `json:"program"`
 	Budget  int    `json:"budget"`
-	Fast    bool   `json:"fast,omitempty"`
 	// NumCPU and GOMAXPROCS pin the parallelism the curve was measured
 	// under; a speedup at 4 shards is not expected on 1 vCPU.
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// ResultsIdentical reports whether every shard count merged to a
-	// byte-identical core.Report. Always expected in deterministic mode;
-	// meaningless (and typically false) with Fast.
+	// byte-identical core.Report, as the shard runner promises.
 	ResultsIdentical bool         `json:"results_identical"`
 	Points           []ShardPoint `json:"points"`
 }
@@ -47,11 +45,10 @@ type ShardScaling struct {
 // MeasureShards runs the same single-program campaign at each shard
 // count in turn (first count is the speedup baseline) and cross-checks
 // that all runs merged to identical reports.
-func MeasureShards(p bench.Program, budget, maxSteps int, seed int64, shardCounts []int, fast bool) *ShardScaling {
+func MeasureShards(p bench.Program, budget, maxSteps int, seed int64, shardCounts []int) *ShardScaling {
 	sc := &ShardScaling{
 		Program:          p.Name,
 		Budget:           budget,
-		Fast:             fast,
 		NumCPU:           runtime.NumCPU(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		ResultsIdentical: true,
@@ -68,7 +65,6 @@ func MeasureShards(p bench.Program, budget, maxSteps int, seed int64, shardCount
 			MaxSteps: maxSteps,
 			Seed:     seed,
 			Shards:   w,
-			Fast:     fast,
 		})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)

@@ -71,9 +71,9 @@ type CampaignRequest struct {
 	// bit-identical at any worker count, so Workers is an execution
 	// hint: it is excluded from the cache key.
 	Workers int `json:"workers,omitempty"`
-	// Shards, when >= 1, runs RFF trials on the sharded work-stealing
-	// runner with that many worker shards. Unlike Workers, Shards is NOT
-	// an execution hint: the sharded runner is a distinct (still
+	// Shards, when >= 1, runs RFF trials on the sharded runner with
+	// that many worker shards. Unlike Workers, Shards is NOT an
+	// execution hint: the sharded runner is a distinct (still
 	// deterministic) algorithm whose reports differ from the sequential
 	// loop's, so Shards stays in the cache key.
 	Shards int `json:"shards,omitempty"`

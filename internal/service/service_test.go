@@ -359,6 +359,7 @@ func TestValidation(t *testing.T) {
 		`{"program":"no/such/program"}`,                    // unknown program
 		`{"program":"CS/account","tools":["warp-drive"]}`,  // unknown tool
 		`{"program":"CS/account","tools":["pct","pct:3"]}`, // duplicate after canonicalization
+		`{"program":"CS/account","tools":["pct3"]}`,        // retired alias of pct:3
 		`{"program":"CS/account","budget":-1}`,             // bad budget
 		`{"progen_seed":1,"progen_count":1000}`,            // progen_count over cap
 		`{"program":"CS/account","unknown_field":true}`,    // unknown field

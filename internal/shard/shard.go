@@ -1,15 +1,21 @@
+// Package shard executes one fuzzing campaign across W worker shards:
+// batches of planned executions run as fleet cells on per-shard state,
+// with zero cross-shard locking on the hot path, punctuated by
+// deterministic epoch merge barriers that fold shard-local observations
+// back into campaign-global state. See DESIGN.md §13 for the full
+// architecture and determinism contract.
 package shard
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"rff/internal/core"
 	"rff/internal/exec"
+	"rff/internal/fleet"
 	"rff/internal/telemetry"
 )
 
@@ -35,8 +41,8 @@ type Options struct {
 	// InitialCorpus is Algorithm 1's S_init (ε when empty).
 	InitialCorpus []core.Schedule
 	// Telemetry, if non-nil, receives campaign metrics plus the sharding
-	// series: shard_execs and shard_steals counters per {program,shard},
-	// the shard_merge_ns histogram, the shard_utilization_pct gauge, and
+	// series: the shard_execs counter per {program,shard}, the
+	// shard_merge_ns histogram, the shard_utilization_pct gauge, and
 	// epoch-merge events. The sink is called from W goroutines and must
 	// be safe for concurrent use (telemetry.Hub is).
 	Telemetry telemetry.Sink
@@ -49,8 +55,8 @@ type Options struct {
 	FailureObserver func(res *exec.Result)
 
 	// Shards is the worker count W (values < 1 mean 1). Each shard owns
-	// a private intern table, recycler, and proactive scheduler; in
-	// deterministic mode the report is identical for every value.
+	// a private intern table, recycler, and proactive scheduler; the
+	// report is identical for every value.
 	Shards int
 	// Epoch is K, the steady-state number of executions planned between
 	// merge barriers (0 = DefaultEpoch). Epoch sizes ramp geometrically
@@ -58,27 +64,18 @@ type Options struct {
 	// back almost immediately — mirroring the sequential loop's early
 	// learning, where the event pool seeds mutation from execution two
 	// onward — and the barrier cost amortizes once the campaign is warm.
-	// The deterministic report is a pure function of (Seed, Budget,
-	// Epoch) — shard count and batch size never enter it.
+	// The report is a pure function of (Seed, Budget, Epoch) — the
+	// shard count never enters it.
 	Epoch int
-	// Batch is the number of executions per work-stealing deque item
-	// (0 = DefaultBatch). Batching amortizes deque traffic and scheduler
-	// wakeups over several executions.
-	Batch int
-	// Fast drops the epoch barrier: every shard runs an independent
-	// fuzzing loop over a private corpus, stealing budget quotas instead
-	// of planned batches, and states merge once at the end. Roughly the
-	// throughput of W independent campaigns, but the report depends on
-	// runtime interleaving — reruns and different shard counts may
-	// differ. Use only when throughput matters more than replayability.
-	Fast bool
 }
 
 // DefaultEpoch is the executions-per-epoch used when Options.Epoch is 0.
 const DefaultEpoch = 256
 
-// DefaultBatch is the executions-per-batch used when Options.Batch is 0.
-const DefaultBatch = 16
+// batch is the number of planned executions per fleet cell. Batching
+// amortizes the pool's claim traffic and goroutine wakeups over several
+// executions on one shard's warm recycler and intern table.
+const batch = 16
 
 // Fuzz runs the sharded campaign to completion.
 func Fuzz(name string, prog exec.Program, opts Options) *core.Report {
@@ -99,12 +96,6 @@ func FuzzContext(ctx context.Context, name string, prog exec.Program, opts Optio
 	}
 	if opts.Epoch <= 0 {
 		opts.Epoch = DefaultEpoch
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = DefaultBatch
-	}
-	if opts.Fast {
-		return fuzzFast(ctx, name, prog, opts)
 	}
 	return newRunner(name, prog, opts).run(ctx)
 }
@@ -147,7 +138,6 @@ type digest struct {
 // merge barrier.
 type shardState struct {
 	id     int
-	deque  *Deque
 	intern *exec.InternTable
 	rec    *exec.Recycler
 	sched  *core.Proactive
@@ -157,11 +147,10 @@ type shardState struct {
 
 	// Per-epoch counters, folded into telemetry at the barrier.
 	epochExecs     int64
-	epochSteals    int64
 	epochSatisfied int64
 	epochRejected  int64
-	// busy accumulates time spent executing batches, for the
-	// utilization gauge.
+	// busy accumulates the durations of the batches this shard ran, for
+	// the utilization gauge.
 	busy time.Duration
 
 	labels []telemetry.Label // {program, shard}
@@ -169,7 +158,7 @@ type shardState struct {
 
 // runner is the deterministic sharded campaign: a coordinator that
 // plans epochs from frozen global state, W shards that execute the
-// plan via work stealing, and a merge barrier that folds shard
+// plan's batches as fleet cells, and a merge barrier that folds shard
 // observations back into global state in global execution order.
 type runner struct {
 	name string
@@ -194,6 +183,13 @@ type runner struct {
 	shards  []*shardState
 	plan    []*core.Entry // reused epoch plan (one entry per execution)
 	digests []digest      // reused epoch digest slots
+
+	// Epoch execution: one fleet cell per batch of the plan, built once.
+	// The cells read the epoch's executions from plan and its first
+	// global execution index from epochStart.
+	cells      []fleet.Cell[struct{}]
+	fleetOpts  fleet.Options
+	epochStart int
 
 	// Merge-barrier scratch.
 	pairScratch []exec.PairID
@@ -233,6 +229,29 @@ func newRunner(name string, prog exec.Program, opts Options) *runner {
 		}
 		s.remap = exec.NewRemapper(s.intern, r.intern)
 		r.shards = append(r.shards, s)
+	}
+	r.fleetOpts = fleet.Options{
+		Workers: opts.Shards,
+		// Fleet worker w runs every cell it claims on shard w's state.
+		NewState: func(w int) any { return r.shards[w] },
+	}
+	// No epoch plans more than min(Epoch, Budget) executions.
+	r.cells = make([]fleet.Cell[struct{}], (min(opts.Epoch, opts.Budget)+batch-1)/batch)
+	for b := range r.cells {
+		lo := b * batch
+		r.cells[b] = fleet.Cell[struct{}]{
+			ID: "batch " + strconv.Itoa(b),
+			Run: func(ctx context.Context, sc *fleet.Scratch) (struct{}, error) {
+				s := sc.State.(*shardState)
+				for i := lo; i < min(lo+batch, len(r.plan)); i++ {
+					if !r.execOne(ctx, s, r.plan[i], r.epochStart+i, &r.digests[i]) {
+						break
+					}
+					s.epochExecs++
+				}
+				return struct{}{}, nil
+			},
+		}
 	}
 	return r
 }
@@ -289,80 +308,24 @@ func (r *runner) planEpoch(k int) []*core.Entry {
 	return plan
 }
 
-// runEpoch distributes the plan's batches round-robin across the shard
-// deques and runs W workers until every batch is claimed and executed.
-// Shards fill disjoint digest slots, so the workers share nothing
-// mutable but the deques themselves.
+// runEpoch runs the plan's batches as fleet cells, one worker per
+// shard, until every batch has executed (or been skipped by a cancelled
+// ctx). Shards fill disjoint digest slots, so the workers share nothing
+// mutable. A panicking batch re-panics here, on the caller's goroutine,
+// after the wave: folding it as an interrupted prefix would pass a crash
+// off as a cancellation.
 func (r *runner) runEpoch(ctx context.Context, plan []*core.Entry, epochStart int) {
-	for i := range plan[:min(len(plan), len(r.digests))] {
+	for i := range plan {
 		r.digests[i].done = false
 	}
-	nb := (len(plan) + r.opts.Batch - 1) / r.opts.Batch
-	for _, s := range r.shards {
-		if s.deque == nil || len(s.deque.buf) < nb {
-			s.deque = NewDeque(nb)
-		} else {
-			s.deque.reset()
+	r.epochStart = epochStart
+	results := fleet.Run(ctx, r.cells[:(len(plan)+batch-1)/batch], r.fleetOpts)
+	for _, res := range results {
+		if res.Panicked {
+			panic(fmt.Sprintf("shard: %s: %v\n%s", res.Cell, res.Err, res.Stack))
 		}
+		r.shards[res.Worker].busy += res.Duration
 	}
-	for b := 0; b < nb; b++ {
-		r.shards[b%len(r.shards)].deque.Push(b)
-	}
-	var wg sync.WaitGroup
-	for _, s := range r.shards {
-		wg.Add(1)
-		go func(s *shardState) {
-			defer wg.Done()
-			r.work(ctx, s, plan, epochStart)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// work is one shard's epoch loop: pop from the own deque, steal when it
-// runs dry, exit when no unclaimed batch remains anywhere. Claimed
-// batches never reappear, so an empty sweep with zero unclaimed work is
-// a permanent termination condition.
-func (r *runner) work(ctx context.Context, s *shardState, plan []*core.Entry, epochStart int) {
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		b := s.deque.Pop()
-		if b < 0 {
-			for i := 1; i < len(r.shards) && b < 0; i++ {
-				b = r.shards[(s.id+i)%len(r.shards)].deque.Steal()
-			}
-			if b < 0 {
-				if r.unclaimed() == 0 {
-					return
-				}
-				runtime.Gosched()
-				continue
-			}
-			s.epochSteals++
-		}
-		start := time.Now()
-		lo := b * r.opts.Batch
-		hi := min(lo+r.opts.Batch, len(plan))
-		for i := lo; i < hi; i++ {
-			if !r.execOne(ctx, s, plan[i], epochStart+i, &r.digests[i]) {
-				s.busy += time.Since(start)
-				return
-			}
-			s.epochExecs++
-		}
-		s.busy += time.Since(start)
-	}
-}
-
-// unclaimed counts batches still sitting in some deque.
-func (r *runner) unclaimed() int {
-	n := 0
-	for _, s := range r.shards {
-		n += s.deque.Len()
-	}
-	return n
 }
 
 // execOne runs one planned execution on shard s and records its digest.
@@ -525,16 +488,13 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 			if s.epochExecs > 0 {
 				t.Add(telemetry.MShardExecs, s.epochExecs, s.labels...)
 			}
-			if s.epochSteals > 0 {
-				t.Add(telemetry.MShardSteals, s.epochSteals, s.labels...)
-			}
 			if s.epochSatisfied > 0 {
 				t.Add(telemetry.MConstraintSatisfied, s.epochSatisfied, r.labels...)
 			}
 			if s.epochRejected > 0 {
 				t.Add(telemetry.MConstraintRejected, s.epochRejected, r.labels...)
 			}
-			s.epochExecs, s.epochSteals, s.epochSatisfied, s.epochRejected = 0, 0, 0, 0
+			s.epochExecs, s.epochSatisfied, s.epochRejected = 0, 0, 0
 		}
 		t.Observe(telemetry.MShardMergeNS, time.Since(start).Nanoseconds(), r.labels...)
 		t.Emit(telemetry.EvEpochMerge, telemetry.Fields{

@@ -65,8 +65,7 @@ func run(t *testing.T, prog exec.Program, opts shard.Options) *core.Report {
 
 // TestDeterministicAcrossShardCounts is the contract of the epoch
 // barrier: at a fixed (seed, budget, epoch), the merged report is
-// bit-identical whatever the shard count or batch size — and across
-// reruns.
+// bit-identical whatever the shard count — and across reruns.
 func TestDeterministicAcrossShardCounts(t *testing.T) {
 	base := shard.Options{Budget: 400, Seed: 42, Epoch: 64}
 	want := run(t, bugFree(3), base)
@@ -77,13 +76,11 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 		t.Fatalf("baseline campaign learned nothing: %+v", want)
 	}
 	for _, w := range []int{1, 2, 4, 7} {
-		for _, batch := range []int{1, 4, 16} {
-			opts := base
-			opts.Shards, opts.Batch = w, batch
-			got := run(t, bugFree(3), opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d batch=%d: report diverged\n got: %+v\nwant: %+v", w, batch, got, want)
-			}
+		opts := base
+		opts.Shards = w
+		got := run(t, bugFree(3), opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: report diverged\n got: %+v\nwant: %+v", w, got, want)
 		}
 	}
 }
@@ -191,29 +188,12 @@ func TestShardTelemetry(t *testing.T) {
 	if got := snap.Value(telemetry.MCorpusSize, prog); got != int64(rep.CorpusSize) {
 		t.Fatalf("corpus_size gauge = %d, want %d", got, rep.CorpusSize)
 	}
-}
-
-// TestFastModeSmoke: the -fast relaxation still spends the whole budget
-// across its shards, merges shard feedback into coherent totals, and
-// finds the easy bug when asked to stop.
-func TestFastModeSmoke(t *testing.T) {
-	rep := run(t, bugFree(3), shard.Options{Budget: 300, Seed: 5, Shards: 4, Fast: true})
-	if rep.Executions != 300 {
-		t.Fatalf("fast mode ran %d executions, want the full budget", rep.Executions)
-	}
-	if rep.UniquePairs == 0 || rep.CorpusSize < 2 {
-		t.Fatalf("fast-mode merge lost feedback state: %+v", rep)
-	}
-	if len(rep.SigFrequencies) != rep.UniqueSigs {
-		t.Fatalf("merged SigFrequencies has %d series for %d sigs", len(rep.SigFrequencies), rep.UniqueSigs)
-	}
-
-	buggy := run(t, reorder(2), shard.Options{Budget: 2000, Seed: 5, Shards: 4, Fast: true, StopAtFirstBug: true})
-	if buggy.FirstBug == 0 {
-		t.Fatal("fast mode missed the reorder bug")
-	}
-	if len(buggy.Failures) == 0 {
-		t.Fatal("fast mode dropped the failure record")
+	// Batches run as fleet cells, but the pool's own series stay out of
+	// a shard campaign's telemetry, and there are no steals to count.
+	for _, m := range snap.Metrics {
+		if m.Name == telemetry.MShardSteals || strings.HasPrefix(m.Name, "fleet_") {
+			t.Errorf("unexpected series %s in a shard campaign", m.Name)
+		}
 	}
 }
 
@@ -288,6 +268,41 @@ func TestDeterministicWithChannelOps(t *testing.T) {
 		got := shard.Fuzz(name, prog, opts)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: channel-program report diverged\n got: %+v\nwant: %+v", w, got, want)
+		}
+	}
+}
+
+// panicSink panics on the engine's per-execution counter, which exec.Run
+// bumps on whichever fleet worker runs a planned execution.
+type panicSink struct{}
+
+func (panicSink) Add(name string, _ int64, _ ...telemetry.Label) {
+	if name == telemetry.MEngineExecutions {
+		panic("sink exploded")
+	}
+}
+func (panicSink) Set(string, int64, ...telemetry.Label)     {}
+func (panicSink) Observe(string, int64, ...telemetry.Label) {}
+func (panicSink) Emit(string, telemetry.Fields)             {}
+
+// TestBatchPanicReachesCaller: a panic inside a shard's batch surfaces
+// on the caller's goroutine, with the batch's stack, where a recover can
+// catch it — never as a truncated report that would read like a
+// cancellation.
+func TestBatchPanicReachesCaller(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		var rep *core.Report
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			rep = run(t, bugFree(3), shard.Options{Budget: 64, Seed: 1, Shards: w, Telemetry: panicSink{}})
+			return nil
+		}()
+		if rep != nil {
+			t.Fatalf("shards=%d: panicking campaign returned a report: %+v", w, rep)
+		}
+		msg, _ := got.(string)
+		if !strings.Contains(msg, "sink exploded") || !strings.Contains(msg, "execOne") {
+			t.Fatalf("shards=%d: recovered %v, want the batch's panic and stack", w, got)
 		}
 	}
 }

@@ -37,7 +37,6 @@ func init() {
 				Telemetry:  cfg.Telemetry,
 				Observer:   cfg.Observer,
 				Shards:     cfg.Shards,
-				ShardFast:  cfg.ShardFast,
 			}, nil
 		},
 	})
@@ -196,10 +195,8 @@ func init() {
 		},
 	})
 
-	// Legacy spellings. "pct3" predates parameterized specs and is
-	// deprecated; "rff-nofb" remains the documented hyphenated form.
-	RegisterAlias("pct3", "pct:3", true)
-	RegisterAlias("rff-nofb", "rff:nofb", false)
+	// "rff-nofb" is the documented hyphenated form of "rff:nofb".
+	RegisterAlias("rff-nofb", "rff:nofb")
 }
 
 // systematicOutcome maps an enumeration report to a trial outcome,

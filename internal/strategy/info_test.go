@@ -7,10 +7,6 @@ import (
 )
 
 func TestDescribeCoversRegistry(t *testing.T) {
-	old := DeprecationWarning
-	DeprecationWarning = func(string) {}
-	defer func() { DeprecationWarning = old }()
-
 	infos, err := Describe()
 	if err != nil {
 		t.Fatal(err)
@@ -49,10 +45,6 @@ func TestDescribeCoversRegistry(t *testing.T) {
 }
 
 func TestWriteJSONIsParseable(t *testing.T) {
-	old := DeprecationWarning
-	DeprecationWarning = func(string) {}
-	defer func() { DeprecationWarning = old }()
-
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf); err != nil {
 		t.Fatal(err)

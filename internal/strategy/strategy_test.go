@@ -118,32 +118,14 @@ func TestUnknownSpecErrorListsRegistered(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasWarnsOnce: "pct3" still resolves, but announces
-// its replacement through the DeprecationWarning hook.
-func TestDeprecatedAliasWarns(t *testing.T) {
-	var warnings []string
-	old := strategy.DeprecationWarning
-	strategy.DeprecationWarning = func(msg string) { warnings = append(warnings, msg) }
-	defer func() { strategy.DeprecationWarning = old }()
-
-	tl, err := strategy.Resolve("pct3", strategy.Config{})
-	if err != nil {
-		t.Fatal(err)
+// TestRemovedAliasRejected: the retired "pct3" spelling is an unknown
+// strategy, while the documented "rff-nofb" alias still resolves.
+func TestRemovedAliasRejected(t *testing.T) {
+	if c, err := strategy.Canonical("pct3"); err == nil {
+		t.Fatalf("Canonical(pct3) = %q, want an unknown-strategy error", c)
 	}
-	if tl.Name() != "PCT3" {
-		t.Fatalf("pct3 resolved to %q, want PCT3", tl.Name())
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "pct:3") {
-		t.Fatalf("want one deprecation warning naming pct:3, got %v", warnings)
-	}
-
-	// The non-deprecated alias is silent.
-	warnings = nil
-	if tl := strategy.MustResolve("rff-nofb", strategy.Config{}); tl.Name() != "RFF-nofb" {
-		t.Fatalf("rff-nofb resolved to %q", tl.Name())
-	}
-	if len(warnings) != 0 {
-		t.Fatalf("rff-nofb should not warn, got %v", warnings)
+	if c, err := strategy.Canonical("rff-nofb"); err != nil || c != "rff:nofb" {
+		t.Fatalf("Canonical(rff-nofb) = %q, %v; want rff:nofb", c, err)
 	}
 }
 

@@ -113,8 +113,9 @@ const (
 	// stop-at-first-bug truncation — it measures work done, not counted
 	// budget).
 	MShardExecs = "shard_execs"
-	// MShardSteals counts execution batches a shard stole from another
-	// shard's deque, per {program,shard}.
+	// MShardSteals is no longer emitted: shard batches run as fleet
+	// cells, which have no steals to count. The name stays because the
+	// rffperf benchmark module still reads the series (as zero).
 	MShardSteals = "shard_steals"
 	// MShardMergeNS is a histogram of epoch merge-barrier wall-clock in
 	// nanoseconds per {program}.
