@@ -126,31 +126,6 @@ func cmdTools(args []string) {
 	}
 }
 
-// resolveProgram finds a benchmark by exact name, falling back to a
-// unique suite-less suffix match so `-prog reorder_10` resolves to
-// "CS/reorder_10".
-func resolveProgram(name string) (bench.Program, bool) {
-	if p, ok := bench.Get(name); ok {
-		return p, true
-	}
-	var matches []bench.Program
-	for _, p := range bench.All() {
-		if strings.HasSuffix(p.Name, "/"+name) {
-			matches = append(matches, p)
-		}
-	}
-	if len(matches) == 1 {
-		return matches[0], true
-	}
-	if len(matches) > 1 {
-		fmt.Fprintf(os.Stderr, "rff: program %q is ambiguous:\n", name)
-		for _, p := range matches {
-			fmt.Fprintf(os.Stderr, "  %s\n", p.Name)
-		}
-	}
-	return bench.Program{}, false
-}
-
 // telemetrySession wires the -metrics/-events/-progress flags into a
 // Hub plus a teardown that flushes and persists everything.
 type telemetrySession struct {
@@ -255,9 +230,9 @@ func cmdRun(args []string) {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	fs.Parse(args)
 
-	p, ok := resolveProgram(*prog)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rff: unknown program %q (see `rff list`)\n", *prog)
+	p, err := bench.Resolve(*prog)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
 		os.Exit(1)
 	}
 	specText := *toolsFlag
@@ -631,9 +606,9 @@ func cmdExplore(args []string) {
 	prog := fs.String("prog", "", "benchmark program name")
 	budget := fs.Int("budget", 100000, "max schedules to enumerate")
 	fs.Parse(args)
-	p, ok := resolveProgram(*prog)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rff: unknown program %q\n", *prog)
+	p, err := bench.Resolve(*prog)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
 		os.Exit(1)
 	}
 	rep := systematic.Explore(p.Name, p.Body, systematic.ExploreOptions{MaxExecutions: *budget})

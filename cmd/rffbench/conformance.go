@@ -8,12 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	budgetpkg "rff/internal/budget"
 	"rff/internal/conformance"
 	"rff/internal/progen"
-	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
 
@@ -23,122 +20,80 @@ import (
 // run is a pure function of (seed, flags): identical invocations print
 // identical summaries and write identical result files. Exits 1 on any
 // violation.
-func cmdConformance(args []string) {
-	fs := flag.NewFlagSet("conformance", flag.ExitOnError)
+func cmdConformance(fs *flag.FlagSet, s *shared) func() error {
 	programs := fs.Int("programs", 50, "generated programs to check")
-	seed := fs.Int64("seed", 1, "generator and trial seed")
-	toolsFlag := fs.String("tools", strings.Join(strategy.Names(), ","),
-		"comma-separated strategy specs (default: every registered strategy)")
 	trials := fs.Int("trials", 1, "trials per (program, spec) for randomized strategies")
-	budget := fs.Int("budget", 300, "schedule budget per trial")
+	cellBudget := fs.Int("budget", 300, "schedule budget per trial")
 	gtBudget := fs.Int("gt-budget", 60000, "ground-truth enumeration budget per program")
 	grammar := fs.String("grammar", "core",
 		"progen grammar to draw programs from ("+strings.Join(progen.Grammars(), ", ")+")")
-	maxSteps := fs.Int("maxsteps", 4096, "per-execution step budget")
-	workers := fs.Int("workers", 1, "fleet workers per program; results identical at any count")
-	budgetPolicy := fs.String("budget-policy", "",
-		fmt.Sprintf("adaptive budget policy: each program's (spec, trial) cells share a reallocated pool (%s; empty = fixed per-cell budgets)", strings.Join(budgetpkg.Policies(), "|")))
-	budgetEpochs := fs.Int("budget-epochs", budgetpkg.DefaultEpochs, "allocation epochs under -budget-policy")
 	out := fs.String("out", "", "directory for summary.txt, coverage.txt, and report.json (e.g. results/conformance)")
-	metricsPath := fs.String("metrics", "", "write a JSON telemetry snapshot to this file")
-	quiet := fs.Bool("q", false, "suppress progress output")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-
-	specs, err := strategy.ParseSpecs(*toolsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-	if _, err := progen.ParseGrammar(*grammar); err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-	if *budgetPolicy != "" {
-		bc := budgetpkg.Config{Policy: *budgetPolicy, Epochs: *budgetEpochs}
-		if err := bc.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(2)
+	return func() error {
+		if _, err := progen.ParseGrammar(*grammar); err != nil {
+			return usageError{err}
 		}
-	}
-
-	var hub *telemetry.Hub
-	var sink telemetry.Sink
-	if *metricsPath != "" {
-		hub = telemetry.NewHub()
-		sink = hub
-	}
-	progress := func(done, total int) {
-		if !*quiet && (done%5 == 0 || done == total) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d programs", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
+		var rep *conformance.Report
+		if err := s.run("conformance", func(sink telemetry.Sink) error {
+			rep = conformance.RunContext(context.Background(), conformance.Options{
+				Programs:     *programs,
+				Seed:         s.seed,
+				Specs:        s.specs,
+				Trials:       *trials,
+				Budget:       *cellBudget,
+				GTBudget:     *gtBudget,
+				MaxSteps:     s.maxSteps,
+				Workers:      s.workers,
+				Grammar:      *grammar,
+				BudgetPolicy: s.budgetPolicy,
+				BudgetEpochs: s.budgetEpochs,
+				Telemetry:    sink,
+				Progress:     s.progress("programs", 5),
+			})
+			return nil
+		}); err != nil {
+			return err
 		}
-	}
-
-	stopProf := pf.start()
-	start := time.Now()
-	rep := conformance.RunContext(context.Background(), conformance.Options{
-		Programs:     *programs,
-		Seed:         *seed,
-		Specs:        specs,
-		Trials:       *trials,
-		Budget:       *budget,
-		GTBudget:     *gtBudget,
-		MaxSteps:     *maxSteps,
-		Workers:      *workers,
-		Grammar:      *grammar,
-		BudgetPolicy: *budgetPolicy,
-		BudgetEpochs: *budgetEpochs,
-		Telemetry:    sink,
-		Progress:     progress,
-	})
-	stopProf()
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "conformance completed in %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	fmt.Print(rep.Summary())
-	fmt.Println()
-	fmt.Print(rep.CoverageCurves())
-
-	if hub != nil {
-		if err := writeMetrics(*metricsPath, hub); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
+		if err := s.writeResults(*out, rep); err != nil {
+			return err
 		}
-	}
-	if *out != "" {
-		if err := writeConformanceResults(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
+		if !rep.OK() {
+			return errReported
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-		}
-	}
-	if !rep.OK() {
-		os.Exit(1)
+		return nil
 	}
 }
 
-// writeConformanceResults persists the run into dir: the deterministic
-// text summary, the coverage curves, and the full machine-readable
-// report.
-func writeConformanceResults(dir string, rep *conformance.Report) error {
+// results is a harness report with a deterministic text rendering.
+type results interface {
+	Summary() string
+	CoverageCurves() string
+}
+
+// writeResults prints rep's summary and coverage curves and, with -out,
+// persists them into dir beside the full machine-readable report.json.
+func (s *shared) writeResults(dir string, rep results) error {
+	fmt.Print(rep.Summary(), "\n", rep.CoverageCurves())
+	if dir == "" {
+		return nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "summary.txt"), []byte(rep.Summary()), 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "coverage.txt"), []byte(rep.CoverageCurves()), 0o644); err != nil {
 		return err
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return fmt.Errorf("marshaling conformance report: %w", err)
+		return fmt.Errorf("marshaling report: %w", err)
 	}
-	return os.WriteFile(filepath.Join(dir, "report.json"), append(data, '\n'), 0o644)
+	for _, f := range [][2]string{
+		{"summary.txt", rep.Summary()},
+		{"coverage.txt", rep.CoverageCurves()},
+		{"report.json", string(data) + "\n"},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, f[0]), []byte(f[1]), 0o644); err != nil {
+			return err
+		}
+	}
+	if !s.quiet {
+		fmt.Fprintf(os.Stderr, "wrote %s\n", dir)
+	}
+	return nil
 }

@@ -9,7 +9,7 @@
 //	rffbench classes  -prog CS/reorder_3 [-budget N]  # E8 rf-class reduction
 //	rffbench conformance [-programs 50] [-seed 1] [-tools ...]  # differential conformance
 //	rffbench sched-eval  [-programs 12] [-seeds 1,2,3] [-policies uniform,ucb,...]  # adaptive budget policy evaluation
-//	rffbench perf     [-budget 2000] [-out BENCH_perf.json]  # hot-path throughput
+//	rffbench shards   [-prog CS/twostage_20] [-shards 1,2,4]  # single-campaign shard scaling
 //	rffbench triage   -in DIR | -store DIR | -progen-seed S  # cluster crashes into a regression corpus
 //
 // Matrix commands decompose into (tool, program, trial) cells and run on
@@ -23,6 +23,11 @@
 // takes `-cpuprofile FILE` / `-memprofile FILE` to capture pprof
 // profiles of the run.
 //
+// The flags several commands share (-seed, -maxsteps, -workers, -tools,
+// -q, -metrics, -budget-policy, -budget-epochs and the profile flags)
+// come from one block; each command presets its own defaults. The exit
+// status is 2 for bad flags and 1 for a failed run.
+//
 // Budgets default to laptop-scale settings; raise -trials/-budget toward
 // the paper's 20 trials for tighter statistics (see EXPERIMENTS.md).
 package main
@@ -30,10 +35,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -50,224 +57,349 @@ import (
 	"rff/internal/telemetry"
 )
 
+const usageLine = "usage: rffbench <table-b|fig4|fig5|rq1|rq2|rq4|all|classes|conformance|sched-eval|shards|triage> [flags]"
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(exitCode(rffbench(os.Args[1:])))
+}
+
+// subcommand is one rffbench command: the shared flags it takes, with
+// their defaults preset in shared, and a setup that registers its own
+// flags and returns the run to call once they are parsed.
+type subcommand struct {
+	shared shared
+	take   []string
+	setup  func(fs *flag.FlagSet, s *shared) func() error
+}
+
+var subcommands = map[string]subcommand{
+	"table-b": matrix(renderTableB),
+	"fig4":    matrix(renderFig4),
+	"rq1":     matrix(renderRQ1),
+	"all":     matrix(renderAll),
+	"rq2":     matrix(renderRQ2, "rff", "pos"),
+	"rq4":     matrix(renderRQ4, "rff", "qlearn"),
+	"fig5": {
+		shared: shared{seed: 1, maxSteps: 5000},
+		take:   []string{"seed", "maxsteps", "workers"},
+		setup:  cmdFig5,
+	},
+	"classes": {setup: cmdClasses},
+	"shards": {
+		shared: shared{seed: 1, maxSteps: 5000},
+		take:   []string{"seed", "maxsteps"},
+		setup:  cmdShards,
+	},
+	"conformance": {
+		shared: shared{seed: 1, maxSteps: 4096, workers: 1,
+			tools: strings.Join(strategy.Names(), ","), budgetEpochs: budget.DefaultEpochs},
+		take:  []string{"seed", "maxsteps", "workers", "tools", "q", "metrics", "budget-policy", "budget-epochs"},
+		setup: cmdConformance,
+	},
+	"sched-eval": {
+		shared: shared{maxSteps: 4096, workers: 1,
+			tools: strings.Join(strategy.Names(), ","), budgetEpochs: budget.DefaultEpochs},
+		take:  []string{"maxsteps", "workers", "tools", "q", "metrics", "budget-epochs"},
+		setup: cmdSchedEval,
+	},
+	"triage": {
+		shared: shared{seed: 1, tools: "rff"},
+		take:   []string{"seed", "maxsteps", "tools"},
+		setup:  cmdTriage,
+	},
+}
+
+// rffbench runs one command line; its error decides the exit status.
+func rffbench(args []string) error {
+	if len(args) == 0 {
+		fmt.Fprintln(os.Stderr, usageLine)
+		return usageError{errReported}
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	switch cmd {
-	case "table-b":
-		cmdMatrix(args, renderTableB)
-	case "fig4":
-		cmdMatrix(args, renderFig4)
-	case "rq1":
-		cmdMatrix(args, renderRQ1)
-	case "all":
-		cmdMatrix(args, func(m *campaign.MatrixResult) {
-			renderTableB(m)
-			fmt.Println()
-			renderFig4(m)
-			fmt.Println()
-			renderRQ1(m)
-		})
-	case "rq2":
-		cmdRQ2(args)
-	case "rq4":
-		cmdRQ4(args)
-	case "fig5":
-		cmdFig5(args)
-	case "conformance":
-		cmdConformance(args)
-	case "sched-eval":
-		cmdSchedEval(args)
-	case "classes":
-		cmdClasses(args)
-	case "perf":
-		cmdPerf(args)
-	case "triage":
-		cmdTriage(args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rffbench <table-b|fig4|fig5|rq1|rq2|rq4|classes|conformance|sched-eval|perf|triage> [flags]")
-}
-
-// profileFlags holds the pprof flags every subcommand accepts.
-type profileFlags struct {
-	cpu, mem string
-}
-
-func addProfileFlags(fs *flag.FlagSet) *profileFlags {
-	pf := &profileFlags{}
-	fs.StringVar(&pf.cpu, "cpuprofile", "", "write a pprof CPU profile to this file")
-	fs.StringVar(&pf.mem, "memprofile", "", "write a pprof heap profile to this file at exit")
-	return pf
-}
-
-// start begins CPU profiling; the returned stop ends it and writes the
-// heap profile. Profile errors are fatal up front — a requested profile
-// that cannot be opened should not surface only after a long run.
-func (pf *profileFlags) start() (stop func()) {
-	stopCPU, err := perf.StartCPUProfile(pf.cpu)
+	fs, run, err := command(args[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	return func() {
-		stopCPU()
-		if err := perf.WriteHeapProfile(pf.mem); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
+	if err := fs.Parse(args[1:]); err != nil {
+		if err == flag.ErrHelp {
+			return err
 		}
+		return usageError{errReported} // fs printed the error and usage
 	}
+	return run()
 }
 
-// matrixFlags holds the common evaluation-matrix flags.
-type matrixFlags struct {
-	trials       int
-	budget       int
-	maxSteps     int
+// command builds a subcommand's flag set and the run that checks the
+// shared flags and then executes it.
+func command(name string) (*flag.FlagSet, func() error, error) {
+	sc, ok := subcommands[name]
+	if !ok {
+		fmt.Fprintln(os.Stderr, usageLine)
+		return nil, nil, usageError{errReported}
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	s := sc.shared
+	s.register(fs, sc.take)
+	run := sc.setup(fs, &s)
+	return fs, func() error {
+		if err := s.validate(fs); err != nil {
+			return err
+		}
+		return run()
+	}, nil
+}
+
+// usageError marks a bad invocation: exit status 2 rather than 1.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+func usagef(format string, a ...any) error {
+	return usageError{fmt.Errorf(format, a...)}
+}
+
+// errReported is a failure whose explanation is already printed.
+var errReported = errors.New("failure already reported")
+
+// exitCode prints err and maps it onto the exit status: 0 on success or
+// -h, 2 for a usage error, 1 for any other failure.
+func exitCode(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.Is(err, errReported) {
+		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
+	}
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// shared holds the flags several subcommands take. A subcommand names
+// the ones it registers and presets their defaults; every subcommand
+// takes the profile flags.
+type shared struct {
 	seed         int64
+	maxSteps     int
 	workers      int
-	suite        string
-	progs        string
+	tools        string
 	quiet        bool
-	jsonPath     string
-	metricsPath  string
+	metrics      string
 	budgetPolicy string
 	budgetEpochs int
-	prof         *profileFlags
+	cpuProfile   string
+	memProfile   string
+
+	specs []string // -tools, split by validate (or fixed by the command)
 }
 
-func addMatrixFlags(fs *flag.FlagSet) *matrixFlags {
-	mf := &matrixFlags{prof: addProfileFlags(fs)}
-	fs.IntVar(&mf.trials, "trials", 5, "trials per (tool, program); the paper uses 20")
-	fs.IntVar(&mf.budget, "budget", 2000, "schedule budget per trial")
-	fs.IntVar(&mf.maxSteps, "maxsteps", 5000, "per-execution step budget")
-	fs.Int64Var(&mf.seed, "seed", 1, "base seed")
-	fs.IntVar(&mf.workers, "workers", 0, "concurrent fleet workers; results are identical at any count (0 = GOMAXPROCS)")
-	fs.StringVar(&mf.suite, "suite", "", "restrict to one suite (CS, Chess, ConVul, ...)")
-	fs.StringVar(&mf.progs, "progs", "", "comma-separated program list (default: all)")
-	fs.BoolVar(&mf.quiet, "q", false, "suppress progress output")
-	fs.StringVar(&mf.jsonPath, "json", "", "write the experiment summary as machine-readable JSON to this file")
-	fs.StringVar(&mf.metricsPath, "metrics", "", "write a JSON telemetry snapshot to this file")
-	fs.StringVar(&mf.budgetPolicy, "budget-policy", "",
-		fmt.Sprintf("adaptive budget policy reallocating the matrix pool across (tool, program) cells at epoch barriers (%s; empty = fixed per-cell budgets)", strings.Join(budget.Policies(), "|")))
-	fs.IntVar(&mf.budgetEpochs, "budget-epochs", budget.DefaultEpochs, "allocation epochs under -budget-policy")
-	return mf
+func (s *shared) register(fs *flag.FlagSet, take []string) {
+	for _, name := range take {
+		switch name {
+		case "seed":
+			fs.Int64Var(&s.seed, name, s.seed, "base seed")
+		case "maxsteps":
+			fs.IntVar(&s.maxSteps, name, s.maxSteps, "per-execution step budget (0 = engine default)")
+		case "workers":
+			fs.IntVar(&s.workers, name, s.workers, "concurrent fleet workers; results are identical at any count")
+		case "tools":
+			fs.StringVar(&s.tools, name, s.tools, "comma-separated strategy specs (see `rff tools`)")
+		case "q":
+			fs.BoolVar(&s.quiet, name, s.quiet, "suppress progress output")
+		case "metrics":
+			fs.StringVar(&s.metrics, name, s.metrics, "write a JSON telemetry snapshot to this file")
+		case "budget-policy":
+			fs.StringVar(&s.budgetPolicy, name, s.budgetPolicy,
+				fmt.Sprintf("adaptive budget policy reallocating the execution pool across cells at epoch barriers (%s; empty = fixed per-cell budgets)", strings.Join(budget.Policies(), "|")))
+		case "budget-epochs":
+			fs.IntVar(&s.budgetEpochs, name, s.budgetEpochs, "allocation epochs per budgeted campaign")
+		default:
+			panic("rffbench: no shared flag -" + name)
+		}
+	}
+	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&s.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 }
 
-// budgeter maps the -budget-policy flags onto a strategy.Config field,
-// validating up front so a typo fails before the run starts.
-func (mf *matrixFlags) budgeter() *budget.Config {
-	if mf.budgetPolicy == "" {
+// validate resolves -tools and checks -budget-policy, so a typo fails
+// before the run starts.
+func (s *shared) validate(fs *flag.FlagSet) error {
+	if fs.Lookup("tools") != nil {
+		specs, err := strategy.ParseSpecs(s.tools)
+		if err == nil {
+			_, err = strategy.ResolveAll(specs, strategy.Config{})
+		}
+		if err != nil {
+			return usageError{err}
+		}
+		s.specs = specs
+	}
+	if b := s.budgeter(); b != nil {
+		if err := b.Validate(); err != nil {
+			return usageError{err}
+		}
+	}
+	return nil
+}
+
+// budgeter is the -budget-policy allocator config (nil = fixed budgets).
+func (s *shared) budgeter() *budget.Config {
+	if s.budgetPolicy == "" {
 		return nil
 	}
-	cfg := &budget.Config{Policy: mf.budgetPolicy, Epochs: mf.budgetEpochs}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-	return cfg
+	return &budget.Config{Policy: s.budgetPolicy, Epochs: s.budgetEpochs}
 }
 
-func (mf *matrixFlags) programs() []bench.Program {
-	if mf.progs != "" {
-		var out []bench.Program
-		for _, n := range strings.Split(mf.progs, ",") {
-			out = append(out, bench.MustGet(strings.TrimSpace(n)))
+// run executes body under the profile flags and, with -metrics, a
+// telemetry hub whose snapshot it writes afterwards. A named run reports
+// its wall-clock on stderr unless -q.
+func (s *shared) run(name string, body func(telemetry.Sink) error) error {
+	var hub *telemetry.Hub
+	var sink telemetry.Sink
+	if s.metrics != "" {
+		hub = telemetry.NewHub()
+		sink = hub
+	}
+	stopCPU, err := perf.StartCPUProfile(s.cpuProfile)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	err = body(sink)
+	stopCPU()
+	if err != nil {
+		return err
+	}
+	if err := perf.WriteHeapProfile(s.memProfile); err != nil {
+		return err
+	}
+	if name != "" && !s.quiet {
+		fmt.Fprintf(os.Stderr, "%s completed in %v\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	if hub == nil {
+		return nil
+	}
+	data, err := hub.Snapshot().MarshalJSONIndent()
+	if err != nil {
+		return fmt.Errorf("marshaling metrics snapshot: %w", err)
+	}
+	return os.WriteFile(s.metrics, append(data, '\n'), 0o644)
+}
+
+// progress draws done/total units on stderr at every n-th unit and at
+// the end; it is nil under -q.
+func (s *shared) progress(unit string, n int) func(done, total int) {
+	if s.quiet {
+		return nil
+	}
+	return func(done, total int) {
+		if done%n == 0 || done == total {
+			fmt.Fprintf(os.Stderr, "\r%d/%d %s", done, total, unit)
+			if done == total {
+				fmt.Fprintln(os.Stderr)
+			}
 		}
-		return out
 	}
-	if mf.suite != "" {
-		return bench.BySuite(mf.suite)
+}
+
+// splitList parses a comma-separated flag value entry by entry; a bad
+// entry is a usage error, which parse words to name the entry.
+func splitList[T any](flagName, list string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, e := range strings.Split(list, ",") {
+		v, err := parse(strings.TrimSpace(e))
+		if err != nil {
+			return nil, usagef("-%s: %v", flagName, err)
+		}
+		out = append(out, v)
 	}
-	// The default matrix is the paper's subject set; the Extras suite is
-	// opt-in via -suite Extras.
+	return out, nil
+}
+
+// matrix is an evaluation-matrix subcommand printed by render. Fixed
+// specs replace the -tools flag.
+func matrix(render func(*campaign.MatrixResult), fixed ...string) subcommand {
+	sc := subcommand{
+		shared: shared{seed: 1, maxSteps: 5000, budgetEpochs: budget.DefaultEpochs, specs: fixed},
+		take:   []string{"seed", "maxsteps", "workers", "q", "metrics", "budget-policy", "budget-epochs"},
+		setup: func(fs *flag.FlagSet, s *shared) func() error {
+			trials := fs.Int("trials", 5, "trials per (tool, program); the paper uses 20")
+			trialBudget := fs.Int("budget", 2000, "schedule budget per trial")
+			suite := fs.String("suite", "", "restrict to one suite (CS, Chess, ConVul, ...)")
+			progs := fs.String("progs", "", "comma-separated program list (default: all)")
+			jsonPath := fs.String("json", "", "write the experiment summary as machine-readable JSON to this file")
+			return func() error {
+				ps, err := programs(*progs, *suite)
+				if err != nil {
+					return err
+				}
+				var m *campaign.MatrixResult
+				// The registry threads the sink into every resolved tool
+				// exactly once, so the snapshot carries engine/fuzzer
+				// series without any per-tool retrofitting here.
+				err = s.run("matrix", func(sink telemetry.Sink) (err error) {
+					m, err = strategy.RunMatrix(context.Background(), s.specs, ps, strategy.Config{
+						Telemetry: sink,
+						Trials:    *trials,
+						Budget:    *trialBudget,
+						MaxSteps:  s.maxSteps,
+						BaseSeed:  s.seed,
+						Workers:   s.workers,
+						Progress:  s.progress("trials", 25),
+						Budgeter:  s.budgeter(),
+					})
+					return err
+				})
+				if err != nil {
+					return err
+				}
+				if br := m.BudgetReport; br != nil && !s.quiet {
+					fmt.Fprintf(os.Stderr, "budget policy %s: %d epochs, %d/%d executions spent, %d reallocations\n",
+						br.Policy, br.Epochs, br.Spent, br.Pool, br.Reallocations)
+				}
+				if errs := m.TrialErrors(); len(errs) > 0 {
+					fmt.Fprintf(os.Stderr, "warning: %d trials aborted with errors:\n", len(errs))
+					for _, e := range errs {
+						fmt.Fprintf(os.Stderr, "  %s\n", e)
+					}
+				}
+				if *jsonPath != "" {
+					if err := writeSummaryJSON(*jsonPath, m); err != nil {
+						return err
+					}
+				}
+				render(m)
+				return nil
+			}
+		},
+	}
+	if fixed == nil {
+		sc.shared.tools = strings.Join(strategy.DefaultSpecs(), ",")
+		sc.take = append(sc.take, "tools")
+	}
+	return sc
+}
+
+// programs selects a matrix's programs: -progs by name, else one -suite,
+// else the paper's subject set (the Extras suite is opt-in).
+func programs(progs, suite string) ([]bench.Program, error) {
+	if progs != "" {
+		return splitList("progs", progs, bench.Resolve)
+	}
+	if suite != "" {
+		ps := bench.BySuite(suite)
+		if len(ps) == 0 {
+			return nil, usagef("-suite %q selects no programs (suites: %s)", suite, strings.Join(bench.Suites(), ", "))
+		}
+		return ps, nil
+	}
 	var out []bench.Program
 	for _, p := range bench.All() {
 		if p.Suite != "Extras" {
 			out = append(out, p)
 		}
 	}
-	return out
-}
-
-func (mf *matrixFlags) run(specs []string) *campaign.MatrixResult {
-	progress := func(done, total int) {
-		if !mf.quiet && (done%25 == 0 || done == total) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d trials", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	var hub *telemetry.Hub
-	var sink telemetry.Sink
-	if mf.metricsPath != "" {
-		hub = telemetry.NewHub()
-		sink = hub
-	}
-	stopProf := mf.prof.start()
-	start := time.Now()
-	// The registry threads the sink into every resolved tool exactly
-	// once, so the snapshot carries engine/fuzzer series without any
-	// per-tool retrofitting here.
-	m, err := strategy.RunMatrix(context.Background(), specs, mf.programs(), strategy.Config{
-		Telemetry: sink,
-		Trials:    mf.trials,
-		Budget:    mf.budget,
-		MaxSteps:  mf.maxSteps,
-		BaseSeed:  mf.seed,
-		Workers:   mf.workers,
-		Progress:  progress,
-		Budgeter:  mf.budgeter(),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(1)
-	}
-	stopProf()
-	if !mf.quiet {
-		fmt.Fprintf(os.Stderr, "matrix completed in %v\n", time.Since(start).Round(time.Millisecond))
-		if br := m.BudgetReport; br != nil {
-			fmt.Fprintf(os.Stderr, "budget policy %s: %d epochs, %d/%d executions spent, %d reallocations\n",
-				br.Policy, br.Epochs, br.Spent, br.Pool, br.Reallocations)
-		}
-	}
-	if errs := m.TrialErrors(); len(errs) > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d trials aborted with errors:\n", len(errs))
-		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "  %s\n", e)
-		}
-	}
-	if hub != nil {
-		if err := writeMetrics(mf.metricsPath, hub); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if mf.jsonPath != "" {
-		if err := writeSummaryJSON(mf.jsonPath, m); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	return m
-}
-
-// writeMetrics persists a hub's snapshot as indented JSON.
-func writeMetrics(path string, hub *telemetry.Hub) error {
-	data, err := hub.Snapshot().MarshalJSONIndent()
-	if err != nil {
-		return fmt.Errorf("marshaling metrics snapshot: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return out, nil
 }
 
 // cellSummary is one (tool, program) cell of the JSON experiment summary.
@@ -301,7 +433,6 @@ type matrixSummary struct {
 func writeSummaryJSON(path string, m *campaign.MatrixResult) error {
 	s := matrixSummary{
 		Budget:        m.Budget,
-		Trials:        0,
 		Tools:         m.Tools,
 		Programs:      m.Programs,
 		BugsFoundMean: make(map[string]float64, len(m.Tools)),
@@ -336,20 +467,6 @@ func writeSummaryJSON(path string, m *campaign.MatrixResult) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func cmdMatrix(args []string, render func(*campaign.MatrixResult)) {
-	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
-	mf := addMatrixFlags(fs)
-	toolsFlag := fs.String("tools", strings.Join(strategy.DefaultSpecs(), ","),
-		"comma-separated strategy specs (see `rff tools`)")
-	fs.Parse(args)
-	specs, err := strategy.ParseSpecs(*toolsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-	render(mf.run(specs))
-}
-
 func renderTableB(m *campaign.MatrixResult) {
 	fmt.Println("Mean Number of Schedules to 1st Bug (Appendix B reproduction)")
 	fmt.Println("(\"-\" = bug never found; \"*\" = missed in at least one trial)")
@@ -365,8 +482,8 @@ func renderTableB(m *campaign.MatrixResult) {
 }
 
 func renderFig4(m *campaign.MatrixResult) {
-	tools := []string{"RFF", "POS", "PCT3", "PERIOD*", "QLearning-RF"}
-	tools = intersect(tools, m.Tools)
+	tools := slices.DeleteFunc([]string{"RFF", "POS", "PCT3", "PERIOD*", "QLearning-RF"},
+		func(t string) bool { return !slices.Contains(m.Tools, t) })
 	fmt.Println("Figure 4: Total Bugs Discovered After Log(# Schedules) Across All Trials")
 	fmt.Println()
 	fmt.Print(report.Fig4ASCII(m, tools))
@@ -399,11 +516,15 @@ func renderRQ1(m *campaign.MatrixResult) {
 	}
 }
 
-func cmdRQ2(args []string) {
-	fs := flag.NewFlagSet("rq2", flag.ExitOnError)
-	mf := addMatrixFlags(fs)
-	fs.Parse(args)
-	m := mf.run([]string{"rff", "pos"})
+func renderAll(m *campaign.MatrixResult) {
+	renderTableB(m)
+	fmt.Println()
+	renderFig4(m)
+	fmt.Println()
+	renderRQ1(m)
+}
+
+func renderRQ2(m *campaign.MatrixResult) {
 	fmt.Println("RQ2: contribution of the abstract schedule (RFF vs its POS fallback)")
 	fmt.Println()
 	fmt.Printf("  RFF mean bugs found: %.1f\n", stats.Mean(m.BugsFoundPerTrial("RFF")))
@@ -416,11 +537,7 @@ func cmdRQ2(args []string) {
 	fmt.Print(report.AppendixB(m))
 }
 
-func cmdRQ4(args []string) {
-	fs := flag.NewFlagSet("rq4", flag.ExitOnError)
-	mf := addMatrixFlags(fs)
-	fs.Parse(args)
-	m := mf.run([]string{"rff", "qlearn"})
+func renderRQ4(m *campaign.MatrixResult) {
 	fmt.Println("RQ4: greybox fuzzing vs Q-Learning over the same reads-from information")
 	fmt.Println()
 	fmt.Printf("  RFF          mean bugs found: %.1f\n", stats.Mean(m.BugsFoundPerTrial("RFF")))
@@ -442,216 +559,137 @@ func cmdRQ4(args []string) {
 		oneShot("RFF"), oneShot("QLearning-RF"))
 }
 
-func cmdFig5(args []string) {
-	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
+func cmdFig5(fs *flag.FlagSet, s *shared) func() error {
 	n := fs.Int("n", 10000, "schedules per configuration (paper: 10000)")
 	prog := fs.String("prog", "SafeStack", "program to profile")
-	seed := fs.Int64("seed", 1, "seed")
-	maxSteps := fs.Int("maxsteps", 5000, "per-execution step budget")
 	bars := fs.Int("bars", 40, "bars to draw")
 	csv := fs.Bool("csv", false, "emit CSV instead of ASCII bars")
 	nofb := fs.Bool("nofeedback", false, "profile RFF without greybox feedback instead of POS (RQ3 ablation)")
-	workers := fs.Int("workers", 0, "profile the two configurations concurrently (0 = GOMAXPROCS)")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-	p := bench.MustGet(*prog)
-	defer pf.start()()
-
-	// The two configurations are independent fixed-seed profiles — ideal
-	// fleet cells: identical output at any worker count, half the
-	// wall-clock with two cores.
-	cells := []fleet.Cell[*campaign.Distribution]{
-		{ID: "fig5/top", Run: func(context.Context, *fleet.Scratch) (*campaign.Distribution, error) {
-			if *nofb {
-				return campaign.RFDistributionRFF(p, *n, *seed, *maxSteps, false), nil
-			}
-			return campaign.RFDistributionPOS(p, *n, *seed, *maxSteps), nil
-		}},
-		{ID: "fig5/bottom", Run: func(context.Context, *fleet.Scratch) (*campaign.Distribution, error) {
-			return campaign.RFDistributionRFF(p, *n, *seed, *maxSteps, true), nil
-		}},
-	}
-	results := fleet.Run(context.Background(), cells, fleet.Options{Workers: *workers})
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %s: %v\n%s", r.Cell, r.Err, r.Stack)
-			os.Exit(1)
-		}
-	}
-	top, bottom := results[0].Value, results[1].Value
-
-	fmt.Printf("Figure 5: reads-from combination frequencies on %s (%d schedules)\n\n", p.Name, *n)
-	if *csv {
-		fmt.Print(report.Fig5CSV(top))
-		fmt.Print(report.Fig5CSV(bottom))
-		return
-	}
-	fmt.Print(report.Fig5ASCII(top, *bars))
-	fmt.Println()
-	fmt.Print(report.Fig5ASCII(bottom, *bars))
-}
-
-func cmdClasses(args []string) {
-	fs := flag.NewFlagSet("classes", flag.ExitOnError)
-	prog := fs.String("prog", "Extras/reorder_2", "program to enumerate")
-	budget := fs.Int("budget", 500000, "max schedules")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-	p := bench.MustGet(*prog)
-	defer pf.start()()
-	rep := systematic.Explore(p.Name, p.Body, systematic.ExploreOptions{MaxExecutions: *budget})
-	fmt.Printf("E8: %s — %d schedules enumerated", p.Name, rep.Executions)
-	if rep.Complete {
-		fmt.Print(" (complete)")
-	} else {
-		fmt.Print(" (budget exhausted)")
-	}
-	fmt.Printf(", %d reads-from equivalence classes\n", rep.Classes)
-	if rep.Executions > 0 {
-		fmt.Printf("reduction factor: %.0fx\n", float64(rep.Executions)/float64(max(rep.Classes, 1)))
-	}
-}
-
-// cmdPerf runs the hot-path throughput harness: one full fuzzing campaign
-// per program, reporting execs/sec and allocations per execution, plus the
-// fleet matrix-scaling record (wall-clock and speedup at several worker
-// counts on a table-b smoke subset), persisted as BENCH_perf.json for
-// cross-PR comparison.
-func cmdPerf(args []string) {
-	fs := flag.NewFlagSet("perf", flag.ExitOnError)
-	progs := fs.String("progs", strings.Join(perf.DefaultPrograms, ","),
-		"comma-separated programs to measure")
-	budget := fs.Int("budget", 2000, "schedules per program")
-	maxSteps := fs.Int("maxsteps", 5000, "per-execution step budget")
-	seed := fs.Int64("seed", 1, "campaign seed")
-	out := fs.String("out", "BENCH_perf.json", "output JSON file (empty = stdout only)")
-	matrix := fs.Bool("matrix", true, "also measure matrix wall-clock scaling across fleet worker counts")
-	matrixWorkers := fs.String("matrix-workers", "1,2,4,8", "comma-separated worker counts (first is the speedup baseline)")
-	matrixTrials := fs.Int("matrix-trials", 2, "trials per cell of the scaling matrix")
-	matrixBudget := fs.Int("matrix-budget", 300, "schedule budget per trial of the scaling matrix")
-	shardCounts := fs.String("shards", "1,2,4", "comma-separated shard counts for single-campaign shard scaling (first is the speedup baseline; empty = skip)")
-	shardProgs := fs.String("shard-progs", "CS/twostage_20", "comma-separated programs for the shard-scaling curves")
-	shardBudget := fs.Int("shard-budget", 4000, "schedule budget per shard-scaling campaign")
-	shardAssert := fs.Float64("shard-assert-speedup", 0, "fail unless some program reaches this execs/sec speedup at the highest shard count (0 = no assert; skipped on 1 CPU)")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-
-	var ps []bench.Program
-	for _, n := range strings.Split(*progs, ",") {
-		ps = append(ps, bench.MustGet(strings.TrimSpace(n)))
-	}
-	stopProf := pf.start()
-	rep := perf.Run(ps, *budget, *maxSteps, *seed)
-	if *matrix {
-		var counts []int
-		for _, w := range strings.Split(*matrixWorkers, ",") {
-			c, err := strconv.Atoi(strings.TrimSpace(w))
-			if err != nil || c <= 0 {
-				fmt.Fprintf(os.Stderr, "rffbench: bad -matrix-workers entry %q\n", w)
-				os.Exit(2)
-			}
-			counts = append(counts, c)
-		}
-		// The scaling workload is the table-b smoke subset: the full
-		// tool lineup on the throughput programs, at a budget small
-		// enough to iterate on.
-		tools, err := strategy.ResolveAll(strategy.DefaultSpecs(), strategy.Config{})
+	return func() error {
+		p, err := bench.Resolve(*prog)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
+			return usageError{err}
 		}
-		rep.Matrix = perf.MeasureMatrix(tools, ps,
-			*matrixTrials, *matrixBudget, *maxSteps, *seed, counts)
-	}
-	if *shardCounts != "" {
-		var counts []int
-		for _, w := range strings.Split(*shardCounts, ",") {
-			c, err := strconv.Atoi(strings.TrimSpace(w))
-			if err != nil || c <= 0 {
-				fmt.Fprintf(os.Stderr, "rffbench: bad -shards entry %q\n", w)
-				os.Exit(2)
+		// The two configurations are independent fixed-seed profiles —
+		// ideal fleet cells: identical output at any worker count, half
+		// the wall-clock with two cores.
+		cells := []fleet.Cell[*campaign.Distribution]{
+			{ID: "fig5/top", Run: func(context.Context, *fleet.Scratch) (*campaign.Distribution, error) {
+				if *nofb {
+					return campaign.RFDistributionRFF(p, *n, s.seed, s.maxSteps, false), nil
+				}
+				return campaign.RFDistributionPOS(p, *n, s.seed, s.maxSteps), nil
+			}},
+			{ID: "fig5/bottom", Run: func(context.Context, *fleet.Scratch) (*campaign.Distribution, error) {
+				return campaign.RFDistributionRFF(p, *n, s.seed, s.maxSteps, true), nil
+			}},
+		}
+		var results []fleet.Result[*campaign.Distribution]
+		if err := s.run("", func(telemetry.Sink) error {
+			results = fleet.Run(context.Background(), cells, fleet.Options{Workers: s.workers})
+			return nil
+		}); err != nil {
+			return err
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				return fmt.Errorf("%s: %v\n%s", r.Cell, r.Err, r.Stack)
 			}
-			counts = append(counts, c)
 		}
-		for _, n := range strings.Split(*shardProgs, ",") {
-			p := bench.MustGet(strings.TrimSpace(n))
-			rep.Shards = append(rep.Shards,
-				perf.MeasureShards(p, *shardBudget, *maxSteps, *seed, counts))
-		}
-	}
-	stopProf()
+		top, bottom := results[0].Value, results[1].Value
 
-	fmt.Printf("hot-path throughput (%d schedules each, seed %d):\n", *budget, *seed)
-	for _, r := range rep.Programs {
-		fmt.Printf("  %-20s %9.0f execs/sec  %7.1f allocs/exec  %9.0f B/exec\n",
-			r.Program, r.ExecsPerSec, r.AllocsPerExec, r.BytesPerExec)
-	}
-	if m := rep.Matrix; m != nil {
-		fmt.Printf("matrix scaling (%d tools x %d programs x %d trials, budget %d):\n",
-			len(m.Tools), len(m.Programs), m.Trials, m.Budget)
-		for _, pt := range m.Points {
-			fmt.Printf("  %2d workers  %8.2fs  %5.2fx\n",
-				pt.Workers, float64(pt.WallNS)/1e9, pt.Speedup)
+		fmt.Printf("Figure 5: reads-from combination frequencies on %s (%d schedules)\n\n", p.Name, *n)
+		if *csv {
+			fmt.Print(report.Fig5CSV(top))
+			fmt.Print(report.Fig5CSV(bottom))
+			return nil
 		}
-		if !m.ResultsIdentical {
-			fmt.Fprintln(os.Stderr, "rffbench: WARNING: matrix results diverged across worker counts")
-			os.Exit(1)
-		}
-		fmt.Println("  results bit-identical at every worker count")
+		fmt.Print(report.Fig5ASCII(top, *bars))
+		fmt.Println()
+		fmt.Print(report.Fig5ASCII(bottom, *bars))
+		return nil
 	}
-	bestSpeedup := 0.0
-	for _, sc := range rep.Shards {
+}
+
+func cmdClasses(fs *flag.FlagSet, s *shared) func() error {
+	prog := fs.String("prog", "Extras/reorder_2", "program to enumerate")
+	maxExecs := fs.Int("budget", 500000, "max schedules")
+	return func() error {
+		p, err := bench.Resolve(*prog)
+		if err != nil {
+			return usageError{err}
+		}
+		var rep *systematic.ExploreReport
+		if err := s.run("", func(telemetry.Sink) error {
+			rep = systematic.Explore(p.Name, p.Body, systematic.ExploreOptions{MaxExecutions: *maxExecs})
+			return nil
+		}); err != nil {
+			return err
+		}
+		fmt.Printf("E8: %s — %d schedules enumerated", p.Name, rep.Executions)
+		if rep.Complete {
+			fmt.Print(" (complete)")
+		} else {
+			fmt.Print(" (budget exhausted)")
+		}
+		fmt.Printf(", %d reads-from equivalence classes\n", rep.Classes)
+		if rep.Executions > 0 {
+			fmt.Printf("reduction factor: %.0fx\n", float64(rep.Executions)/float64(max(rep.Classes, 1)))
+		}
+		return nil
+	}
+}
+
+// cmdShards measures single-campaign shard scaling: one program's
+// campaign at each shard count, its execs/sec curve, and the shard
+// runner's promise that every count merges to the same report (exit 1
+// when they differ).
+func cmdShards(fs *flag.FlagSet, s *shared) func() error {
+	prog := fs.String("prog", "CS/twostage_20", "program to fuzz")
+	campBudget := fs.Int("budget", 4000, "schedule budget per campaign")
+	counts := fs.String("shards", "1,2,4", "comma-separated shard counts (the first is the speedup baseline)")
+	target := fs.Float64("assert-speedup", 0, "fail unless the highest shard count reaches this execs/sec speedup (0 = no assert; skipped on 1 CPU)")
+	return func() error {
+		p, err := bench.Resolve(*prog)
+		if err != nil {
+			return usageError{err}
+		}
+		ns, err := splitList("shards", *counts, func(e string) (int, error) {
+			n, err := strconv.Atoi(e)
+			if err == nil && n <= 0 {
+				err = fmt.Errorf("shard count %d is not positive", n)
+			}
+			return n, err
+		})
+		if err != nil {
+			return err
+		}
+		var sc *perf.ShardScaling
+		if err := s.run("", func(telemetry.Sink) error {
+			sc = perf.MeasureShards(p, *campBudget, s.maxSteps, s.seed, ns)
+			return nil
+		}); err != nil {
+			return err
+		}
 		fmt.Printf("shard scaling: %s (budget %d, %d CPUs):\n", sc.Program, sc.Budget, sc.NumCPU)
 		for _, pt := range sc.Points {
 			fmt.Printf("  %2d shards  %9.0f execs/sec  %5.2fx  %7.1f allocs/exec\n",
 				pt.Shards, pt.ExecsPerSec, pt.Speedup, pt.AllocsPerExec)
 		}
 		if !sc.ResultsIdentical {
-			fmt.Fprintf(os.Stderr, "rffbench: WARNING: %s reports diverged across shard counts\n", sc.Program)
-			os.Exit(1)
+			return fmt.Errorf("%s reports diverged across shard counts", sc.Program)
 		}
 		fmt.Println("  reports bit-identical at every shard count")
-		if n := len(sc.Points); n > 0 && sc.Points[n-1].Speedup > bestSpeedup {
-			bestSpeedup = sc.Points[n-1].Speedup
-		}
-	}
-	if *shardAssert > 0 && len(rep.Shards) > 0 {
-		if runtime.NumCPU() == 1 {
+		speedup := sc.Points[len(sc.Points)-1].Speedup
+		switch {
+		case *target <= 0:
+		case runtime.NumCPU() == 1:
 			fmt.Println("shard speedup assert skipped: 1 CPU (scaling is not expected)")
-		} else if bestSpeedup < *shardAssert {
-			fmt.Fprintf(os.Stderr, "rffbench: shard scaling below target: best %.2fx at the highest shard count, want >= %.2fx\n",
-				bestSpeedup, *shardAssert)
-			os.Exit(1)
-		} else {
-			fmt.Printf("shard speedup assert passed: %.2fx >= %.2fx\n", bestSpeedup, *shardAssert)
+		case speedup < *target:
+			return fmt.Errorf("shard scaling below target: %.2fx at the highest shard count, want >= %.2fx", speedup, *target)
+		default:
+			fmt.Printf("shard speedup assert passed: %.2fx >= %.2fx\n", speedup, *target)
 		}
+		return nil
 	}
-	if *out != "" {
-		if err := rep.WriteJSON(*out); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-}
-
-func intersect(want, have []string) []string {
-	set := make(map[string]bool, len(have))
-	for _, h := range have {
-		set[h] = true
-	}
-	var out []string
-	for _, w := range want {
-		if set[w] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

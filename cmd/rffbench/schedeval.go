@@ -2,19 +2,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
-	budgetpkg "rff/internal/budget"
+	"rff/internal/budget"
 	"rff/internal/progen"
 	"rff/internal/schedeval"
-	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
 
@@ -27,138 +22,68 @@ import (
 // adaptive policy is significantly worse than uniform (or, with
 // -assert-ttfb, when the best adaptive policy's median
 // time-to-first-bug is worse than uniform's).
-func cmdSchedEval(args []string) {
-	fs := flag.NewFlagSet("sched-eval", flag.ExitOnError)
+func cmdSchedEval(fs *flag.FlagSet, s *shared) func() error {
 	programs := fs.Int("programs", 12, "checked programs per seed")
 	seedsFlag := fs.String("seeds", "1", "comma-separated workload seeds")
-	toolsFlag := fs.String("tools", strings.Join(strategy.Names(), ","),
-		"comma-separated strategy specs (default: every registered strategy)")
-	policiesFlag := fs.String("policies", strings.Join(append([]string{"uniform"}, budgetpkg.AdaptivePolicies()...), ","),
+	policiesFlag := fs.String("policies", strings.Join(append([]string{"uniform"}, budget.AdaptivePolicies()...), ","),
 		"comma-separated budget policies to compare; uniform is the baseline")
 	trials := fs.Int("trials", 1, "trials per (spec, program) for randomized strategies")
-	budget := fs.Int("budget", 300, "per-cell execution entitlement (pool = budget x cells)")
-	epochs := fs.Int("budget-epochs", budgetpkg.DefaultEpochs, "allocation epochs per campaign")
+	cellBudget := fs.Int("budget", 300, "per-cell execution entitlement (pool = budget x cells)")
 	gtBudget := fs.Int("gt-budget", 60000, "ground-truth enumeration budget per program")
 	grammar := fs.String("grammar", "core",
 		"progen grammar to draw programs from ("+strings.Join(progen.Grammars(), ", ")+")")
-	maxSteps := fs.Int("maxsteps", 4096, "per-execution step budget")
-	workers := fs.Int("workers", 1, "fleet workers per campaign; results identical at any count")
 	alpha := fs.Float64("alpha", 0.05, "Mann-Whitney significance level")
 	assertTTFB := fs.Bool("assert-ttfb", false,
 		"additionally fail when the best adaptive policy's median time-to-first-bug is worse than uniform's (ties pass)")
 	out := fs.String("out", "", "directory for summary.txt, coverage.txt, and report.json")
-	metricsPath := fs.String("metrics", "", "write a JSON telemetry snapshot to this file")
-	quiet := fs.Bool("q", false, "suppress progress output")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-
-	specs, err := strategy.ParseSpecs(*toolsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-	var seeds []int64
-	for _, s := range strings.Split(*seedsFlag, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	return func() error {
+		seeds, err := splitList("seeds", *seedsFlag, func(e string) (int64, error) {
+			return strconv.ParseInt(e, 10, 64)
+		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: bad -seeds entry %q\n", s)
-			os.Exit(2)
+			return err
 		}
-		seeds = append(seeds, v)
-	}
-	var policies []string
-	for _, p := range strings.Split(*policiesFlag, ",") {
-		p = strings.TrimSpace(p)
-		if !budgetpkg.ValidPolicy(p) {
-			fmt.Fprintf(os.Stderr, "rffbench: unknown budget policy %q (registered: %s)\n",
-				p, strings.Join(budgetpkg.Policies(), ", "))
-			os.Exit(2)
-		}
-		policies = append(policies, p)
-	}
-	if _, err := progen.ParseGrammar(*grammar); err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-
-	var hub *telemetry.Hub
-	var sink telemetry.Sink
-	if *metricsPath != "" {
-		hub = telemetry.NewHub()
-		sink = hub
-	}
-	progress := func(done, total int) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "\r%d/%d campaigns", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
+		policies, err := splitList("policies", *policiesFlag, func(p string) (string, error) {
+			if !budget.ValidPolicy(p) {
+				return "", fmt.Errorf("unknown budget policy %q (registered: %s)", p, strings.Join(budget.Policies(), ", "))
 			}
+			return p, nil
+		})
+		if err != nil {
+			return err
 		}
-	}
-
-	stopProf := pf.start()
-	start := time.Now()
-	rep := schedeval.RunContext(context.Background(), schedeval.Options{
-		Programs:   *programs,
-		Seeds:      seeds,
-		Specs:      specs,
-		Policies:   policies,
-		Trials:     *trials,
-		Budget:     *budget,
-		Epochs:     *epochs,
-		GTBudget:   *gtBudget,
-		MaxSteps:   *maxSteps,
-		Workers:    *workers,
-		Grammar:    *grammar,
-		Alpha:      *alpha,
-		AssertTTFB: *assertTTFB,
-		Telemetry:  sink,
-		Progress:   progress,
-	})
-	stopProf()
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "sched-eval completed in %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	fmt.Print(rep.Summary())
-	fmt.Println()
-	fmt.Print(rep.CoverageCurves())
-
-	if hub != nil {
-		if err := writeMetrics(*metricsPath, hub); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
+		if _, err := progen.ParseGrammar(*grammar); err != nil {
+			return usageError{err}
 		}
-	}
-	if *out != "" {
-		if err := writeSchedEvalResults(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
+		var rep *schedeval.Report
+		if err := s.run("sched-eval", func(sink telemetry.Sink) error {
+			rep = schedeval.RunContext(context.Background(), schedeval.Options{
+				Programs:   *programs,
+				Seeds:      seeds,
+				Specs:      s.specs,
+				Policies:   policies,
+				Trials:     *trials,
+				Budget:     *cellBudget,
+				Epochs:     s.budgetEpochs,
+				GTBudget:   *gtBudget,
+				MaxSteps:   s.maxSteps,
+				Workers:    s.workers,
+				Grammar:    *grammar,
+				Alpha:      *alpha,
+				AssertTTFB: *assertTTFB,
+				Telemetry:  sink,
+				Progress:   s.progress("campaigns", 1),
+			})
+			return nil
+		}); err != nil {
+			return err
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
+		if err := s.writeResults(*out, rep); err != nil {
+			return err
 		}
+		if !rep.OK() {
+			return errReported
+		}
+		return nil
 	}
-	if !rep.OK() {
-		os.Exit(1)
-	}
-}
-
-// writeSchedEvalResults persists the run into dir: the deterministic
-// text summary, the coverage curves, and the machine-readable report.
-func writeSchedEvalResults(dir string, rep *schedeval.Report) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "summary.txt"), []byte(rep.Summary()), 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "coverage.txt"), []byte(rep.CoverageCurves()), 0o644); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshaling sched-eval report: %w", err)
-	}
-	return os.WriteFile(filepath.Join(dir, "report.json"), append(data, '\n'), 0o644)
 }

@@ -14,6 +14,7 @@ import (
 	"rff/internal/progen"
 	"rff/internal/store"
 	"rff/internal/strategy"
+	"rff/internal/telemetry"
 	"rff/internal/triage"
 )
 
@@ -48,100 +49,89 @@ func (c *triageCollector) observe(res *exec.Result) {
 // (-progen-seed: generate programs, fuzz them, triage the failures —
 // the CI smoke path). Identical inputs produce byte-identical
 // corpus.json and report.json.
-func cmdTriage(args []string) {
-	fs := flag.NewFlagSet("triage", flag.ExitOnError)
+func cmdTriage(fs *flag.FlagSet, s *shared) func() error {
 	in := fs.String("in", "", "triage crash artifacts (*.json) under this directory")
 	storeDir := fs.String("store", "", "triage artifacts recorded in this rffd data directory")
 	progenSeed := fs.Int64("progen-seed", 0, "campaign mode: generate programs from this seed, fuzz them, and triage the failures")
 	progenCount := fs.Int("progen-count", 8, "campaign mode: programs to generate")
 	progenGrammar := fs.String("progen-grammar", "core", "campaign mode: progen grammar to draw from (core, chan, sync, all)")
-	toolsFlag := fs.String("tools", "rff", "campaign mode: comma-separated strategy specs")
 	campBudget := fs.Int("campaign-budget", 300, "campaign mode: schedules per trial")
 	trials := fs.Int("trials", 1, "campaign mode: trials per (tool, program)")
-	seed := fs.Int64("seed", 1, "campaign mode: base seed")
 	toolLabel := fs.String("tool", "", "tool to attribute -in artifacts to (default: unknown)")
 	out := fs.String("out", "triage-corpus", "regression corpus directory (replayed by `rff regress`)")
 	reportPath := fs.String("report", "", "also write the ranked report as JSON to this file")
-	budget := fs.Int("budget", 0, "minimization probe budget per artifact (0 = triage default)")
-	maxSteps := fs.Int("maxsteps", 0, "per-replay step budget (0 = engine default)")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
+	probeBudget := fs.Int("budget", 0, "minimization probe budget per artifact (0 = triage default)")
+	return func() error {
+		modes := 0
+		for _, set := range []bool{*in != "", *storeDir != "", *progenSeed != 0} {
+			if set {
+				modes++
+			}
+		}
+		if modes != 1 {
+			return usagef("triage: exactly one of -in, -store, -progen-seed is required")
+		}
+		feats, err := progen.ParseGrammar(*progenGrammar)
+		if err != nil {
+			return usageError{err}
+		}
+		var rep *triage.Report
+		if err := s.run("", func(telemetry.Sink) error {
+			tr := triage.New(triage.Config{Budget: *probeBudget, MaxSteps: s.maxSteps})
+			var skipped []string
+			var err error
+			switch {
+			case *in != "":
+				skipped, err = triage.FromDir(tr, *in, *toolLabel)
+			case *storeDir != "":
+				skipped, err = triageStore(tr, *storeDir)
+			default:
+				skipped, err = triageCampaign(tr, s, *progenSeed, *progenCount, feats, *campBudget, *trials)
+			}
+			if err == nil {
+				err = triage.SaveCorpus(tr, *out)
+			}
+			if err != nil {
+				return err
+			}
+			rep = triage.BuildReport(tr, *out, skipped)
+			return nil
+		}); err != nil {
+			return err
+		}
+		if *reportPath != "" {
+			data, err := rep.Encode()
+			if err == nil {
+				err = os.WriteFile(*reportPath, data, 0o644)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		rep.Render(os.Stdout)
+		fmt.Printf("corpus: %s (replay with `rff regress -corpus %s`)\n", *out, *out)
+		return nil
+	}
+}
 
-	modes := 0
-	for _, set := range []bool{*in != "", *storeDir != "", *progenSeed != 0} {
-		if set {
-			modes++
-		}
+// triageStore feeds the artifacts recorded in an rffd data directory
+// through the triager.
+func triageStore(tr *triage.Triager, dir string) ([]string, error) {
+	st, err := store.Open(dir)
+	if err != nil {
+		return nil, err
 	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "rffbench triage: exactly one of -in, -store, -progen-seed is required")
-		os.Exit(2)
+	idx, err := store.OpenIndex(st)
+	if err != nil {
+		return nil, err
 	}
-	defer pf.start()()
-
-	tr := triage.New(triage.Config{Budget: *budget, MaxSteps: *maxSteps})
-	var skipped []string
-	switch {
-	case *in != "":
-		sk, err := triage.FromDir(tr, *in, *toolLabel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-		skipped = sk
-	case *storeDir != "":
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-		idx, err := store.OpenIndex(st)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-		skipped, err = triage.FromStore(tr, st, idx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-	default:
-		skipped = triageCampaign(tr, *progenSeed, *progenCount, *progenGrammar, *toolsFlag, *campBudget, *trials, *maxSteps, *seed)
-	}
-
-	if err := triage.SaveCorpus(tr, *out); err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(1)
-	}
-	rep := triage.BuildReport(tr, *out, skipped)
-	if *reportPath != "" {
-		data, err := rep.Encode()
-		if err == nil {
-			err = os.WriteFile(*reportPath, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	rep.Render(os.Stdout)
-	fmt.Printf("corpus: %s (replay with `rff regress -corpus %s`)\n", *out, *out)
+	return triage.FromStore(tr, st, idx)
 }
 
 // triageCampaign fuzzes progen-generated programs with each tool and
 // feeds every observed failure through the triager, in a deterministic
 // (tool, program, content) order.
-func triageCampaign(tr *triage.Triager, progenSeed int64, count int, grammar, toolsFlag string, budget, trials, maxSteps int, seed int64) []string {
-	specs, err := strategy.ParseSpecs(toolsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
-	feats, err := progen.ParseGrammar(grammar)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-		os.Exit(2)
-	}
+func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, feats progen.Features, budget, trials int) ([]string, error) {
 	gen := progen.NewGenerator(progenSeed, progen.Options{Features: feats})
 	var programs []bench.Program
 	for i := 0; i < count; i++ {
@@ -154,15 +144,14 @@ func triageCampaign(tr *triage.Triager, progenSeed int64, count int, grammar, to
 		data []byte
 	}
 	var arts []tagged
-	for _, spec := range specs {
+	for _, spec := range s.specs {
 		col := &triageCollector{}
 		tool, err := strategy.Resolve(spec, strategy.Config{
 			Observer: campaign.ResultObserver(col.observe),
 			Budget:   budget,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rffbench: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
 		runs := trials
 		if tool.Deterministic() {
@@ -170,8 +159,8 @@ func triageCampaign(tr *triage.Triager, progenSeed int64, count int, grammar, to
 		}
 		for _, p := range programs {
 			for trial := 0; trial < runs; trial++ {
-				tool.Run(context.Background(), p, budget, maxSteps,
-					campaign.TrialSeed(seed, tool.Name(), p.Name, trial))
+				tool.Run(context.Background(), p, budget, s.maxSteps,
+					campaign.TrialSeed(s.seed, tool.Name(), p.Name, trial))
 			}
 		}
 		for _, a := range col.arts {
@@ -199,5 +188,5 @@ func triageCampaign(tr *triage.Triager, progenSeed int64, count int, grammar, to
 			skipped = append(skipped, fmt.Sprintf("%s %s: %v", ta.tool, ta.art.Program, err))
 		}
 	}
-	return skipped
+	return skipped, nil
 }

@@ -13,6 +13,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"rff/internal/exec"
 )
@@ -98,6 +99,28 @@ func MustGet(name string) Program {
 		panic(fmt.Sprintf("bench: unknown program %q", name))
 	}
 	return p
+}
+
+// Resolve looks a program up by exact name, falling back to a unique
+// "/"-suffix match, so "reorder_10" names CS/reorder_10. The error names
+// every candidate when the suffix is ambiguous.
+func Resolve(name string) (Program, error) {
+	if p, ok := registry[name]; ok {
+		return p, nil
+	}
+	var matches []string
+	for _, n := range Names() {
+		if strings.HasSuffix(n, "/"+name) {
+			matches = append(matches, n)
+		}
+	}
+	switch len(matches) {
+	case 0:
+		return Program{}, fmt.Errorf("unknown program %q (see `rff list`)", name)
+	case 1:
+		return registry[matches[0]], nil
+	}
+	return Program{}, fmt.Errorf("program %q is ambiguous: %s", name, strings.Join(matches, ", "))
 }
 
 // All returns every registered program sorted by name.

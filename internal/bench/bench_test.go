@@ -1,16 +1,16 @@
-package bench_test
+package bench
 
 import (
+	"strings"
 	"testing"
 
-	"rff/internal/bench"
 	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/sched"
 )
 
 func TestRegistry(t *testing.T) {
-	all := bench.All()
+	all := All()
 	if len(all) < 40 {
 		t.Fatalf("expected at least 40 registered programs, got %d", len(all))
 	}
@@ -27,13 +27,13 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("program %q has no bug type", p.Name)
 		}
 	}
-	if _, ok := bench.Get("CS/reorder_100"); !ok {
+	if _, ok := Get("CS/reorder_100"); !ok {
 		t.Error("reorder_100 not registered")
 	}
-	if _, ok := bench.Get("no/such/program"); ok {
+	if _, ok := Get("no/such/program"); ok {
 		t.Error("Get returned a phantom program")
 	}
-	suites := bench.Suites()
+	suites := Suites()
 	want := map[string]bool{"CS": true, "Chess": true, "ConVul": true, "Inspect": true,
 		"CB": true, "Splash2": true, "RADBench": true, "SafeStack": true, "Extras": true,
 		"Chan": true}
@@ -48,11 +48,46 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+func TestResolve(t *testing.T) {
+	for name, want := range map[string]string{
+		"CS/reorder_10": "CS/reorder_10", // exact
+		"reorder_10":    "CS/reorder_10", // unique "/"-suffix
+		"SafeStack":     "SafeStack",
+	} {
+		p, err := Resolve(name)
+		if err != nil || p.Name != want {
+			t.Errorf("Resolve(%q) = %q, %v; want %q", name, p.Name, err, want)
+		}
+	}
+	if _, err := Resolve("CS/nosuch"); err == nil || !strings.Contains(err.Error(), "unknown program") {
+		t.Errorf("Resolve(CS/nosuch) error = %v, want unknown program", err)
+	}
+
+	// Two suites sharing a program name make the bare name ambiguous,
+	// while either full name still resolves exactly.
+	saved := ordered
+	t.Cleanup(func() {
+		delete(registry, "A/dup")
+		delete(registry, "B/dup")
+		ordered = saved
+	})
+	ordered = append([]string(nil), ordered...)
+	for _, n := range []string{"A/dup", "B/dup"} {
+		register(Program{Name: n, Body: MustGet("CS/account").Body})
+	}
+	if _, err := Resolve("dup"); err == nil || !strings.Contains(err.Error(), "ambiguous: A/dup, B/dup") {
+		t.Errorf("Resolve(dup) error = %v, want both candidates", err)
+	}
+	if p, err := Resolve("B/dup"); err != nil || p.Name != "B/dup" {
+		t.Errorf("Resolve(B/dup) = %q, %v", p.Name, err)
+	}
+}
+
 // TestProgramsTerminate runs every program under several schedulers and
 // seeds: all must finish within the step budget (bugs are fine; hangs and
 // truncations are not).
 func TestProgramsTerminate(t *testing.T) {
-	for _, p := range bench.All() {
+	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
@@ -84,9 +119,9 @@ func TestBugsReachableByRFF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bug reachability sweep is not -short friendly")
 	}
-	for _, p := range bench.All() {
+	for _, p := range All() {
 		p := p
-		if hardPrograms[p.Name] || p.Bug == bench.BugNone {
+		if hardPrograms[p.Name] || p.Bug == BugNone {
 			continue // no reachable bug to find (or none within budget)
 		}
 		t.Run(p.Name, func(t *testing.T) {
@@ -99,12 +134,12 @@ func TestBugsReachableByRFF(t *testing.T) {
 			}
 			got := rep.Failures[0].Failure.Kind
 			switch p.Bug {
-			case bench.BugDeadlock:
+			case BugDeadlock:
 				if got != exec.FailDeadlock {
 					t.Logf("note: expected deadlock, first failure was %v (%s)", got,
 						rep.Failures[0].Failure.Msg)
 				}
-			case bench.BugMemory:
+			case BugMemory:
 				if got != exec.FailMemory {
 					t.Logf("note: expected memory failure, first failure was %v (%s)", got,
 						rep.Failures[0].Failure.Msg)
@@ -122,7 +157,7 @@ func TestReorder100Headline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline check is not -short friendly")
 	}
-	p := bench.MustGet("CS/reorder_100")
+	p := MustGet("CS/reorder_100")
 	for trial := int64(0); trial < 5; trial++ {
 		rep := core.NewFuzzer(p.Name, p.Body, core.Options{
 			Budget: 300, Seed: 1000 + trial, StopAtFirstBug: true,

@@ -1,49 +1,14 @@
 package perf_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"rff/internal/bench"
+	"rff/internal/core"
 	"rff/internal/perf"
-	"rff/internal/strategy"
 )
-
-func TestMeasureAndWriteJSON(t *testing.T) {
-	p := bench.MustGet("CS/reorder_10")
-	rep := perf.Run([]bench.Program{p}, 50, 5000, 1)
-	if len(rep.Programs) != 1 {
-		t.Fatalf("want 1 program result, got %d", len(rep.Programs))
-	}
-	r := rep.Programs[0]
-	if r.Executions != 50 {
-		t.Errorf("Executions = %d, want 50", r.Executions)
-	}
-	if r.ExecsPerSec <= 0 || r.AllocsPerExec <= 0 || r.BytesPerExec <= 0 {
-		t.Errorf("non-positive measurements: %+v", r)
-	}
-	if r.UniqueSigs == 0 {
-		t.Error("campaign observed no combinations")
-	}
-
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back perf.Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("written JSON does not parse: %v", err)
-	}
-	if back.Budget != 50 || len(back.Programs) != 1 {
-		t.Errorf("roundtrip mismatch: %+v", back)
-	}
-}
 
 func TestProfileHelpersNoOpOnEmptyPath(t *testing.T) {
 	stop, err := perf.StartCPUProfile("")
@@ -64,7 +29,8 @@ func TestProfileFilesWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perf.Measure(bench.MustGet("CS/reorder_10"), 20, 5000, 1)
+	p := bench.MustGet("CS/reorder_10")
+	core.NewFuzzer(p.Name, p.Body, core.Options{Budget: 20, MaxSteps: 5000, Seed: 1}).Run()
 	stop()
 	if err := perf.WriteHeapProfile(mem); err != nil {
 		t.Fatal(err)
@@ -80,27 +46,21 @@ func TestProfileFilesWritten(t *testing.T) {
 	}
 }
 
-func TestMeasureMatrixScaling(t *testing.T) {
-	tools, err := strategy.ResolveAll([]string{"rff", "pos"}, strategy.Config{})
-	if err != nil {
-		t.Fatal(err)
+func TestMeasureShards(t *testing.T) {
+	sc := perf.MeasureShards(bench.MustGet("CS/reorder_10"), 200, 5000, 1, []int{1, 2})
+	if len(sc.Points) != 2 || sc.Points[0].Shards != 1 || sc.Points[1].Shards != 2 {
+		t.Fatalf("want points at 1 and 2 shards, got %+v", sc.Points)
 	}
-	progs := []bench.Program{bench.MustGet("CS/account"), bench.MustGet("CS/lazy01")}
-	mp := perf.MeasureMatrix(tools, progs, 2, 100, 5000, 1, []int{1, 2})
-	if len(mp.Points) != 2 {
-		t.Fatalf("want 2 scaling points, got %+v", mp.Points)
+	if sc.Points[0].Speedup != 1 {
+		t.Errorf("the 1-shard baseline has speedup %v, want 1", sc.Points[0].Speedup)
 	}
-	if mp.Points[0].Workers != 1 || mp.Points[0].Speedup != 1 {
-		t.Fatalf("first point must be the 1-worker baseline: %+v", mp.Points[0])
+	for _, pt := range sc.Points {
+		if pt.Executions == 0 || pt.ExecsPerSec <= 0 {
+			t.Errorf("empty measurement: %+v", pt)
+		}
 	}
-	if mp.Points[1].WallNS <= 0 || mp.Points[1].Speedup <= 0 {
-		t.Fatalf("bad second point: %+v", mp.Points[1])
-	}
-	// The fleet determinism contract, re-verified on every perf run.
-	if !mp.ResultsIdentical {
-		t.Fatal("matrix results diverged between 1 and 2 workers")
-	}
-	if len(mp.Tools) != 2 || len(mp.Programs) != 2 || mp.Trials != 2 || mp.Budget != 100 {
-		t.Fatalf("workload metadata lost: %+v", mp)
+	// The shard runner's determinism contract.
+	if !sc.ResultsIdentical {
+		t.Fatal("reports diverged between 1 and 2 shards")
 	}
 }

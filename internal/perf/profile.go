@@ -1,3 +1,7 @@
+// Package perf holds the pprof helpers behind every command's
+// -cpuprofile/-memprofile flags and the shard-scaling measurement behind
+// `rffbench shards`. Throughput and per-layer cost of the fuzz loop are
+// measured by the separate rffperf module.
 package perf
 
 import (

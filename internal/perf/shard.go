@@ -12,17 +12,15 @@ import (
 // ShardPoint is one shard count's measurement of a single-program
 // sharded campaign.
 type ShardPoint struct {
-	Shards      int     `json:"shards"`
-	Executions  int     `json:"executions"`
-	WallNS      int64   `json:"wall_ns"`
-	ExecsPerSec float64 `json:"execs_per_sec"`
+	Shards      int
+	Executions  int
+	ExecsPerSec float64
 	// Speedup is throughput relative to the first measured point
 	// (measure 1 shard first to make this speedup over one shard).
-	Speedup float64 `json:"speedup"`
-	// AllocsPerExec and BytesPerExec are heap-allocation deltas across
-	// the campaign divided by counted executions.
-	AllocsPerExec float64 `json:"allocs_per_exec"`
-	BytesPerExec  float64 `json:"bytes_per_exec"`
+	Speedup float64
+	// AllocsPerExec is the heap-allocation delta across the campaign
+	// divided by counted executions.
+	AllocsPerExec float64
 }
 
 // ShardScaling is one program's shard-count scaling curve: how a single
@@ -30,16 +28,15 @@ type ShardPoint struct {
 // shards, and whether the merged report stayed bit-identical while it
 // did (the shard runner's determinism contract).
 type ShardScaling struct {
-	Program string `json:"program"`
-	Budget  int    `json:"budget"`
-	// NumCPU and GOMAXPROCS pin the parallelism the curve was measured
-	// under; a speedup at 4 shards is not expected on 1 vCPU.
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
+	Program string
+	Budget  int
+	// NumCPU pins the parallelism the curve was measured under; a
+	// speedup at 4 shards is not expected on 1 vCPU.
+	NumCPU int
 	// ResultsIdentical reports whether every shard count merged to a
 	// byte-identical core.Report, as the shard runner promises.
-	ResultsIdentical bool         `json:"results_identical"`
-	Points           []ShardPoint `json:"points"`
+	ResultsIdentical bool
+	Points           []ShardPoint
 }
 
 // MeasureShards runs the same single-program campaign at each shard
@@ -50,7 +47,6 @@ func MeasureShards(p bench.Program, budget, maxSteps int, seed int64, shardCount
 		Program:          p.Name,
 		Budget:           budget,
 		NumCPU:           runtime.NumCPU(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		ResultsIdentical: true,
 	}
 	var baseline []byte
@@ -69,11 +65,10 @@ func MeasureShards(p bench.Program, budget, maxSteps int, seed int64, shardCount
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 
-		pt := ShardPoint{Shards: w, Executions: rep.Executions, WallNS: wall.Nanoseconds(), Speedup: 1}
+		pt := ShardPoint{Shards: w, Executions: rep.Executions, Speedup: 1}
 		if rep.Executions > 0 && wall > 0 {
 			pt.ExecsPerSec = float64(rep.Executions) / wall.Seconds()
 			pt.AllocsPerExec = float64(after.Mallocs-before.Mallocs) / float64(rep.Executions)
-			pt.BytesPerExec = float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Executions)
 		}
 		data, err := json.Marshal(rep)
 		if err != nil {

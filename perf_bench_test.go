@@ -5,9 +5,8 @@
 //
 //	go test -bench='Perf' -benchmem
 //
-// and compare allocs/op and ns/op across PRs. cmd/rffbench's `perf`
-// subcommand runs the same workloads outside the testing framework and
-// records the numbers in BENCH_perf.json.
+// and compare allocs/op and ns/op across PRs. The rffperf module measures
+// the whole loop outside the testing framework, end to end and per layer.
 package repro
 
 import (
