@@ -422,9 +422,11 @@ type MatrixOptions struct {
 // workerState is the campaign's per-fleet-worker scratch: allocation
 // caches that are unsafe to share across threads but profit from reuse
 // across the trials one worker runs sequentially. The abstract-event
-// InternTable deliberately stays trial-owned (inside each fuzzer):
-// dense EventIDs are assigned in first-intern order, so a worker-shared
-// table would leak trial scheduling into ID assignment.
+// InternTable deliberately stays trial-owned (inside each fuzzer): it
+// then holds one program's events and dies with its trial, and a
+// sequential trial assigns the same EventIDs on every rerun. A
+// worker-shared table would grow across programs and make a trial's IDs
+// depend on which trials the worker ran before it.
 type workerState struct {
 	recycler *exec.Recycler
 }

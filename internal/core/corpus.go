@@ -43,8 +43,7 @@ func NewCorpus(seed ...Schedule) *Corpus {
 // It returns the entry's stable insertion index — the position of the
 // (new or pre-existing) entry holding that schedule — and whether the
 // entry was added. The index is stable because the corpus only ever
-// appends: merge and replication logic can key on it without depending
-// on map iteration order.
+// appends.
 func (c *Corpus) Add(e *Entry) (index int, added bool) {
 	k := e.Schedule.Key()
 	if i, dup := c.keys[k]; dup {
@@ -57,25 +56,6 @@ func (c *Corpus) Add(e *Entry) (index int, added bool) {
 	c.keys[k] = index
 	c.entries = append(c.entries, e)
 	return index, true
-}
-
-// Merge folds other's entries into c in other's insertion order,
-// skipping schedules already present; it returns the number of entries
-// added. Entries are inserted as copies with a reset exponential ramp
-// (ChosenSince), so power-schedule bookkeeping on the merged corpus
-// never aliases the source corpus. Iterating the insertion-ordered
-// entry slice — never a map — keeps the merged order, and therefore
-// every later round-robin pick, deterministic.
-func (c *Corpus) Merge(other *Corpus) int {
-	added := 0
-	for _, e := range other.entries {
-		cp := *e
-		cp.ChosenSince = 0
-		if _, ok := c.Add(&cp); ok {
-			added++
-		}
-	}
-	return added
 }
 
 // Len returns the corpus size.

@@ -7,10 +7,12 @@ package core_test
 // it.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"rff/internal/core"
+	"rff/internal/exec"
 )
 
 func TestCampaignDeterministicWithInterning(t *testing.T) {
@@ -39,5 +41,33 @@ func TestCampaignDeterministicWithInterning(t *testing.T) {
 	}
 	if a.UniqueSigs == 0 {
 		t.Error("campaign observed no combinations")
+	}
+}
+
+// TestCancelReportIsPrefix pins RunContext's cancellation promise: a
+// campaign cancelled right after its k-th execution reports exactly
+// what a campaign with budget k reports, failures included.
+func TestCancelReportIsPrefix(t *testing.T) {
+	const seed = 7
+	for _, k := range []int{1, 5, 40, 150} {
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		got := core.NewFuzzer("reorder", reorder(3), core.Options{
+			Budget: 10 * k,
+			Seed:   seed,
+			ResultObserver: func(*exec.Result) {
+				if n++; n == k {
+					cancel()
+				}
+			},
+		}).RunContext(ctx)
+		cancel()
+		want := core.NewFuzzer("reorder", reorder(3), core.Options{Budget: k, Seed: seed}).Run()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d: cancelled report\n  %+v\nwant budget-%d report\n  %+v", k, got, k, want)
+		}
+		if k == 150 && !want.FoundBug() {
+			t.Errorf("k=%d: no failure recorded, so the prefix check never covered one", k)
+		}
 	}
 }

@@ -18,7 +18,6 @@ type Feedback struct {
 	// executions run with exec.Config.Intern set).
 	intern    *exec.InternTable
 	pairCount map[exec.PairID]int
-	pairOrder []exec.PairID // first-observation order, for deterministic merges
 	sigCount  map[uint64]int
 	sigOrder  []uint64 // first-observation order, for deterministic reports
 }
@@ -32,7 +31,6 @@ const feedbackSizeHint = 128
 func NewFeedback() *Feedback {
 	return &Feedback{
 		pairCount: make(map[exec.PairID]int, feedbackSizeHint),
-		pairOrder: make([]exec.PairID, 0, feedbackSizeHint),
 		sigCount:  make(map[uint64]int, feedbackSizeHint),
 		sigOrder:  make([]uint64, 0, feedbackSizeHint),
 	}
@@ -52,8 +50,12 @@ type Observation struct {
 // Observe folds one trace into the feedback state and reports its novelty.
 // The trace's memoized Summary supplies pairs and signature in one shot,
 // so calling Observe never re-derives them.
-func (f *Feedback) Observe(t *exec.Trace) Observation {
-	s := t.Summary()
+func (f *Feedback) Observe(t *exec.Trace) Observation { return f.ObserveSummary(t.Summary()) }
+
+// ObserveSummary folds one execution's summary into the feedback state
+// and reports its novelty. The sharded campaign calls it at the merge
+// barrier with summaries kept past their traces' Reclaim.
+func (f *Feedback) ObserveSummary(s *exec.Summary) Observation {
 	if f.intern == nil {
 		f.intern = s.Table
 	}
@@ -74,26 +76,10 @@ func (f *Feedback) Observe(t *exec.Trace) Observation {
 	return obs
 }
 
-// ObserveIDs folds one execution's pre-interned summary — its PairIDs
-// and signature — into the feedback state, exactly as Observe would
-// have from the live trace. This is the sharded campaign's merge-fold
-// entry point: the trace itself was summarized (and its buffers
-// recycled) on a shard, and its shard-local IDs were remapped into the
-// table this feedback keys on before the call.
-func (f *Feedback) ObserveIDs(pairIDs []exec.PairID, sig uint64) Observation {
-	var obs Observation
-	for _, pid := range pairIDs {
-		f.countPair(pid, &obs)
-	}
-	f.countSig(sig, &obs)
-	return obs
-}
-
 // countPair folds one pair observation into the state.
 func (f *Feedback) countPair(pid exec.PairID, obs *Observation) {
 	if f.pairCount[pid] == 0 {
 		obs.NewPairs++
-		f.pairOrder = append(f.pairOrder, pid)
 	}
 	f.pairCount[pid]++
 }
@@ -106,30 +92,6 @@ func (f *Feedback) countSig(sig uint64, obs *Observation) {
 		f.sigOrder = append(f.sigOrder, sig)
 	}
 	f.sigCount[sig]++
-}
-
-// Merge folds other's pair and signature counts into f, translating
-// other's PairIDs through remap (nil = the tables are already shared).
-// Both first-observation orders are extended in other's insertion order
-// — never map iteration order — so merging the same feedback states in
-// the same order always yields identical SigFrequencies series.
-func (f *Feedback) Merge(other *Feedback, remap func(exec.PairID) exec.PairID) {
-	for _, pid := range other.pairOrder {
-		mapped := pid
-		if remap != nil {
-			mapped = remap(pid)
-		}
-		if f.pairCount[mapped] == 0 {
-			f.pairOrder = append(f.pairOrder, mapped)
-		}
-		f.pairCount[mapped] += other.pairCount[pid]
-	}
-	for _, sig := range other.sigOrder {
-		if f.sigCount[sig] == 0 {
-			f.sigOrder = append(f.sigOrder, sig)
-		}
-		f.sigCount[sig] += other.sigCount[sig]
-	}
 }
 
 // Interesting implements isInteresting(σmut, S): true when the execution

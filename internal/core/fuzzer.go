@@ -126,17 +126,6 @@ type Fuzzer struct {
 
 	tel    telemetry.Sink
 	labels []telemetry.Label // {program: name}, reused across calls
-
-	// Incremental-run state: the fuzzing loop is resumable in slices of
-	// N executions (RunN), so a sharded or quota-driven driver can
-	// interleave several campaigns' stages. rep accumulates across
-	// calls; curEntry/energyLeft carry the in-progress fuzzing stage
-	// over a RunN boundary, keeping any chunking of the budget
-	// bit-identical to one uninterrupted Run.
-	rep        *Report
-	curEntry   *Entry
-	energyLeft int
-	stopped    bool // StopAtFirstBug tripped
 }
 
 // NewFuzzer builds a campaign for the program with the given options.
@@ -165,7 +154,8 @@ func NewFuzzer(name string, prog exec.Program, opts Options) *Fuzzer {
 }
 
 // Run executes the campaign to its budget (or first bug, if configured)
-// and returns the report.
+// and returns the report. A Fuzzer runs one campaign: call Run or
+// RunContext once.
 func (f *Fuzzer) Run() *Report { return f.RunContext(context.Background()) }
 
 // RunContext executes the campaign under ctx: cancellation (or a
@@ -175,77 +165,29 @@ func (f *Fuzzer) Run() *Report { return f.RunContext(context.Background()) }
 // so an interrupted campaign's report is a prefix of the uninterrupted
 // one.
 func (f *Fuzzer) RunContext(ctx context.Context) *Report {
-	for !f.Done() && ctx.Err() == nil {
-		// Any chunk size gives the same results; 64 keeps the
-		// cancellation poll of the chunk loop reasonably fresh.
-		f.RunN(ctx, 64)
-	}
-	return f.Finish()
-}
-
-// report returns the campaign's accumulating report, creating it on
-// first use.
-func (f *Fuzzer) report() *Report {
-	if f.rep == nil {
-		f.rep = &Report{Program: f.name}
-	}
-	return f.rep
-}
-
-// Done reports whether the campaign is over: the budget is exhausted or
-// StopAtFirstBug ended it.
-func (f *Fuzzer) Done() bool {
-	return f.stopped || f.report().Executions >= f.opts.Budget
-}
-
-// RunN advances the campaign by up to n counted executions and returns
-// how many actually ran. It is the resumable core of the fuzzing loop:
-// an in-progress fuzzing stage (picked entry plus remaining energy)
-// survives across calls, so splitting the budget into RunN slices of
-// any size reproduces Run's results bit for bit. RunN returns early —
-// possibly with 0 executions — when the campaign is Done or ctx is
-// cancelled; the cancelled partial execution is discarded as in
-// RunContext.
-func (f *Fuzzer) RunN(ctx context.Context, n int) int {
-	rep := f.report()
-	executed := 0
-	for executed < n && !f.Done() {
-		if ctx.Err() != nil {
-			return executed
-		}
-		if f.energyLeft <= 0 {
-			entry := f.corpus.PickNext()
-			energy := 1
+	rep := &Report{Program: f.name}
+	var entry *Entry
+	energyLeft := 0
+	for rep.Executions < f.opts.Budget && ctx.Err() == nil {
+		if energyLeft <= 0 {
+			entry = f.corpus.PickNext()
+			energyLeft = 1
 			if !f.opts.DisableFeedback {
-				energy = f.corpus.Energy(entry, f.fb, f.opts.Power)
+				energyLeft = f.corpus.Energy(entry, f.fb, f.opts.Power)
 			}
 			if t := f.tel; t != nil {
 				// Bucket 0 counts skipped stages (energy 0).
-				t.Observe(telemetry.MEnergyAssigned, int64(energy), f.labels...)
+				t.Observe(telemetry.MEnergyAssigned, int64(energyLeft), f.labels...)
 			}
-			// Zero energy skips the stage: loop around to the next pick,
-			// exactly like the sequential loop's empty inner stage.
-			f.curEntry, f.energyLeft = entry, energy
+			// Zero energy skips the stage: loop around to the next pick.
 			continue
 		}
-		f.energyLeft--
-		crashed, cancelled := f.fuzzOne(ctx, f.curEntry, rep)
-		if cancelled {
-			return executed
-		}
-		executed++
-		if crashed && f.opts.StopAtFirstBug {
-			f.stopped = true
+		energyLeft--
+		crashed, cancelled := f.fuzzOne(ctx, entry, rep)
+		if cancelled || crashed && f.opts.StopAtFirstBug {
+			break
 		}
 	}
-	return executed
-}
-
-// Finish finalizes the report with the current feedback statistics and
-// returns it. It may be called repeatedly; later executions refresh the
-// statistics on the same report.
-func (f *Fuzzer) Finish() *Report {
-	rep := f.report()
 	f.finish(rep)
 	return rep
 }
@@ -379,18 +321,3 @@ func (f *Fuzzer) finish(rep *Report) {
 	rep.UniqueSigs = f.fb.UniqueSigs()
 	rep.SigFrequencies = f.fb.SigFrequencies()
 }
-
-// Feedback exposes the campaign's feedback state (read-only use).
-func (f *Fuzzer) Feedback() *Feedback { return f.fb }
-
-// Corpus exposes the campaign's corpus (read-only use).
-func (f *Fuzzer) Corpus() *Corpus { return f.corpus }
-
-// Pool exposes the campaign's event pool (read-only use).
-func (f *Fuzzer) Pool() *EventPool { return f.pool }
-
-// Intern exposes the campaign's abstract-event intern table — the table
-// the feedback state's PairIDs resolve through. A cross-campaign merge
-// (the sharded runner's fast mode) remaps through it into a global
-// table.
-func (f *Fuzzer) Intern() *exec.InternTable { return f.intern }

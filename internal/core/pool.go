@@ -41,8 +41,11 @@ func NewEventPool() *EventPool {
 // AddTrace folds a trace's abstract events into the pool, reusing the
 // trace's memoized Summary (shared with Feedback.Observe) instead of
 // re-deriving the event set.
-func (p *EventPool) AddTrace(t *exec.Trace) {
-	s := t.Summary()
+func (p *EventPool) AddTrace(t *exec.Trace) { p.AddSummary(t.Summary()) }
+
+// AddSummary folds one execution's summarized abstract events into the
+// pool — AddTrace's body, and the sharded campaign's merge path.
+func (p *EventPool) AddSummary(s *exec.Summary) {
 	if p.intern == nil {
 		p.intern = s.Table
 	}
@@ -58,12 +61,6 @@ func (p *EventPool) AddTrace(t *exec.Trace) {
 		}
 	}
 }
-
-// AddEvent folds one already-interned abstract event into the pool —
-// the sharded campaign's merge path, where events arrive remapped into
-// the campaign-global table instead of via a live trace summary. The id
-// must resolve to ae in the table the pool's other ids came from.
-func (p *EventPool) AddEvent(id exec.EventID, ae exec.AbstractEvent) { p.add(id, ae) }
 
 func (p *EventPool) add(id exec.EventID, ae exec.AbstractEvent) {
 	if _, dup := p.seen[id]; dup {

@@ -41,6 +41,15 @@ func (e Event) Abstract() AbstractEvent {
 	return AbstractEvent{Op: e.Op, Var: e.VarStr, Loc: e.Loc}
 }
 
+// key returns the stamped Key, deriving it for an event built outside an
+// execution.
+func (e *Event) key() EventKey {
+	if e.Key != 0 {
+		return e.Key
+	}
+	return KeyOf(e.Abstract())
+}
+
 // String renders the event compactly for logs and test diagnostics.
 func (e Event) String() string {
 	s := fmt.Sprintf("#%d t%d %s", e.ID, e.Thread, e.Op)

@@ -6,6 +6,7 @@ package exec
 
 import (
 	"hash/fnv"
+	"reflect"
 	"testing"
 )
 
@@ -77,21 +78,17 @@ func TestInternTableAssignsDenseDeterministicIDs(t *testing.T) {
 			t.Fatalf("event %d interned as (%d, %d), want dense first-seen order", i, ida, idb)
 		}
 	}
-	// Re-interning is stable, and lookups roundtrip.
+	// Re-interning is stable, and the table lists the events in ID order.
 	for i, ae := range evs {
 		if id := a.Intern(ae); id != EventID(i) {
 			t.Fatalf("re-intern of event %d gave %d", i, id)
-		}
-		if got := a.Event(EventID(i)); got != ae {
-			t.Fatalf("Event(%d) = %+v, want %+v", i, got, ae)
 		}
 	}
 	if a.Len() != len(evs) {
 		t.Fatalf("Len = %d, want %d", a.Len(), len(evs))
 	}
-	pid := MakePairID(0, 1)
-	if p := a.Pair(pid); p.Write != evs[0] || p.Read != evs[1] {
-		t.Fatalf("Pair(%v) = %+v", pid, p)
+	if got := a.Events(); !reflect.DeepEqual(got, evs) {
+		t.Fatalf("Events() = %+v, want %+v", got, evs)
 	}
 }
 
@@ -199,9 +196,10 @@ func TestSummaryConsistentAcrossTables(t *testing.T) {
 		if sa.Pairs[i] != sb.Pairs[i] {
 			t.Fatalf("pair %d diverges: %+v vs %+v", i, sa.Pairs[i], sb.Pairs[i])
 		}
-		// The parallel ID slices must resolve back to the same pairs.
-		if got := sb.Table.Pair(sb.PairIDs[i]); got != sb.Pairs[i] {
-			t.Fatalf("PairIDs[%d] resolves to %+v, want %+v", i, got, sb.Pairs[i])
+		// The parallel ID slices must be the pairs interned through Table.
+		p := sb.Pairs[i]
+		if want := MakePairID(sb.Table.Intern(p.Write), sb.Table.Intern(p.Read)); sb.PairIDs[i] != want {
+			t.Fatalf("PairIDs[%d] = %#x, want %#x for %+v", i, sb.PairIDs[i], want, p)
 		}
 	}
 }

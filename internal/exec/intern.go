@@ -2,12 +2,14 @@ package exec
 
 import "sync"
 
-// EventID is the dense identifier of an interned AbstractEvent. IDs are
-// assigned in first-intern order starting at 0, so a deterministic
-// campaign (fixed program and seed) assigns identical IDs across runs.
-// Feedback state keys on EventIDs (and on PairIDs built from them) instead
-// of multi-string structs, which turns the hot-path map operations of the
-// fuzzing loop into integer hashing.
+// EventID is the dense identifier of an interned AbstractEvent, assigned
+// in first-intern order starting at 0. A table that one goroutine fills
+// (a sequential campaign) assigns identical IDs across runs; a table that
+// several shards fill concurrently assigns them in racy order. Either
+// way an EventID is an equality token, like the EventKey it is interned
+// from: nothing may order by one. Feedback state keys on EventIDs (and on
+// PairIDs built from them) instead of multi-string structs, which turns
+// the hot-path map operations of the fuzzing loop into integer hashing.
 type EventID uint32
 
 // PairID packs an abstract reads-from pair into a single comparable word:
@@ -27,59 +29,52 @@ func (p PairID) WriteID() EventID { return EventID(p >> 32) }
 // ReadID returns the interned read event of the pair.
 func (p PairID) ReadID() EventID { return EventID(p & 0xffffffff) }
 
-// InternTable maps AbstractEvents to dense EventIDs. A campaign shares one
-// table across all of its executions (the fuzzer threads it through
-// exec.Config), so abstract-event identities — and everything keyed on
-// them — survive across executions as plain integers. The table is
-// mutex-guarded: campaigns are single-threaded so the lock is uncontended,
-// but a shared table stays safe if traces are summarized concurrently.
+// InternTable maps abstract events to dense EventIDs, keyed by the
+// EventKey the engine stamps on every event, so interning hashes one
+// integer and no strings. A campaign shares one table across all of its
+// executions (the fuzzer threads it through exec.Config), shards
+// included, so abstract-event identities — and everything keyed on them —
+// survive across executions as plain integers. A hit takes only the read
+// lock, so concurrent shards contend only on first sightings.
 type InternTable struct {
-	mu     sync.Mutex
-	ids    map[AbstractEvent]EventID
+	mu     sync.RWMutex
+	ids    map[EventKey]EventID
 	events []AbstractEvent
 }
 
 // NewInternTable returns an empty table.
 func NewInternTable() *InternTable {
-	return &InternTable{ids: make(map[AbstractEvent]EventID, 64)}
+	return &InternTable{ids: make(map[EventKey]EventID, 64)}
 }
 
 // Intern returns the dense ID of ae, assigning the next free ID on first
 // sight.
-func (t *InternTable) Intern(ae AbstractEvent) EventID {
-	t.mu.Lock()
-	id, ok := t.ids[ae]
-	if !ok {
-		id = EventID(len(t.events))
-		t.ids[ae] = id
-		t.events = append(t.events, ae)
+func (t *InternTable) Intern(ae AbstractEvent) EventID { return t.intern(KeyOf(ae), ae) }
+
+// intern returns the ID of the abstract event ae, whose key is k.
+func (t *InternTable) intern(k EventKey, ae AbstractEvent) EventID {
+	t.mu.RLock()
+	id, ok := t.ids[k]
+	t.mu.RUnlock()
+	if ok {
+		return id
 	}
-	t.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := t.ids[k]; ok {
+		return id
+	}
+	id = EventID(len(t.events))
+	t.ids[k] = id
+	t.events = append(t.events, ae)
 	return id
-}
-
-// Event returns the AbstractEvent interned under id. It panics on IDs the
-// table never assigned.
-func (t *InternTable) Event(id EventID) AbstractEvent {
-	t.mu.Lock()
-	ae := t.events[id]
-	t.mu.Unlock()
-	return ae
-}
-
-// Pair returns the RFPair packed into pid.
-func (t *InternTable) Pair(pid PairID) RFPair {
-	t.mu.Lock()
-	p := RFPair{Write: t.events[pid.WriteID()], Read: t.events[pid.ReadID()]}
-	t.mu.Unlock()
-	return p
 }
 
 // Len returns the number of distinct events interned so far.
 func (t *InternTable) Len() int {
-	t.mu.Lock()
+	t.mu.RLock()
 	n := len(t.events)
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	return n
 }
 
@@ -87,9 +82,9 @@ func (t *InternTable) Len() int {
 // events[i] is the event with EventID i. Used by determinism tests and
 // diagnostics.
 func (t *InternTable) Events() []AbstractEvent {
-	t.mu.Lock()
+	t.mu.RLock()
 	out := append([]AbstractEvent(nil), t.events...)
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	return out
 }
 

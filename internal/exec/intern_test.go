@@ -7,6 +7,8 @@ package exec_test
 
 import (
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 
 	"rff/internal/exec"
@@ -77,6 +79,83 @@ func TestInternTableDeterministicAcrossCampaigns(t *testing.T) {
 	for i, ae := range ea {
 		if id := tb.Intern(ae); id != exec.EventID(i) {
 			t.Fatalf("event %v has ID %d in table a but %d in table b", ae, i, id)
+		}
+	}
+}
+
+// TestSummarySurvivesReclaim pins the Reclaim contract the sharded
+// merge relies on: a Summary obtained before its trace is reclaimed
+// stays valid after the recycler hands the trace's arrays to the next
+// execution.
+func TestSummarySurvivesReclaim(t *testing.T) {
+	rec := exec.NewRecycler()
+	table := exec.NewInternTable()
+	run := func(seed int64) *exec.Trace {
+		return exec.Run("racy", racyProg, exec.Config{Scheduler: sched.NewPOS(), Seed: seed, Intern: table, Recycle: rec}).Trace
+	}
+	tr := run(1)
+	s := tr.Summary()
+	want := exec.Summary{
+		Pairs:    append([]exec.RFPair(nil), s.Pairs...),
+		PairIDs:  append([]exec.PairID(nil), s.PairIDs...),
+		Events:   append([]exec.AbstractEvent(nil), s.Events...),
+		EventIDs: append([]exec.EventID(nil), s.EventIDs...),
+		Sig:      s.Sig,
+		Table:    s.Table,
+	}
+	if len(want.Pairs) == 0 || len(want.Events) == 0 {
+		t.Fatal("summary is empty; the check would cover nothing")
+	}
+	rec.Reclaim(tr)
+	for seed := int64(2); seed < 6; seed++ {
+		next := run(seed)
+		next.Summary()
+		rec.Reclaim(next)
+	}
+	if !reflect.DeepEqual(*s, want) {
+		t.Fatalf("held summary changed after Reclaim:\n  got  %+v\n  want %+v", *s, want)
+	}
+}
+
+// TestInternTableConcurrent interns overlapping events from several
+// goroutines at once, as a campaign's shards do: every goroutine must
+// see one ID per event, and the IDs must stay dense.
+func TestInternTableConcurrent(t *testing.T) {
+	const workers, events = 4, 200
+	table := exec.NewInternTable()
+	evs := make([]exec.AbstractEvent, events)
+	for i := range evs {
+		evs[i] = exec.AbstractEvent{Op: exec.OpRead, Var: "v" + strconv.Itoa(i%7), Loc: "c.go:" + strconv.Itoa(i)}
+	}
+	ids := make([][]exec.EventID, workers)
+	var wg sync.WaitGroup
+	for w := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids[w] = make([]exec.EventID, events)
+			for i := range evs {
+				j := (i + w*events/workers) % events // each worker starts elsewhere
+				ids[w][j] = table.Intern(evs[j])
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if !reflect.DeepEqual(ids[w], ids[0]) {
+			t.Fatalf("worker %d saw IDs %v, worker 0 saw %v", w, ids[w], ids[0])
+		}
+	}
+	if table.Len() != events {
+		t.Fatalf("Len = %d, want %d", table.Len(), events)
+	}
+	want := make(map[exec.AbstractEvent]exec.EventID, events)
+	for i, ae := range evs {
+		want[ae] = ids[0][i]
+	}
+	for id, ae := range table.Events() {
+		if want[ae] != exec.EventID(id) {
+			t.Fatalf("Events()[%d] = %v, which was interned as %d", id, ae, want[ae])
 		}
 	}
 }

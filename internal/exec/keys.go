@@ -18,7 +18,8 @@ import (
 // through, as callerLoc's PC cache already is. First-sight order is racy
 // when several campaigns or shards run concurrently, so keys are equality
 // tokens only: nothing may order by a key, iterate in key order, serialise
-// one, or derive a hash or an EventID from one.
+// one, or derive a hash from one. InternTable looks keys up to assign
+// EventIDs in first-intern order; an ID never depends on a key's value.
 //
 // The layout is loc<<32 | var<<8 | op. Every location, including "",
 // has a nonzero loc key, so no key of a real event is 0; 0 stands for

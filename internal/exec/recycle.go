@@ -58,11 +58,13 @@ func (r *Recycler) record(threads, objs, steps int, enabled []Pending, cands []*
 }
 
 // Reclaim returns t's backing arrays to the recycler and invalidates the
-// trace: after Reclaim, the trace, its summary, and any slices obtained
-// from them must no longer be used. Call it once every consumer of the
-// execution's result is done — the fuzzer does so at the end of each
-// iteration, after feedback, pool, and TraceObserver have run. A nil
-// trace is a no-op.
+// trace: after Reclaim, the trace and any slices obtained from its Events
+// or Decisions must no longer be used. A *Summary obtained before Reclaim
+// stays valid — Reclaim detaches it from the trace rather than recycling
+// it — so a caller may keep the summary past the trace. Call Reclaim once
+// every consumer of the trace itself is done — the fuzzer does so at the
+// end of each iteration, after feedback, pool, and TraceObserver have run.
+// A nil trace is a no-op.
 func (r *Recycler) Reclaim(t *Trace) {
 	if t == nil {
 		return

@@ -11,7 +11,9 @@ import "sort"
 //
 // Pairs/PairIDs and Events/EventIDs are parallel slices: PairIDs[i] is
 // Pairs[i] interned through Table, likewise EventIDs[i] for Events[i].
-// Callers must treat all slices as read-only.
+// Callers must treat all slices as read-only. A Summary obtained before
+// its trace is reclaimed stays valid afterwards: Reclaim detaches the
+// summary from the trace and recycles none of its slices.
 type Summary struct {
 	// Pairs is the trace's abstract reads-from pairs, deduplicated and
 	// deterministically sorted (by read, then write).
@@ -51,7 +53,9 @@ func (t *Trace) Summary() *Summary {
 func (t *Trace) summaryBuildCount() int { return t.summaryBuilds }
 
 // buildSummary derives pairs, signature, and abstract events in one pass
-// over the events.
+// over the events. Events intern through their stamped keys, and Pairs
+// and Events are projected from the trace's own events, so no string is
+// hashed here.
 func (t *Trace) buildSummary() *Summary {
 	tab := t.intern
 	if tab == nil {
@@ -70,27 +74,29 @@ func (t *Trace) buildSummary() *Summary {
 		if e.VarStr == "" {
 			continue // spawn/yield/etc. carry no shared object
 		}
-		id := tab.Intern(AbstractEvent{Op: e.Op, Var: e.VarStr, Loc: e.Loc})
+		ae := e.Abstract()
+		id := tab.intern(e.key(), ae)
 		ids[i] = id + 1
 		if _, dup := seenEv[id]; !dup {
 			seenEv[id] = struct{}{}
 			s.EventIDs = append(s.EventIDs, id)
-			s.Events = append(s.Events, tab.Event(id))
+			s.Events = append(s.Events, ae)
 		}
 		if e.Op.ReadsFrom() && e.RF != 0 {
+			w := &t.Events[e.RF-1]
 			wid := ids[e.RF-1]
 			if wid == 0 {
 				// The writer precedes its reader in the trace, so its ID
 				// was assigned above unless it carries no shared object —
 				// intern it directly to stay faithful to the pair set.
-				wid = tab.Intern(t.Events[e.RF-1].Abstract()) + 1
+				wid = tab.intern(w.key(), w.Abstract()) + 1
 				ids[e.RF-1] = wid
 			}
 			pid := MakePairID(wid-1, id)
 			if _, dup := seenPair[pid]; !dup {
 				seenPair[pid] = struct{}{}
 				s.PairIDs = append(s.PairIDs, pid)
-				s.Pairs = append(s.Pairs, RFPair{Write: tab.Event(wid - 1), Read: tab.Event(id)})
+				s.Pairs = append(s.Pairs, RFPair{Write: w.Abstract(), Read: ae})
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Package shard executes one fuzzing campaign across W worker shards:
 // batches of planned executions run as fleet cells on per-shard state,
-// with zero cross-shard locking on the hot path, punctuated by
-// deterministic epoch merge barriers that fold shard-local observations
-// back into campaign-global state. See DESIGN.md §13 for the full
+// sharing only the campaign's intern table on the hot path, punctuated by
+// deterministic epoch merge barriers that fold shard observations back
+// into campaign-global state. See DESIGN.md §13 for the full
 // architecture and determinism contract.
 package shard
 
@@ -55,8 +55,8 @@ type Options struct {
 	FailureObserver func(res *exec.Result)
 
 	// Shards is the worker count W (values < 1 mean 1). Each shard owns
-	// a private intern table, recycler, and proactive scheduler; the
-	// report is identical for every value.
+	// a private recycler and proactive scheduler; the report is
+	// identical for every value.
 	Shards int
 	// Epoch is K, the steady-state number of executions planned between
 	// merge barriers (0 = DefaultEpoch). Epoch sizes ramp geometrically
@@ -74,7 +74,7 @@ const DefaultEpoch = 256
 
 // batch is the number of planned executions per fleet cell. Batching
 // amortizes the pool's claim traffic and goroutine wakeups over several
-// executions on one shard's warm recycler and intern table.
+// executions on one shard's warm recycler.
 const batch = 16
 
 // Fuzz runs the sharded campaign to completion.
@@ -112,38 +112,30 @@ func mixSeed(seed int64, idx int) int64 {
 }
 
 // digest is the shard-side record of one executed schedule — everything
-// the merge barrier needs, copied out of the trace before its backing
-// arrays recycle into the shard's next execution. The pairIDs/eventIDs
-// buffers persist across epochs (append into [:0]), so a steady-state
-// epoch allocates nothing on the digest path.
+// the merge barrier needs, kept past the trace whose backing arrays
+// recycle into the shard's next execution. The summary survives the
+// trace's Reclaim, and its IDs come from the campaign's one table.
 type digest struct {
-	done     bool // false = execution abandoned (ctx cancelled)
-	shard    int  // which shard ran it; selects the remapper at merge
-	sig      uint64
-	pairIDs  []exec.PairID  // shard-local IDs
-	eventIDs []exec.EventID // shard-local IDs
-	mut      core.Schedule
-	seed     int64
-	failure  *exec.Failure
+	done    bool // false = execution abandoned (ctx cancelled)
+	sum     *exec.Summary
+	mut     core.Schedule
+	seed    int64
+	failure *exec.Failure
 	// decisions replays the failing execution (nil for clean runs —
 	// copying the schedule of every healthy execution would defeat
 	// trace recycling).
 	decisions []exec.ThreadID
 }
 
-// shardState is one worker shard's private world: its own intern table,
-// trace recycler, proactive scheduler, and RNG, so the execution hot
-// path takes no cross-shard lock. The remapper (shard table → campaign
-// table) lives here too, but is only touched by the coordinator at the
-// merge barrier.
+// shardState is one worker shard's private world: its own trace
+// recycler, proactive scheduler, and RNG. The only mutable state the
+// shards share on the execution hot path is the campaign's intern table,
+// whose hits take a read lock.
 type shardState struct {
-	id     int
-	intern *exec.InternTable
-	rec    *exec.Recycler
-	sched  *core.Proactive
-	src    rand.Source
-	rng    *rand.Rand
-	remap  *exec.Remapper
+	rec   *exec.Recycler
+	sched *core.Proactive
+	src   rand.Source
+	rng   *rand.Rand
 
 	// Per-epoch counters, folded into telemetry at the barrier.
 	epochExecs     int64
@@ -167,7 +159,8 @@ type runner struct {
 
 	// Campaign-global state. Only the coordinator touches it: shards
 	// read the frozen corpus entries and event pool during an epoch and
-	// write nothing but their own digest slots.
+	// write nothing but their own digest slots and first sightings into
+	// the intern table.
 	corpus *core.Corpus
 	fb     *core.Feedback
 	pool   *core.EventPool
@@ -175,7 +168,7 @@ type runner struct {
 	rep    *core.Report
 
 	// Planner state, carried across epochs exactly like the sequential
-	// fuzzer carries its stage across RunN calls.
+	// fuzzer carries its stage from one iteration to the next.
 	curEntry   *core.Entry
 	energyLeft int
 	stopped    bool
@@ -191,9 +184,8 @@ type runner struct {
 	fleetOpts  fleet.Options
 	epochStart int
 
-	// Merge-barrier scratch.
-	pairScratch []exec.PairID
-	failSeen    map[string]bool
+	// failSeen deduplicates failure signatures at the merge barrier.
+	failSeen map[string]bool
 
 	tel    telemetry.Sink
 	labels []telemetry.Label
@@ -218,17 +210,13 @@ func newRunner(name string, prog exec.Program, opts Options) *runner {
 	}
 	for i := 0; i < opts.Shards; i++ {
 		src := rand.NewSource(1) // reseeded per execution
-		s := &shardState{
-			id:     i,
-			intern: exec.NewInternTable(),
+		r.shards = append(r.shards, &shardState{
 			rec:    exec.NewRecycler(),
 			sched:  core.NewProactive(),
 			src:    src,
 			rng:    rand.New(src),
 			labels: []telemetry.Label{telemetry.L("program", name), telemetry.L("shard", strconv.Itoa(i))},
-		}
-		s.remap = exec.NewRemapper(s.intern, r.intern)
-		r.shards = append(r.shards, s)
+		})
 	}
 	r.fleetOpts = fleet.Options{
 		Workers: opts.Shards,
@@ -348,18 +336,14 @@ func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, 
 		Ctx:       ctx,
 		MaxSteps:  r.opts.MaxSteps,
 		Telemetry: r.tel,
-		Intern:    s.intern,
+		Intern:    r.intern,
 		Recycle:   s.rec,
 	})
 	if res.Cancelled {
 		s.rec.Reclaim(res.Trace)
 		return false
 	}
-	sum := res.Trace.Summary()
-	d.shard = s.id
-	d.sig = sum.Sig
-	d.pairIDs = append(d.pairIDs[:0], sum.PairIDs...)
-	d.eventIDs = append(d.eventIDs[:0], sum.EventIDs...)
+	d.sum = res.Trace.Summary()
 	d.mut = mut
 	d.seed = seed
 	d.failure = res.Failure
@@ -382,9 +366,11 @@ func failKey(f *exec.Failure) string {
 }
 
 // mergeEpoch is the barrier: fold the epoch's digests into global state
-// in global execution order. Shard-local event and pair IDs remap into
-// the campaign table, feedback and the event pool observe exactly what
-// they would have seen sequentially, failure signatures deduplicate,
+// in global execution order. Feedback and the event pool observe each
+// execution's summary exactly as they would have sequentially — its IDs
+// already come from the campaign table and are compared for equality
+// only, so the racy order the shards interned in never shows — failure
+// signatures deduplicate,
 // and interesting mutants join the corpus — all on the coordinator, so
 // the fold is single-threaded and its order is the plan order. Returns
 // true when the epoch was interrupted (some digest never executed);
@@ -398,16 +384,8 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 			interrupted = true
 			break
 		}
-		rm := r.shards[d.shard].remap
-		r.pairScratch = r.pairScratch[:0]
-		for _, pid := range d.pairIDs {
-			r.pairScratch = append(r.pairScratch, rm.RemapPair(pid))
-		}
-		obs := r.fb.ObserveIDs(r.pairScratch, d.sig)
-		for _, id := range d.eventIDs {
-			gid := rm.Remap(id)
-			r.pool.AddEvent(gid, r.intern.Event(gid))
-		}
+		obs := r.fb.ObserveSummary(d.sum)
+		r.pool.AddSummary(d.sum)
 		rep.Executions++
 		if plan[i].Sig == 0 {
 			// Seed entries bind to their first observed combination, as in
