@@ -166,6 +166,24 @@ func settledGoroutines(want int) int {
 	}
 }
 
+// settledBaseline returns the goroutine count net of the idle carriers
+// once it has held still for 20 ms: a goroutine an earlier test stopped
+// (a Goexit carrier's throwaway goroutine, say) may still be exiting, and
+// counting it would inflate the baseline every later check compares to.
+func settledBaseline() int {
+	const still = 20 * time.Millisecond
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine() - idleCarriers()
+	since := time.Now()
+	for time.Since(since) < still && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine() - idleCarriers(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 func checkPool(t *testing.T, baseline int, when string) {
 	t.Helper()
 	idle := idleCarriers()
@@ -178,7 +196,7 @@ func checkPool(t *testing.T, baseline int, when string) {
 }
 
 func TestCarrierLeakInvariant(t *testing.T) {
-	baseline := runtime.NumGoroutine() - idleCarriers()
+	baseline := settledBaseline()
 	for _, c := range leakCases {
 		res := runLeakCase(c)
 		if err := c.check(res); err != nil {
@@ -189,7 +207,7 @@ func TestCarrierLeakInvariant(t *testing.T) {
 }
 
 func TestCarrierLeakInvariantConcurrent(t *testing.T) {
-	baseline := runtime.NumGoroutine() - idleCarriers()
+	baseline := settledBaseline()
 	const engines = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, engines*len(leakCases))

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"rff/internal/bench"
@@ -131,7 +130,7 @@ func TestCarrierLeakProperty(t *testing.T) {
 		t.Skip("runs every bench program three times")
 	}
 	progs := digestPrograms()
-	baseline := runtime.NumGoroutine() - exec.IdleCarriers()
+	baseline := exec.SettledBaseline()
 	for _, p := range progs {
 		for _, seed := range digestSeeds {
 			exec.Run(p.Name, p.Body, exec.Config{

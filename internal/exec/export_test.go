@@ -6,4 +6,5 @@ package exec
 var (
 	IdleCarriers      = idleCarriers
 	SettledGoroutines = settledGoroutines
+	SettledBaseline   = settledBaseline
 )

@@ -7,8 +7,10 @@ package exec
 // every execution after the first into pre-sized, already-allocated
 // backing arrays instead of growing them from zero.
 //
-// A Recycler is single-campaign state: use one per fuzzing loop, never
-// share one across concurrently running executions.
+// A Recycler serves one execution at a time: never share one across
+// concurrently running executions. It may outlive its campaign and serve
+// another program's — a run reads nothing from it but capacities and
+// size hints, so reuse changes allocations, never results.
 type Recycler struct {
 	events    []Event
 	decisions []ThreadID

@@ -1,9 +1,10 @@
 // Package shard executes one fuzzing campaign across W worker shards:
-// batches of planned executions run as fleet cells on per-shard state,
-// sharing only the campaign's intern table on the hot path, punctuated by
-// deterministic epoch merge barriers that fold shard observations back
-// into campaign-global state. See DESIGN.md §13 for the full
-// architecture and determinism contract.
+// each epoch runs one fleet cell per shard, and every cell claims planned
+// executions from one shared index until the plan is used up. Shards
+// share only the campaign's intern table on the hot path; deterministic
+// epoch merge barriers fold their observations back into campaign-global
+// state. See DESIGN.md §13 for the full architecture and determinism
+// contract.
 package shard
 
 import (
@@ -11,6 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rff/internal/core"
@@ -54,9 +57,9 @@ type Options struct {
 	// ran the execution recycled its trace long before the barrier.
 	FailureObserver func(res *exec.Result)
 
-	// Shards is the worker count W (values < 1 mean 1). Each shard owns
-	// a private recycler and proactive scheduler; the report is
-	// identical for every value.
+	// Shards is the worker count W (values < 1 mean 1). Each shard runs
+	// on its own recycler and proactive scheduler, drawn warm from a
+	// process-wide pool; the report is identical for every value.
 	Shards int
 	// Epoch is K, the steady-state number of executions planned between
 	// merge barriers (0 = DefaultEpoch). Epoch sizes ramp geometrically
@@ -71,11 +74,6 @@ type Options struct {
 
 // DefaultEpoch is the executions-per-epoch used when Options.Epoch is 0.
 const DefaultEpoch = 256
-
-// batch is the number of planned executions per fleet cell. Batching
-// amortizes the pool's claim traffic and goroutine wakeups over several
-// executions on one shard's warm recycler.
-const batch = 16
 
 // Fuzz runs the sharded campaign to completion.
 func Fuzz(name string, prog exec.Program, opts Options) *core.Report {
@@ -127,31 +125,50 @@ type digest struct {
 	decisions []exec.ThreadID
 }
 
-// shardState is one worker shard's private world: its own trace
-// recycler, proactive scheduler, and RNG. The only mutable state the
-// shards share on the execution hot path is the campaign's intern table,
-// whose hits take a read lock.
-type shardState struct {
+// execState is what one shard executes on: a trace recycler, a
+// proactive scheduler, and the RNG reseeded before every execution. None
+// of it carries anything from one execution into the next but capacity,
+// so it outlives its campaign in warmStates and the next campaign — on
+// any program — starts on warm arrays.
+type execState struct {
 	rec   *exec.Recycler
 	sched *core.Proactive
 	src   rand.Source
 	rng   *rand.Rand
+}
+
+// warmStates pools execState across campaigns. A campaign takes one per
+// shard in newRunner and returns them in finish; a campaign that panics
+// never returns them, since a panicking execution can leave its
+// recycler's arrays detached.
+var warmStates = sync.Pool{New: func() any {
+	src := rand.NewSource(1) // reseeded per execution
+	return &execState{rec: exec.NewRecycler(), sched: core.NewProactive(), src: src, rng: rand.New(src)}
+}}
+
+// shardState is one worker shard's private world for one campaign: a
+// pooled execState plus its per-campaign accounting. The only mutable
+// state the shards share on the execution hot path is the campaign's
+// intern table, whose hits take a read lock, and the epoch's claim index.
+type shardState struct {
+	*execState
 
 	// Per-epoch counters, folded into telemetry at the barrier.
 	epochExecs     int64
 	epochSatisfied int64
 	epochRejected  int64
-	// busy accumulates the durations of the batches this shard ran, for
-	// the utilization gauge.
+	// busy accumulates the durations of this shard's epoch cells, for the
+	// utilization gauge.
 	busy time.Duration
 
 	labels []telemetry.Label // {program, shard}
 }
 
 // runner is the deterministic sharded campaign: a coordinator that
-// plans epochs from frozen global state, W shards that execute the
-// plan's batches as fleet cells, and a merge barrier that folds shard
-// observations back into global state in global execution order.
+// plans epochs from frozen global state, W shards that each run as one
+// fleet cell per epoch and claim the plan's executions one at a time,
+// and a merge barrier that folds shard observations back into global
+// state in global execution order.
 type runner struct {
 	name string
 	prog exec.Program
@@ -177,11 +194,11 @@ type runner struct {
 	plan    []*core.Entry // reused epoch plan (one entry per execution)
 	digests []digest      // reused epoch digest slots
 
-	// Epoch execution: one fleet cell per batch of the plan, built once.
-	// The cells read the epoch's executions from plan and its first
-	// global execution index from epochStart.
+	// Epoch execution: cell w runs shard w's claim loop, built once. The
+	// cells claim plan slots from next and read the epoch's first global
+	// execution index from epochStart.
 	cells      []fleet.Cell[struct{}]
-	fleetOpts  fleet.Options
+	next       atomic.Int64
 	epochStart int
 
 	// failSeen deduplicates failure signatures at the merge barrier.
@@ -208,38 +225,24 @@ func newRunner(name string, prog exec.Program, opts Options) *runner {
 		tel:      opts.Telemetry,
 		labels:   []telemetry.Label{telemetry.L("program", name)},
 	}
-	for i := 0; i < opts.Shards; i++ {
-		src := rand.NewSource(1) // reseeded per execution
-		r.shards = append(r.shards, &shardState{
-			rec:    exec.NewRecycler(),
-			sched:  core.NewProactive(),
-			src:    src,
-			rng:    rand.New(src),
-			labels: []telemetry.Label{telemetry.L("program", name), telemetry.L("shard", strconv.Itoa(i))},
-		})
-	}
-	r.fleetOpts = fleet.Options{
-		Workers: opts.Shards,
-		// Fleet worker w runs every cell it claims on shard w's state.
-		NewState: func(w int) any { return r.shards[w] },
-	}
-	// No epoch plans more than min(Epoch, Budget) executions.
-	r.cells = make([]fleet.Cell[struct{}], (min(opts.Epoch, opts.Budget)+batch-1)/batch)
-	for b := range r.cells {
-		lo := b * batch
-		r.cells[b] = fleet.Cell[struct{}]{
-			ID: "batch " + strconv.Itoa(b),
-			Run: func(ctx context.Context, sc *fleet.Scratch) (struct{}, error) {
-				s := sc.State.(*shardState)
-				for i := lo; i < min(lo+batch, len(r.plan)); i++ {
-					if !r.execOne(ctx, s, r.plan[i], r.epochStart+i, &r.digests[i]) {
-						break
+	for w := 0; w < opts.Shards; w++ {
+		s := &shardState{
+			execState: warmStates.Get().(*execState),
+			labels:    []telemetry.Label{telemetry.L("program", name), telemetry.L("shard", strconv.Itoa(w))},
+		}
+		r.shards = append(r.shards, s)
+		r.cells = append(r.cells, fleet.Cell[struct{}]{
+			ID: "shard " + strconv.Itoa(w),
+			Run: func(ctx context.Context, _ *fleet.Scratch) (struct{}, error) {
+				for {
+					i := int(r.next.Add(1)) - 1
+					if i >= len(r.plan) || !r.execOne(ctx, s, r.plan[i], r.epochStart+i, &r.digests[i]) {
+						return struct{}{}, nil
 					}
 					s.epochExecs++
 				}
-				return struct{}{}, nil
 			},
-		}
+		})
 	}
 	return r
 }
@@ -296,23 +299,25 @@ func (r *runner) planEpoch(k int) []*core.Entry {
 	return plan
 }
 
-// runEpoch runs the plan's batches as fleet cells, one worker per
-// shard, until every batch has executed (or been skipped by a cancelled
-// ctx). Shards fill disjoint digest slots, so the workers share nothing
-// mutable. A panicking batch re-panics here, on the caller's goroutine,
-// after the wave: folding it as an interrupted prefix would pass a crash
-// off as a cancellation.
+// runEpoch runs min(W, len(plan)) shards as fleet cells, each claiming
+// the next unclaimed plan slot until the plan is used up (or a cancelled
+// ctx abandons it), so every shard stays busy while any slot is left.
+// Shards fill disjoint digest slots, so they share nothing mutable. A
+// panicking shard re-panics here, on the caller's goroutine, after the
+// wave: folding it as an interrupted prefix would pass a crash off as a
+// cancellation.
 func (r *runner) runEpoch(ctx context.Context, plan []*core.Entry, epochStart int) {
 	for i := range plan {
 		r.digests[i].done = false
 	}
 	r.epochStart = epochStart
-	results := fleet.Run(ctx, r.cells[:(len(plan)+batch-1)/batch], r.fleetOpts)
-	for _, res := range results {
+	r.next.Store(0)
+	results := fleet.Run(ctx, r.cells[:min(len(r.cells), len(plan))], fleet.Options{Workers: len(r.cells)})
+	for w, res := range results {
 		if res.Panicked {
 			panic(fmt.Sprintf("shard: %s: %v\n%s", res.Cell, res.Err, res.Stack))
 		}
-		r.shards[res.Worker].busy += res.Duration
+		r.shards[w].busy += res.Duration
 	}
 }
 
@@ -485,9 +490,12 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 	return interrupted
 }
 
-// finish copies final feedback statistics into the report and publishes
-// the utilization gauge.
+// finish copies final feedback statistics into the report, publishes the
+// utilization gauge, and returns the shards' execution state to the pool.
 func (r *runner) finish() *core.Report {
+	for _, s := range r.shards {
+		warmStates.Put(s.execState)
+	}
 	rep := r.rep
 	rep.CorpusSize = r.corpus.Len()
 	rep.UniquePairs = r.fb.UniquePairs()

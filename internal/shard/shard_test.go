@@ -2,9 +2,12 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rff/internal/core"
 	"rff/internal/exec"
@@ -232,31 +235,7 @@ func TestContextCancelPrefix(t *testing.T) {
 // count. Channel rendezvous matching and transfer-slot state must not
 // leak any execution-order dependence into the epoch merge.
 func TestDeterministicWithChannelOps(t *testing.T) {
-	feats, err := progen.ParseGrammar("chan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scan the stream for a channel-heavy program that neither crashes
-	// nor deadlocks on every schedule, so the campaign runs its budget.
-	gen := progen.NewGenerator(11, progen.Options{Features: feats})
-	var prog exec.Program
-	var name string
-	for i := 0; i < 40; i++ {
-		p := gen.Next()
-		chanOps := strings.Count(p.Source(), "ch0") + strings.Count(p.Source(), "ch1")
-		if chanOps < 2 {
-			continue
-		}
-		res := exec.Run(p.Name, p.Body(), exec.Config{Scheduler: sched.NewRandom(), Seed: 1})
-		if res.Buggy() {
-			continue
-		}
-		prog, name = p.Body(), p.Name
-		break
-	}
-	if prog == nil {
-		t.Fatal("no suitable channel-heavy program in the first 40 candidates")
-	}
+	name, prog := chanProgram(t)
 	base := shard.Options{Budget: 300, Seed: 42, Epoch: 32}
 	want := shard.Fuzz(name, prog, base)
 	if want.Executions == 0 {
@@ -285,11 +264,11 @@ func (panicSink) Set(string, int64, ...telemetry.Label)     {}
 func (panicSink) Observe(string, int64, ...telemetry.Label) {}
 func (panicSink) Emit(string, telemetry.Fields)             {}
 
-// TestBatchPanicReachesCaller: a panic inside a shard's batch surfaces
-// on the caller's goroutine, with the batch's stack, where a recover can
-// catch it — never as a truncated report that would read like a
-// cancellation.
-func TestBatchPanicReachesCaller(t *testing.T) {
+// TestShardPanicReachesCaller: a panic inside a shard's claim loop
+// surfaces on the caller's goroutine, with the shard's stack, where a
+// recover can catch it — never as a truncated report that would read
+// like a cancellation.
+func TestShardPanicReachesCaller(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		var rep *core.Report
 		got := func() (v any) {
@@ -301,8 +280,153 @@ func TestBatchPanicReachesCaller(t *testing.T) {
 			t.Fatalf("shards=%d: panicking campaign returned a report: %+v", w, rep)
 		}
 		msg, _ := got.(string)
-		if !strings.Contains(msg, "sink exploded") || !strings.Contains(msg, "execOne") {
-			t.Fatalf("shards=%d: recovered %v, want the batch's panic and stack", w, got)
+		if !strings.Contains(msg, "sink exploded") || !strings.Contains(msg, "execOne") ||
+			!strings.Contains(msg, "shard: shard ") {
+			t.Fatalf("shards=%d: recovered %v, want the shard's panic and stack", w, got)
+		}
+	}
+}
+
+// rendezvousSink makes the engine's per-execution counter a meeting
+// point: an execution that reports waits, up to a bound, for a second
+// one to report while it is still in flight. It records whether two
+// executions ever met, and gives up waiting after the first missed
+// meeting so a serial campaign fails fast instead of stalling. The
+// campaign's first epoch holds a single execution, so the first report
+// passes without waiting.
+type rendezvousSink struct {
+	mu      sync.Mutex
+	reports int
+	waiting chan struct{} // non-nil while an execution waits
+	met     bool
+	gaveUp  bool
+}
+
+func (s *rendezvousSink) Add(name string, _ int64, _ ...telemetry.Label) {
+	if name != telemetry.MEngineExecutions {
+		return
+	}
+	s.mu.Lock()
+	s.reports++
+	if s.reports == 1 || s.met || s.gaveUp {
+		s.mu.Unlock()
+		return
+	}
+	if s.waiting != nil {
+		close(s.waiting)
+		s.waiting, s.met = nil, true
+		s.mu.Unlock()
+		return
+	}
+	ch := make(chan struct{})
+	s.waiting = ch
+	s.mu.Unlock()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		s.mu.Lock()
+		if s.waiting == ch {
+			s.waiting, s.gaveUp = nil, true
+		}
+		s.mu.Unlock()
+	}
+}
+func (*rendezvousSink) Set(string, int64, ...telemetry.Label)     {}
+func (*rendezvousSink) Observe(string, int64, ...telemetry.Label) {}
+func (*rendezvousSink) Emit(string, telemetry.Fields)             {}
+
+// TestShortCampaignRunsShardsConcurrently: a 24-execution campaign ramps
+// through epochs of 1, 2, 4, 8 and 9 executions, and every epoch of two
+// or more must keep both shards busy — an execution that blocks waits
+// for the other shard to claim the next slot, never for the barrier.
+func TestShortCampaignRunsShardsConcurrently(t *testing.T) {
+	sink := &rendezvousSink{}
+	rep := run(t, bugFree(3), shard.Options{Budget: 24, Seed: 1, Shards: 2, Telemetry: sink})
+	if rep.Executions != 24 {
+		t.Fatalf("campaign ran %d executions, want 24", rep.Executions)
+	}
+	if !sink.met {
+		t.Fatal("no two executions of a 2-shard campaign were ever in flight at once")
+	}
+}
+
+// chanProgram returns a channel-heavy chan-grammar progen program that
+// neither crashes nor deadlocks on a random schedule, so a campaign on
+// it runs its budget.
+func chanProgram(t *testing.T) (string, exec.Program) {
+	t.Helper()
+	feats, err := progen.ParseGrammar("chan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := progen.NewGenerator(11, progen.Options{Features: feats})
+	for i := 0; i < 40; i++ {
+		p := gen.Next()
+		chanOps := strings.Count(p.Source(), "ch0") + strings.Count(p.Source(), "ch1")
+		if chanOps < 2 {
+			continue
+		}
+		res := exec.Run(p.Name, p.Body(), exec.Config{Scheduler: sched.NewRandom(), Seed: 1})
+		if res.Buggy() {
+			continue
+		}
+		return p.Name, p.Body()
+	}
+	t.Fatal("no suitable channel-heavy program in the first 40 candidates")
+	return "", nil
+}
+
+// TestPooledShardStateIsolated: shard state outlives its campaign, so
+// concurrent campaigns on different programs draw from one pool, and a
+// campaign that panicked must leave nothing behind that a later one
+// could inherit. Every report must equal its campaign's solo run.
+func TestPooledShardStateIsolated(t *testing.T) {
+	chanName, chanProg := chanProgram(t)
+	type campaign struct {
+		name string
+		prog exec.Program
+		opts shard.Options
+	}
+	campaigns := []campaign{
+		{"prog", bugFree(3), shard.Options{Budget: 200, Seed: 42, Epoch: 32, Shards: 2}},
+		{chanName, chanProg, shard.Options{Budget: 150, Seed: 7, Epoch: 16, Shards: 3}},
+		{"prog", bugFree(3), shard.Options{Budget: 24, Seed: 5, Shards: 2}},
+		{chanName, chanProg, shard.Options{Budget: 24, Seed: 9, Shards: 4}},
+	}
+	want := make([]*core.Report, len(campaigns))
+	for i, c := range campaigns {
+		want[i] = shard.Fuzz(c.name, c.prog, c.opts)
+	}
+
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines*len(campaigns))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range campaigns {
+				k := (i + g) % len(campaigns)
+				c := campaigns[k]
+				if got := shard.Fuzz(c.name, c.prog, c.opts); !reflect.DeepEqual(got, want[k]) {
+					errs <- fmt.Sprintf("goroutine %d, campaign %d: report diverged from its solo run", g, k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	func() {
+		defer func() { recover() }()
+		run(t, bugFree(3), shard.Options{Budget: 64, Seed: 1, Shards: 2, Telemetry: panicSink{}})
+	}()
+	for i, c := range campaigns {
+		if got := shard.Fuzz(c.name, c.prog, c.opts); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("campaign %d after a panicked campaign: report diverged from its reference", i)
 		}
 	}
 }
