@@ -195,22 +195,24 @@ func (t RFFTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int,
 // the fuzzer within one scheduling step of the in-flight execution; the
 // interrupted trial records how far it got and an Err.
 func (t RFFTool) runScratch(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64, ws *workerState) Outcome {
+	var rep *core.Report
 	if t.Shards >= 1 {
-		return t.runSharded(ctx, p, budget, maxSteps, seed)
+		rep = t.runSharded(ctx, p, budget, maxSteps, seed)
+	} else {
+		opts := core.Options{
+			Budget:          budget,
+			MaxSteps:        maxSteps,
+			Seed:            seed,
+			DisableFeedback: t.NoFeedback,
+			StopAtFirstBug:  true,
+			Telemetry:       t.Telemetry,
+			ResultObserver:  t.Observer,
+		}
+		if ws != nil {
+			opts.Recycle = ws.recycler
+		}
+		rep = core.NewFuzzer(p.Name, p.Body, opts).RunContext(ctx)
 	}
-	opts := core.Options{
-		Budget:          budget,
-		MaxSteps:        maxSteps,
-		Seed:            seed,
-		DisableFeedback: t.NoFeedback,
-		StopAtFirstBug:  true,
-		Telemetry:       t.Telemetry,
-		ResultObserver:  t.Observer,
-	}
-	if ws != nil {
-		opts.Recycle = ws.recycler
-	}
-	rep := core.NewFuzzer(p.Name, p.Body, opts).RunContext(ctx)
 	out := Outcome{
 		FirstBug:   rep.FirstBug,
 		Executions: rep.Executions,
@@ -227,7 +229,7 @@ func (t RFFTool) runScratch(ctx context.Context, p bench.Program, budget, maxSte
 // runSharded runs the trial on the sharded runner. The
 // shard runner owns its own per-shard recyclers, so the fleet worker's
 // scratch recycler is not threaded through.
-func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) Outcome {
+func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) *core.Report {
 	opts := shard.Options{
 		Budget:          budget,
 		MaxSteps:        maxSteps,
@@ -240,18 +242,7 @@ func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSte
 	if t.Observer != nil {
 		opts.FailureObserver = func(res *exec.Result) { t.Observer(res) }
 	}
-	rep := shard.FuzzContext(ctx, p.Name, p.Body, opts)
-	out := Outcome{
-		FirstBug:   rep.FirstBug,
-		Executions: rep.Executions,
-		Budget:     budget,
-		CorpusSize: rep.CorpusSize,
-		UniqueSigs: rep.UniqueSigs,
-	}
-	if err := ctx.Err(); err != nil && rep.FirstBug == 0 && rep.Executions < budget {
-		out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", rep.Executions, err)
-	}
-	return out
+	return shard.FuzzContext(ctx, p.Name, p.Body, opts)
 }
 
 // --- scheduler-based tools ------------------------------------------------------

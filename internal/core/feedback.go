@@ -53,8 +53,8 @@ type Observation struct {
 func (f *Feedback) Observe(t *exec.Trace) Observation { return f.ObserveSummary(t.Summary()) }
 
 // ObserveSummary folds one execution's summary into the feedback state
-// and reports its novelty. The sharded campaign calls it at the merge
-// barrier with summaries kept past their traces' Reclaim.
+// and reports its novelty. Campaign.Fold calls it, under shards with
+// summaries kept past their traces' Reclaim.
 func (f *Feedback) ObserveSummary(s *exec.Summary) Observation {
 	if f.intern == nil {
 		f.intern = s.Table

@@ -104,28 +104,18 @@ func (r *Report) FoundBug() bool { return r.FirstBug > 0 }
 // Fuzzer runs Algorithm 1 — the greybox concurrency fuzzing loop — on one
 // program: pick a corpus schedule and its energy, mutate it that many
 // times, execute each mutant under the proactive scheduler, and feed
-// interesting mutants back into the corpus.
+// interesting mutants back into the corpus. The campaign state and its
+// fold are a Campaign; the Fuzzer adds the execution side.
 type Fuzzer struct {
-	name string
-	prog exec.Program
-	opts Options
-
-	fb     *Feedback
-	corpus *Corpus
-	pool   *EventPool
-	sched  *Proactive
-	rng    *rand.Rand
-
-	// intern is the campaign-shared abstract-event table: every
-	// execution's trace summary resolves events to the same dense IDs,
-	// keeping feedback and pool keys comparable as plain integers.
-	intern *exec.InternTable
+	c     *Campaign
+	sched *Proactive
+	rng   *rand.Rand
 	// recycler reuses trace backing arrays and engine size hints across
 	// the campaign's executions (reset-don't-reallocate).
 	recycler *exec.Recycler
 
-	tel    telemetry.Sink
-	labels []telemetry.Label // {program: name}, reused across calls
+	traceObs  func(*exec.Trace)
+	resultObs func(*exec.Result)
 }
 
 // NewFuzzer builds a campaign for the program with the given options.
@@ -138,18 +128,12 @@ func NewFuzzer(name string, prog exec.Program, opts Options) *Fuzzer {
 		recycler = exec.NewRecycler()
 	}
 	return &Fuzzer{
-		name:     name,
-		prog:     prog,
-		opts:     opts,
-		fb:       NewFeedback(),
-		corpus:   NewCorpus(opts.InitialCorpus...),
-		pool:     NewEventPool(),
-		sched:    NewProactive(),
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		intern:   exec.NewInternTable(),
-		recycler: recycler,
-		tel:      opts.Telemetry,
-		labels:   []telemetry.Label{{Name: "program", Value: name}},
+		c:         NewCampaign(name, prog, opts),
+		sched:     NewProactive(),
+		rng:       rand.New(rand.NewSource(opts.Seed)),
+		recycler:  recycler,
+		traceObs:  opts.TraceObserver,
+		resultObs: opts.ResultObserver,
 	}
 }
 
@@ -165,136 +149,35 @@ func (f *Fuzzer) Run() *Report { return f.RunContext(context.Background()) }
 // so an interrupted campaign's report is a prefix of the uninterrupted
 // one.
 func (f *Fuzzer) RunContext(ctx context.Context) *Report {
-	rep := &Report{Program: f.name}
-	var entry *Entry
-	energyLeft := 0
-	for rep.Executions < f.opts.Budget && ctx.Err() == nil {
-		if energyLeft <= 0 {
-			entry = f.corpus.PickNext()
-			energyLeft = 1
-			if !f.opts.DisableFeedback {
-				energyLeft = f.corpus.Energy(entry, f.fb, f.opts.Power)
-			}
-			if t := f.tel; t != nil {
-				// Bucket 0 counts skipped stages (energy 0).
-				t.Observe(telemetry.MEnergyAssigned, int64(energyLeft), f.labels...)
-			}
-			// Zero energy skips the stage: loop around to the next pick.
-			continue
-		}
-		energyLeft--
-		crashed, cancelled := f.fuzzOne(ctx, entry, rep)
-		if cancelled || crashed && f.opts.StopAtFirstBug {
+	for !f.c.Done() && ctx.Err() == nil {
+		if !f.fuzzOne(ctx, f.c.Next()) {
 			break
 		}
 	}
-	f.finish(rep)
-	return rep
+	return f.c.Finish()
 }
 
 // fuzzOne performs one iteration of the inner loop: mutate, execute,
-// observe. Reports whether the execution crashed and whether it was
-// abandoned to a cancelled ctx (in which case nothing was observed).
-func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry, rep *Report) (crashed, cancelled bool) {
-	mut := Mutate(entry.Schedule, f.pool, f.rng, f.opts.Mutator)
-	seed := f.rng.Int63()
-	if f.opts.DisableProactive {
-		f.sched.SetSchedule(EmptySchedule()) // machines off: pure POS
-	} else {
-		f.sched.SetSchedule(mut)
-	}
-	res := exec.Run(f.name, f.prog, exec.Config{
-		Scheduler: f.sched,
-		Seed:      seed,
-		Ctx:       ctx,
-		MaxSteps:  f.opts.MaxSteps,
-		Telemetry: f.opts.Telemetry,
-		Intern:    f.intern,
-		Recycle:   f.recycler,
-	})
+// observe, fold. Reports false when the execution was abandoned to a
+// cancelled ctx (in which case nothing was folded).
+func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry) bool {
+	res, x := f.c.Execute(ctx, entry, f.sched, f.rng, f.recycler)
 	// The trace's backing arrays return to the recycler once everything
 	// below has observed it.
 	defer f.recycler.Reclaim(res.Trace)
 	if res.Cancelled {
 		// The execution was abandoned mid-run; its partial trace must not
 		// perturb the feedback state or count against the budget.
-		return false, true
+		return false
 	}
-	rep.Executions++
-	if f.opts.TraceObserver != nil {
+	if f.traceObs != nil {
 		f.observeTrace(res.Trace)
 	}
-	if f.opts.ResultObserver != nil {
-		f.opts.ResultObserver(res)
+	if f.resultObs != nil {
+		f.resultObs(res)
 	}
-
-	obs := f.fb.Observe(res.Trace)
-	f.pool.AddTrace(res.Trace)
-	if entry.Sig == 0 {
-		// Seed entries (ε) carry no signature until first executed; bind
-		// them to their observed combination so the power schedule can
-		// skip them once that combination is over-explored.
-		entry.Sig = obs.Sig
-	}
-
-	crashed = res.Buggy()
-	if t := f.tel; t != nil {
-		t.Add(telemetry.MSchedulesExecuted, 1, f.labels...)
-		if obs.NewPairs > 0 {
-			t.Add(telemetry.MRFPairsNew, int64(obs.NewPairs), f.labels...)
-		}
-		if obs.NewSig {
-			t.Add(telemetry.MRFCombosNew, 1, f.labels...)
-		}
-		if !f.opts.DisableProactive {
-			if n := f.sched.SatisfiedCount(); n > 0 {
-				t.Add(telemetry.MConstraintSatisfied, int64(n), f.labels...)
-			}
-			if n := f.sched.RejectedCount(); n > 0 {
-				t.Add(telemetry.MConstraintRejected, int64(n), f.labels...)
-			}
-		}
-		if crashed {
-			t.Add(telemetry.MSchedulesCrashed, 1, f.labels...)
-		}
-	}
-	if crashed {
-		rep.Failures = append(rep.Failures, FailureRecord{
-			Schedule:  mut,
-			Seed:      seed,
-			Execution: rep.Executions,
-			Failure:   res.Failure,
-			Decisions: res.Trace.ThreadOrder(),
-		})
-		if rep.FirstBug == 0 {
-			rep.FirstBug = rep.Executions
-			if t := f.tel; t != nil {
-				t.Emit(telemetry.EvFirstBug, telemetry.Fields{
-					"program":   f.name,
-					"execution": rep.Executions,
-					"kind":      res.Failure.Kind.String(),
-					"msg":       res.Failure.Msg,
-				})
-			}
-		}
-	}
-	if !f.opts.DisableFeedback && f.fb.Interesting(obs, crashed) {
-		if _, added := f.corpus.Add(&Entry{Schedule: mut, Sig: obs.Sig, Perf: obs.NewPairs}); added {
-			if t := f.tel; t != nil {
-				t.Add(telemetry.MCorpusAdds, 1, f.labels...)
-				t.Set(telemetry.MCorpusSize, int64(f.corpus.Len()), f.labels...)
-				t.Emit(telemetry.EvInteresting, telemetry.Fields{
-					"program":     f.name,
-					"execution":   rep.Executions,
-					"new_pairs":   obs.NewPairs,
-					"new_combo":   obs.NewSig,
-					"crashed":     crashed,
-					"corpus_size": f.corpus.Len(),
-				})
-			}
-		}
-	}
-	return crashed, false
+	f.c.Fold(entry, &x)
+	return true
 }
 
 // observeTrace invokes the user's TraceObserver, containing any panic it
@@ -303,21 +186,10 @@ func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry, rep *Report) (crashe
 func (f *Fuzzer) observeTrace(tr *exec.Trace) {
 	defer func() {
 		if r := recover(); r != nil {
-			if t := f.tel; t != nil {
-				t.Add(telemetry.MObserverPanics, 1, f.labels...)
+			if t := f.c.tel; t != nil {
+				t.Add(telemetry.MObserverPanics, 1, f.c.labels...)
 			}
 		}
 	}()
-	f.opts.TraceObserver(tr)
-}
-
-// finish copies final feedback statistics into the report.
-func (f *Fuzzer) finish(rep *Report) {
-	if t := f.tel; t != nil {
-		t.Set(telemetry.MCorpusSize, int64(f.corpus.Len()), f.labels...)
-	}
-	rep.CorpusSize = f.corpus.Len()
-	rep.UniquePairs = f.fb.UniquePairs()
-	rep.UniqueSigs = f.fb.UniqueSigs()
-	rep.SigFrequencies = f.fb.SigFrequencies()
+	f.traceObs(tr)
 }

@@ -44,7 +44,7 @@ func NewEventPool() *EventPool {
 func (p *EventPool) AddTrace(t *exec.Trace) { p.AddSummary(t.Summary()) }
 
 // AddSummary folds one execution's summarized abstract events into the
-// pool — AddTrace's body, and the sharded campaign's merge path.
+// pool — AddTrace's body, and Campaign.Fold's path.
 func (p *EventPool) AddSummary(s *exec.Summary) {
 	if p.intern == nil {
 		p.intern = s.Table

@@ -110,19 +110,12 @@ func mixSeed(seed int64, idx int) int64 {
 }
 
 // digest is the shard-side record of one executed schedule — everything
-// the merge barrier needs, kept past the trace whose backing arrays
+// the merge barrier folds, kept past the trace whose backing arrays
 // recycle into the shard's next execution. The summary survives the
 // trace's Reclaim, and its IDs come from the campaign's one table.
 type digest struct {
-	done    bool // false = execution abandoned (ctx cancelled)
-	sum     *exec.Summary
-	mut     core.Schedule
-	seed    int64
-	failure *exec.Failure
-	// decisions replays the failing execution (nil for clean runs —
-	// copying the schedule of every healthy execution would defeat
-	// trace recycling).
-	decisions []exec.ThreadID
+	done bool // false = execution abandoned (ctx cancelled)
+	core.Execution
 }
 
 // execState is what one shard executes on: a trace recycler, a
@@ -153,10 +146,9 @@ var warmStates = sync.Pool{New: func() any {
 type shardState struct {
 	*execState
 
-	// Per-epoch counters, folded into telemetry at the barrier.
-	epochExecs     int64
-	epochSatisfied int64
-	epochRejected  int64
+	// epochExecs counts the executions this shard ran in the current
+	// epoch, folded into shard_execs at the barrier.
+	epochExecs int64
 	// busy accumulates the durations of this shard's epoch cells, for the
 	// utilization gauge.
 	busy time.Duration
@@ -170,25 +162,13 @@ type shardState struct {
 // and a merge barrier that folds shard observations back into global
 // state in global execution order.
 type runner struct {
-	name string
-	prog exec.Program
 	opts Options
 
-	// Campaign-global state. Only the coordinator touches it: shards
-	// read the frozen corpus entries and event pool during an epoch and
-	// write nothing but their own digest slots and first sightings into
-	// the intern table.
-	corpus *core.Corpus
-	fb     *core.Feedback
-	pool   *core.EventPool
-	intern *exec.InternTable
-	rep    *core.Report
-
-	// Planner state, carried across epochs exactly like the sequential
-	// fuzzer carries its stage from one iteration to the next.
-	curEntry   *core.Entry
-	energyLeft int
-	stopped    bool
+	// Campaign-global state, stage cursor included. Only the coordinator
+	// touches it: shards read the frozen corpus entries and event pool
+	// during an epoch and write nothing but their own digest slots and
+	// first sightings into the intern table.
+	c *core.Campaign
 
 	shards  []*shardState
 	plan    []*core.Entry // reused epoch plan (one entry per execution)
@@ -201,30 +181,28 @@ type runner struct {
 	next       atomic.Int64
 	epochStart int
 
-	// failSeen deduplicates failure signatures at the merge barrier.
-	failSeen map[string]bool
-
-	tel    telemetry.Sink
-	labels []telemetry.Label
-	start  time.Time
+	start time.Time
 }
 
 func newRunner(name string, prog exec.Program, opts Options) *runner {
 	r := &runner{
-		name:     name,
-		prog:     prog,
-		opts:     opts,
-		corpus:   core.NewCorpus(opts.InitialCorpus...),
-		fb:       core.NewFeedback(),
-		pool:     core.NewEventPool(),
-		intern:   exec.NewInternTable(),
-		rep:      &core.Report{Program: name},
-		plan:     make([]*core.Entry, 0, opts.Epoch),
-		digests:  make([]digest, opts.Epoch),
-		failSeen: make(map[string]bool),
-		tel:      opts.Telemetry,
-		labels:   []telemetry.Label{telemetry.L("program", name)},
+		opts: opts,
+		c: core.NewCampaign(name, prog, core.Options{
+			Budget:           opts.Budget,
+			MaxSteps:         opts.MaxSteps,
+			Power:            opts.Power,
+			Mutator:          opts.Mutator,
+			DisableFeedback:  opts.DisableFeedback,
+			DisableProactive: opts.DisableProactive,
+			StopAtFirstBug:   opts.StopAtFirstBug,
+			InitialCorpus:    opts.InitialCorpus,
+			Telemetry:        opts.Telemetry,
+		}),
+		plan:    make([]*core.Entry, 0, opts.Epoch),
+		digests: make([]digest, opts.Epoch),
 	}
+	// The barrier keeps one failure record per failure signature (DESIGN.md §13).
+	r.c.DedupFailures()
 	for w := 0; w < opts.Shards; w++ {
 		s := &shardState{
 			execState: warmStates.Get().(*execState),
@@ -251,12 +229,11 @@ func (r *runner) run(ctx context.Context) *core.Report {
 	r.start = time.Now()
 	epoch := 0
 	ramp := 1
-	for !r.done() && ctx.Err() == nil {
-		k := min(ramp, r.opts.Epoch, r.opts.Budget-r.rep.Executions)
+	for !r.c.Done() && ctx.Err() == nil {
+		k := min(ramp, r.opts.Epoch, r.opts.Budget-r.c.Executions())
 		ramp = min(ramp*2, r.opts.Epoch)
 		plan := r.planEpoch(k)
-		epochStart := r.rep.Executions
-		r.runEpoch(ctx, plan, epochStart)
+		r.runEpoch(ctx, plan, r.c.Executions())
 		interrupted := r.mergeEpoch(plan, epoch)
 		epoch++
 		if interrupted {
@@ -266,34 +243,17 @@ func (r *runner) run(ctx context.Context) *core.Report {
 	return r.finish()
 }
 
-func (r *runner) done() bool {
-	return r.stopped || r.rep.Executions >= r.opts.Budget
-}
-
-// planEpoch freezes the next k executions: it walks the round-robin +
-// power-schedule stage logic of the sequential loop (including the
-// zero-energy skip) against the current — merged — global state, and
-// returns the chosen entry for each of the epoch's execution slots.
-// Feedback does not move during an epoch, so every energy decision in
-// the plan depends only on state as of the previous barrier: this is
-// what makes the schedule independent of shard count.
+// planEpoch freezes the next k executions: it walks the campaign's stage
+// cursor (the sequential loop's round-robin + power schedule) k times
+// against the current — merged — global state, and returns the chosen
+// entry for each of the epoch's execution slots. Feedback does not move
+// during an epoch, so every energy decision in the plan depends only on
+// state as of the previous barrier: this is what makes the schedule
+// independent of shard count.
 func (r *runner) planEpoch(k int) []*core.Entry {
 	plan := r.plan[:0]
 	for len(plan) < k {
-		if r.energyLeft <= 0 {
-			entry := r.corpus.PickNext()
-			energy := 1
-			if !r.opts.DisableFeedback {
-				energy = r.corpus.Energy(entry, r.fb, r.opts.Power)
-			}
-			if t := r.tel; t != nil {
-				t.Observe(telemetry.MEnergyAssigned, int64(energy), r.labels...)
-			}
-			r.curEntry, r.energyLeft = entry, energy
-			continue
-		}
-		r.energyLeft--
-		plan = append(plan, r.curEntry)
+		plan = append(plan, r.c.Next())
 	}
 	r.plan = plan
 	return plan
@@ -328,181 +288,70 @@ func (r *runner) runEpoch(ctx context.Context, plan []*core.Entry, epochStart in
 // abandoned to a cancelled ctx (the digest slot stays un-done).
 func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, gidx int, d *digest) bool {
 	s.src.Seed(mixSeed(r.opts.Seed, gidx))
-	mut := core.Mutate(entry.Schedule, r.pool, s.rng, r.opts.Mutator)
-	seed := s.rng.Int63()
-	if r.opts.DisableProactive {
-		s.sched.SetSchedule(core.EmptySchedule())
-	} else {
-		s.sched.SetSchedule(mut)
-	}
-	res := exec.Run(r.name, r.prog, exec.Config{
-		Scheduler: s.sched,
-		Seed:      seed,
-		Ctx:       ctx,
-		MaxSteps:  r.opts.MaxSteps,
-		Telemetry: r.tel,
-		Intern:    r.intern,
-		Recycle:   s.rec,
-	})
+	res, x := r.c.Execute(ctx, entry, s.sched, s.rng, s.rec)
+	s.rec.Reclaim(res.Trace)
 	if res.Cancelled {
-		s.rec.Reclaim(res.Trace)
 		return false
 	}
-	d.sum = res.Trace.Summary()
-	d.mut = mut
-	d.seed = seed
-	d.failure = res.Failure
-	d.decisions = nil
-	if res.Failure != nil {
-		d.decisions = res.Trace.ThreadOrder()
-	}
-	if !r.opts.DisableProactive {
-		s.epochSatisfied += int64(s.sched.SatisfiedCount())
-		s.epochRejected += int64(s.sched.RejectedCount())
-	}
-	s.rec.Reclaim(res.Trace)
-	d.done = true
+	d.Execution, d.done = x, true
 	return true
 }
 
-// failKey is the failure-signature dedup key of the merge barrier.
-func failKey(f *exec.Failure) string {
-	return f.Kind.String() + "|" + strconv.Itoa(int(f.Thread)) + "|" + f.Loc + "|" + f.Msg
-}
-
-// mergeEpoch is the barrier: fold the epoch's digests into global state
-// in global execution order. Feedback and the event pool observe each
-// execution's summary exactly as they would have sequentially — its IDs
+// mergeEpoch is the barrier: fold the epoch's digests into the campaign
+// in global execution order (core.Campaign.Fold). The summaries' IDs
 // already come from the campaign table and are compared for equality
-// only, so the racy order the shards interned in never shows — failure
-// signatures deduplicate,
-// and interesting mutants join the corpus — all on the coordinator, so
-// the fold is single-threaded and its order is the plan order. Returns
-// true when the epoch was interrupted (some digest never executed);
-// everything before the gap is already merged.
+// only, so the racy order the shards interned in never shows. The fold
+// runs on the coordinator, so it is single-threaded and its order is the
+// plan order. Under stop-at-first-bug it truncates at the first failing
+// execution: digests planned after it are discarded un-merged, whichever
+// shard ran them. Returns true when the epoch was interrupted (some
+// digest never executed); everything before the gap is already merged.
 func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 	start := time.Now()
-	rep := r.rep
 	for i := range plan {
 		d := &r.digests[i]
 		if !d.done {
 			interrupted = true
 			break
 		}
-		obs := r.fb.ObserveSummary(d.sum)
-		r.pool.AddSummary(d.sum)
-		rep.Executions++
-		if plan[i].Sig == 0 {
-			// Seed entries bind to their first observed combination, as in
-			// the sequential loop — just one barrier later.
-			plan[i].Sig = obs.Sig
+		stop := r.c.Fold(plan[i], &d.Execution)
+		if d.Failure != nil && r.opts.FailureObserver != nil {
+			r.opts.FailureObserver(&exec.Result{
+				Program: r.c.Name(),
+				Seed:    d.Seed,
+				Trace:   &exec.Trace{Decisions: d.Decisions},
+				Failure: d.Failure,
+			})
 		}
-		crashed := d.failure != nil
-		if t := r.tel; t != nil {
-			t.Add(telemetry.MSchedulesExecuted, 1, r.labels...)
-			if obs.NewPairs > 0 {
-				t.Add(telemetry.MRFPairsNew, int64(obs.NewPairs), r.labels...)
-			}
-			if obs.NewSig {
-				t.Add(telemetry.MRFCombosNew, 1, r.labels...)
-			}
-			if crashed {
-				t.Add(telemetry.MSchedulesCrashed, 1, r.labels...)
-			}
-		}
-		if crashed {
-			if k := failKey(d.failure); !r.failSeen[k] {
-				r.failSeen[k] = true
-				rep.Failures = append(rep.Failures, core.FailureRecord{
-					Schedule:  d.mut,
-					Seed:      d.seed,
-					Execution: rep.Executions,
-					Failure:   d.failure,
-					Decisions: d.decisions,
-				})
-			}
-			if r.opts.FailureObserver != nil {
-				r.opts.FailureObserver(&exec.Result{
-					Program: r.name,
-					Seed:    d.seed,
-					Trace:   &exec.Trace{Decisions: d.decisions},
-					Failure: d.failure,
-				})
-			}
-			if rep.FirstBug == 0 {
-				rep.FirstBug = rep.Executions
-				if t := r.tel; t != nil {
-					t.Emit(telemetry.EvFirstBug, telemetry.Fields{
-						"program":   r.name,
-						"execution": rep.Executions,
-						"kind":      d.failure.Kind.String(),
-						"msg":       d.failure.Msg,
-					})
-				}
-			}
-			if r.opts.StopAtFirstBug {
-				r.stopped = true
-			}
-		}
-		if !r.opts.DisableFeedback && r.fb.Interesting(obs, crashed) {
-			if _, added := r.corpus.Add(&core.Entry{Schedule: d.mut, Sig: obs.Sig, Perf: obs.NewPairs}); added {
-				if t := r.tel; t != nil {
-					t.Add(telemetry.MCorpusAdds, 1, r.labels...)
-					t.Set(telemetry.MCorpusSize, int64(r.corpus.Len()), r.labels...)
-					t.Emit(telemetry.EvInteresting, telemetry.Fields{
-						"program":     r.name,
-						"execution":   rep.Executions,
-						"new_pairs":   obs.NewPairs,
-						"new_combo":   obs.NewSig,
-						"crashed":     crashed,
-						"corpus_size": r.corpus.Len(),
-					})
-				}
-			}
-		}
-		if r.stopped {
-			// Deterministic truncation: executions planned after the first
-			// bug are discarded un-merged, whichever shard ran them.
+		if stop {
 			break
 		}
 	}
-	if t := r.tel; t != nil {
+	if t, labels := r.c.Telemetry(); t != nil {
 		for _, s := range r.shards {
 			if s.epochExecs > 0 {
 				t.Add(telemetry.MShardExecs, s.epochExecs, s.labels...)
 			}
-			if s.epochSatisfied > 0 {
-				t.Add(telemetry.MConstraintSatisfied, s.epochSatisfied, r.labels...)
-			}
-			if s.epochRejected > 0 {
-				t.Add(telemetry.MConstraintRejected, s.epochRejected, r.labels...)
-			}
-			s.epochExecs, s.epochSatisfied, s.epochRejected = 0, 0, 0
+			s.epochExecs = 0
 		}
-		t.Observe(telemetry.MShardMergeNS, time.Since(start).Nanoseconds(), r.labels...)
+		t.Observe(telemetry.MShardMergeNS, time.Since(start).Nanoseconds(), labels...)
 		t.Emit(telemetry.EvEpochMerge, telemetry.Fields{
-			"program":     r.name,
+			"program":     r.c.Name(),
 			"epoch":       epoch,
-			"executions":  rep.Executions,
-			"corpus_size": r.corpus.Len(),
+			"executions":  r.c.Executions(),
+			"corpus_size": r.c.CorpusSize(),
 		})
 	}
 	return interrupted
 }
 
-// finish copies final feedback statistics into the report, publishes the
-// utilization gauge, and returns the shards' execution state to the pool.
+// finish completes the campaign's report, publishes the utilization
+// gauge, and returns the shards' execution state to the pool.
 func (r *runner) finish() *core.Report {
 	for _, s := range r.shards {
 		warmStates.Put(s.execState)
 	}
-	rep := r.rep
-	rep.CorpusSize = r.corpus.Len()
-	rep.UniquePairs = r.fb.UniquePairs()
-	rep.UniqueSigs = r.fb.UniqueSigs()
-	rep.SigFrequencies = r.fb.SigFrequencies()
-	if t := r.tel; t != nil {
-		t.Set(telemetry.MCorpusSize, int64(rep.CorpusSize), r.labels...)
+	if t, labels := r.c.Telemetry(); t != nil {
 		wall := time.Since(r.start)
 		if wall > 0 {
 			var busy time.Duration
@@ -510,8 +359,8 @@ func (r *runner) finish() *core.Report {
 				busy += s.busy
 			}
 			pct := int64(busy * 100 / (wall * time.Duration(len(r.shards))))
-			t.Set(telemetry.MShardUtilization, min(pct, 100), r.labels...)
+			t.Set(telemetry.MShardUtilization, min(pct, 100), labels...)
 		}
 	}
-	return rep
+	return r.c.Finish()
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rff/internal/bench"
 	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/progen"
@@ -163,8 +164,9 @@ func TestFailureObserverDeterministic(t *testing.T) {
 }
 
 // TestShardTelemetry checks the per-shard accounting: shard_execs sums
-// to the counted executions, the merge histogram has one observation
-// per epoch, and the aggregate campaign counters match the report.
+// to the counted executions and the merge histogram has one observation
+// per epoch. The campaign counters both loops share are pinned by
+// TestFoldTelemetryContract.
 func TestShardTelemetry(t *testing.T) {
 	hub := telemetry.NewHub()
 	opts := shard.Options{Budget: 256, Seed: 9, Epoch: 64, Shards: 3, Telemetry: hub}
@@ -179,17 +181,11 @@ func TestShardTelemetry(t *testing.T) {
 	if shardSum != int64(rep.Executions) {
 		t.Fatalf("shard_execs sums to %d, want %d", shardSum, rep.Executions)
 	}
-	if got := snap.Value(telemetry.MSchedulesExecuted, prog); got != int64(rep.Executions) {
-		t.Fatalf("schedules_executed = %d, want %d", got, rep.Executions)
-	}
 	// Budget 256 at K=64 with the geometric ramp (1,2,4,8,16,32,64,64,64,1)
 	// merges ten times.
 	hd := snap.Histogram(telemetry.MShardMergeNS, prog)
 	if hd == nil || hd.Count != 10 {
 		t.Fatalf("shard_merge_ns histogram = %+v, want 10 observations", hd)
-	}
-	if got := snap.Value(telemetry.MCorpusSize, prog); got != int64(rep.CorpusSize) {
-		t.Fatalf("corpus_size gauge = %d, want %d", got, rep.CorpusSize)
 	}
 	// Batches run as fleet cells, but the pool's own series stay out of
 	// a shard campaign's telemetry, and there are no steals to count.
@@ -200,32 +196,55 @@ func TestShardTelemetry(t *testing.T) {
 	}
 }
 
-// TestContextCancelPrefix: cancelling mid-campaign yields a merged
-// prefix — counted executions never exceed the merged epochs and the
-// report stays internally consistent.
-func TestContextCancelPrefix(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	opts := shard.Options{Budget: 100000, Seed: 1, Epoch: 64, Shards: 2}
-	hub := telemetry.NewHub()
-	opts.Telemetry = hub
-	// Cancel from a telemetry hook after a few merges: EvEpochMerge is
-	// emitted once per barrier on the coordinator.
-	opts.FailureObserver = nil
-	go func() {
-		// No external hook into the loop; just cancel after a moment of
-		// real work by polling the counter.
-		for hub.Snapshot().Value(telemetry.MSchedulesExecuted, telemetry.L("program", "prog")) < 128 {
+// cancelSink cancels the campaign once the barrier has merged its
+// after-th epoch.
+type cancelSink struct {
+	after  int
+	merges int
+	cancel context.CancelFunc
+}
+
+func (s *cancelSink) Emit(kind string, _ telemetry.Fields) {
+	if kind == telemetry.EvEpochMerge {
+		if s.merges++; s.merges == s.after {
+			s.cancel()
 		}
-		cancel()
-	}()
-	rep := shard.FuzzContext(ctx, "prog", bugFree(3), opts)
-	n = rep.Executions
-	if n == 0 || n >= 100000 {
-		t.Fatalf("cancelled campaign counted %d executions", n)
 	}
-	if rep.CorpusSize == 0 || len(rep.SigFrequencies) != rep.UniqueSigs {
-		t.Fatalf("cancelled report inconsistent: %+v", rep)
+}
+func (*cancelSink) Add(string, int64, ...telemetry.Label)     {}
+func (*cancelSink) Set(string, int64, ...telemetry.Label)     {}
+func (*cancelSink) Observe(string, int64, ...telemetry.Label) {}
+
+// TestContextCancelPrefix pins FuzzContext's cancellation promise, as
+// core's TestCancelReportIsPrefix does for the sequential loop: a
+// campaign cancelled right after its j-th merge reports exactly what a
+// campaign whose budget is the merged executions reports, at every
+// shard count.
+func TestContextCancelPrefix(t *testing.T) {
+	twostage, ok := bench.Get("CS/twostage_20")
+	if !ok {
+		t.Fatal("CS/twostage_20 is not registered")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, j := range []int{1, 3, 6, 9} {
+			ctx, cancel := context.WithCancel(context.Background())
+			opts := shard.Options{Budget: 100000, Seed: 3, Epoch: 64, Shards: shards,
+				Telemetry: &cancelSink{after: j, cancel: cancel}}
+			got := shard.FuzzContext(ctx, "prog", twostage.Body, opts)
+			cancel()
+			merged := 0 // epochs ramp 1, 2, 4, ... up to 64
+			for e := 0; e < j; e++ {
+				merged += min(1<<e, opts.Epoch)
+			}
+			if got.Executions != merged {
+				t.Fatalf("shards=%d j=%d: cancelled campaign counted %d executions, want the %d merged", shards, j, got.Executions, merged)
+			}
+			opts.Budget, opts.Telemetry = got.Executions, nil
+			if want := shard.Fuzz("prog", twostage.Body, opts); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d j=%d: cancelled report\n  %+v\nwant budget-%d report\n  %+v",
+					shards, j, got, got.Executions, want)
+			}
+		}
 	}
 }
 
