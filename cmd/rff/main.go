@@ -38,7 +38,6 @@ import (
 	"rff/internal/campaign"
 	"rff/internal/core"
 	"rff/internal/exec"
-	"rff/internal/fleet"
 	"rff/internal/minimize"
 	"rff/internal/perf"
 	"rff/internal/progen"
@@ -245,10 +244,29 @@ func cmdRun(args []string) {
 		os.Exit(1)
 	}
 	// Canonicalize up front: an invalid spec fails before any set-up,
-	// and the paths below compare canonical specs.
+	// and the checks below compare canonical specs.
 	for i, s := range specs {
 		if specs[i], err = strategy.Canonical(s); err != nil {
 			fmt.Fprintf(os.Stderr, "rff: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	wantsVerbose := *verbose || *doMin || *outDir != "" || *races
+	for _, bad := range []struct {
+		when bool
+		msg  string
+	}{
+		{*budget < 1, "-budget must be >= 1"},
+		{*trials < 1, "-trials must be >= 1"},
+		{*shards < 0, "-shards must be >= 0"},
+		{wantsVerbose && (len(specs) != 1 || specs[0] != "rff"), "-v/-minimize/-out/-races apply to -tools rff only"},
+		{wantsVerbose && *budgetPolicy != "", "-budget-policy is incompatible with -v/-minimize/-out/-races"},
+		// The sharded runner recycles traces on its shards before the
+		// barrier, so there is nothing for a TraceObserver to see.
+		{*races && *shards >= 1, "-races is incompatible with -shards; run the race detector unsharded"},
+	} {
+		if bad.when {
+			fmt.Fprintf(os.Stderr, "rff: %s\n", bad.msg)
 			os.Exit(1)
 		}
 	}
@@ -269,10 +287,6 @@ func cmdRun(args []string) {
 		os.Exit(1)
 	}
 	defer ts.close()
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "rff: -shards must be >= 0")
-		os.Exit(1)
-	}
 	tools, err := strategy.ResolveAll(specs, strategy.Config{Telemetry: ts.sink(), Shards: *shards})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
@@ -293,34 +307,17 @@ func cmdRun(args []string) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if *budgetPolicy != "" {
-		runBudgeted(ctx, p, specs, ts, budgetedRunFlags{
-			policy: *budgetPolicy, epochs: *budgetEpochs,
-			trials: *trials, budget: *budget, maxSteps: *maxSteps,
-			seed: *seed, workers: *workers, trialTimeout: *trialTimeout,
-			shards:       *shards,
-			wantsVerbose: *verbose || *doMin || *outDir != "" || *races,
-		})
-		return
-	}
-
-	if (*verbose || *doMin || *outDir != "" || *races) && len(tools) == 1 && specs[0] == "rff" {
+	if wantsVerbose {
 		tl := tools[0]
 		raceKeys := make(map[string]struct{})
 		opts := core.Options{
-			// Derive the same seed the trial loop gives trial 0, so the
+			// Derive the same seed the matrix gives trial 0, so the
 			// verbose path reproduces trial 1 of a plain run.
 			Budget: *budget, Seed: campaign.TrialSeed(*seed, tl.Name(), p.Name, 0),
 			MaxSteps: *maxSteps, StopAtFirstBug: true,
 			Telemetry: ts.sink(),
 		}
 		if *races {
-			if *shards >= 1 {
-				// The sharded runner recycles traces on its shards before the
-				// barrier, so there is nothing for a TraceObserver to see.
-				fmt.Fprintln(os.Stderr, "rff: -races is incompatible with -shards; run the race detector unsharded")
-				os.Exit(1)
-			}
 			opts.TraceObserver = func(t *exec.Trace) {
 				for _, k := range race.DistinctKeys(race.Detect(t)) {
 					raceKeys[k] = struct{}{}
@@ -385,140 +382,22 @@ func cmdRun(args []string) {
 		return
 	}
 
-	// Trials are independent cells: each draws its seed from the cell
-	// identity (campaign.TrialSeed), so a fleet pool runs them
-	// concurrently with per-trial results identical at any -workers
-	// count (only completion timing differs; output stays in (tool,
-	// trial) order via the deterministic merge).
-	type cellKey struct {
-		tool  campaign.Tool
-		trial int
-	}
-	var (
-		cells []fleet.Cell[campaign.Outcome]
-		keys  []cellKey
-	)
-	for _, tl := range tools {
-		tl := tl
-		nTrials := *trials
-		if tl.Deterministic() {
-			nTrials = 1
-		}
-		for tr := 0; tr < nTrials; tr++ {
-			tr := tr
-			cells = append(cells, fleet.Cell[campaign.Outcome]{
-				ID:   fmt.Sprintf("%s/%s[%d]", tl.Name(), p.Name, tr),
-				Spec: tl.Name(),
-				Run: func(ctx context.Context, sc *fleet.Scratch) (campaign.Outcome, error) {
-					out := tl.Run(ctx, p, *budget, *maxSteps, campaign.TrialSeed(*seed, tl.Name(), p.Name, tr))
-					if s := ts.sink(); s != nil && !out.Errored() {
-						s.Emit(telemetry.EvTrialDone, telemetry.Fields{
-							"tool": tl.Name(), "program": p.Name, "trial": tr,
-							"executions": out.Executions, "first_bug": out.FirstBug,
-							"worker": sc.Worker,
-						})
-					}
-					return out, nil
-				},
-			})
-			keys = append(keys, cellKey{tool: tl, trial: tr})
-		}
-	}
-	results := fleet.Run(ctx, cells, fleet.Options{
-		Workers:     *workers,
-		CellTimeout: *trialTimeout,
-		Telemetry:   ts.sink(),
-	})
-	var (
-		curName string
-		found   int
-		ran     int
-	)
-	summary := func() {
-		if curName != "" {
-			fmt.Printf("%s on %s: %d/%d trials found the bug\n", curName, p.Name, found, ran)
-		}
-	}
-	for i, r := range results {
-		k := keys[i]
-		tl, out := k.tool, r.Value
-		if tl.Name() != curName {
-			summary()
-			curName, found, ran = tl.Name(), 0, 0
-		}
-		ran++
-		if s := ts.sink(); s != nil {
-			s.Add(telemetry.MTrialsDone, 1, telemetry.L("tool", tl.Name()), telemetry.L("program", p.Name))
-		}
-		errMsg := ""
-		switch {
-		case r.Err != nil:
-			errMsg = r.Err.Error()
-			if s := ts.sink(); s != nil {
-				s.Add(telemetry.MTrialPanics, 1, telemetry.L("tool", tl.Name()), telemetry.L("program", p.Name))
-				s.Emit(telemetry.EvTrialError, telemetry.Fields{
-					"tool": tl.Name(), "program": p.Name, "trial": k.trial,
-					"error": errMsg, "stack": r.Stack,
-				})
-			}
-		case out.Errored():
-			// In-tool abort (per-trial deadline or ^C observed mid-run).
-			errMsg = out.Err
-		}
-		switch {
-		case errMsg != "":
-			fmt.Printf("trial %d: %s aborted: %s\n", k.trial+1, tl.Name(), errMsg)
-		case out.Found():
-			found++
-			fmt.Printf("trial %d: %s found the bug after %d schedules\n", k.trial+1, tl.Name(), out.FirstBug)
-		default:
-			fmt.Printf("trial %d: %s found no bug in %d schedules\n", k.trial+1, tl.Name(), out.Executions)
-		}
-	}
-	summary()
-}
-
-// budgetedRunFlags carries the `rff run` flags the adaptive-budget
-// path consumes.
-type budgetedRunFlags struct {
-	policy       string
-	epochs       int
-	trials       int
-	budget       int
-	maxSteps     int
-	seed         int64
-	workers      int
-	trialTimeout time.Duration
-	shards       int
-	wantsVerbose bool
-}
-
-// runBudgeted executes `rff run -budget-policy`: the program's (tool,
-// trial) cells share one execution pool of budget x trials per tool,
-// reallocated every epoch by the policy. Prints per-trial outcomes in
-// deterministic (tool, trial) order plus the allocation accounting.
-func runBudgeted(ctx context.Context, p bench.Program, specs []string, ts *telemetrySession, f budgetedRunFlags) {
-	bcfg := &budgetpkg.Config{Policy: f.policy, Epochs: f.epochs}
-	if err := bcfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
-	}
-	if f.shards >= 1 {
-		fmt.Fprintln(os.Stderr, "rff: -budget-policy is incompatible with -shards (the shard runner's observer sees only failures)")
-		os.Exit(1)
-	}
-	if f.wantsVerbose {
-		fmt.Fprintln(os.Stderr, "rff: -budget-policy is incompatible with -v/-minimize/-out/-races")
-		os.Exit(1)
+	// Every trial of every tool is one matrix cell; the matrix runs them
+	// on a fleet pool with results identical at any -workers count. A
+	// fixed budget is one uniform epoch of the budgeted runner's pool.
+	var bcfg *budgetpkg.Config
+	if *budgetPolicy != "" {
+		bcfg = &budgetpkg.Config{Policy: *budgetPolicy, Epochs: *budgetEpochs}
 	}
 	m, err := strategy.RunMatrix(ctx, specs, []bench.Program{p}, strategy.Config{
 		Telemetry:    ts.sink(),
-		Trials:       f.trials,
-		Budget:       f.budget,
-		MaxSteps:     f.maxSteps,
-		BaseSeed:     f.seed,
-		Workers:      f.workers,
-		TrialTimeout: f.trialTimeout,
+		Trials:       *trials,
+		Budget:       *budget,
+		MaxSteps:     *maxSteps,
+		BaseSeed:     *seed,
+		Workers:      *workers,
+		TrialTimeout: *trialTimeout,
+		Shards:       *shards,
 		Budgeter:     bcfg,
 	})
 	if err != nil {
@@ -541,16 +420,17 @@ func runBudgeted(ctx context.Context, p bench.Program, specs []string, ts *telem
 		}
 		fmt.Printf("%s on %s: %d/%d trials found the bug\n", toolName, p.Name, found, len(outs))
 	}
-	br := m.BudgetReport
-	fmt.Printf("budget policy %s: %d epochs, %d/%d executions spent, %d reallocations\n",
-		br.Policy, br.Epochs, br.Spent, br.Pool, br.Reallocations)
-	for _, c := range br.Cells {
-		status := ""
-		if c.Bug {
-			status = fmt.Sprintf(", first bug at global execution %d", c.FirstBug)
+	if br := m.BudgetReport; br != nil {
+		fmt.Printf("budget policy %s: %d epochs, %d/%d executions spent, %d reallocations\n",
+			br.Policy, br.Epochs, br.Spent, br.Pool, br.Reallocations)
+		for _, c := range br.Cells {
+			status := ""
+			if c.Bug {
+				status = fmt.Sprintf(", first bug at global execution %d", c.FirstBug)
+			}
+			fmt.Printf("  %s: spent %d of %d allocated (%.1f%% share, %d new rf-pairs%s)\n",
+				c.Tool, c.Spent, c.Allocated, c.SharePct, c.NewPairs, status)
 		}
-		fmt.Printf("  %s: spent %d of %d allocated (%.1f%% share, %d new rf-pairs%s)\n",
-			c.Tool, c.Spent, c.Allocated, c.SharePct, c.NewPairs, status)
 	}
 }
 

@@ -29,18 +29,11 @@ func (c *triageCollector) observe(res *exec.Result) {
 		return
 	}
 	f := *res.Failure
-	a := &core.Artifact{
-		Program:     res.Program,
-		Seed:        res.Seed,
-		FailureKind: f.Kind.String(),
-		FailureMsg:  f.Msg,
-		FailureLoc:  f.Loc,
-		Thread:      int32(f.Thread),
-	}
-	for _, d := range res.Trace.ThreadOrder() {
-		a.Decisions = append(a.Decisions, int32(d))
-	}
-	c.arts = append(c.arts, a)
+	c.arts = append(c.arts, core.NewArtifact(res.Program, core.FailureRecord{
+		Seed:      res.Seed,
+		Failure:   &f,
+		Decisions: res.Trace.ThreadOrder(),
+	}))
 }
 
 // cmdTriage minimizes and clusters crash artifacts into a regression

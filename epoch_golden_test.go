@@ -6,8 +6,8 @@ package repro
 // determinism tests pin these modes only against themselves across
 // worker and shard counts; this one pins them against a recorded past,
 // so a rewrite of the epoch machinery must reproduce every outcome,
-// budget report, allocation trace, budget-epoch event, sharded report
-// and failure stream byte for byte.
+// budget report, allocation trace, budget-epoch event, fixed-budget
+// conformance report, sharded report and failure stream byte for byte.
 //
 // Regenerate (only for an intentional semantic change) with
 //
@@ -130,6 +130,30 @@ func renderBudgetedConformance(b *bytes.Buffer) {
 	}
 }
 
+// renderFixedConformance pins conformance without a budget policy: every
+// (spec, trial) cell gets the same fixed budget, which the epoch runner
+// spends as one uniform epoch.
+func renderFixedConformance(b *bytes.Buffer) {
+	for _, grammar := range []string{"core", "chan"} {
+		for _, seed := range []int64{1, 2} {
+			for _, trials := range []int{1, 2} {
+				rep := conformance.Run(conformance.Options{
+					Programs: 6,
+					Seed:     seed,
+					Trials:   trials,
+					Budget:   150,
+					Workers:  2,
+					Grammar:  grammar,
+				})
+				h := sha256.New()
+				writeJSON(h, rep)
+				fmt.Fprintf(b, "conformance fixed grammar=%s seed=%d trials=%d programs=%d violations=%d %x\n",
+					grammar, seed, trials, rep.Programs, len(rep.Violations), h.Sum(nil)[:12])
+			}
+		}
+	}
+}
+
 func renderShards(b *bytes.Buffer) {
 	for _, p := range epochBenchPrograms() {
 		for _, seed := range epochSeeds {
@@ -170,6 +194,7 @@ func renderEpochDigest() []byte {
 	var b bytes.Buffer
 	renderBudgetedMatrices(&b)
 	renderBudgetedConformance(&b)
+	renderFixedConformance(&b)
 	renderShards(&b)
 	return b.Bytes()
 }

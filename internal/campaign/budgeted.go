@@ -228,16 +228,12 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			cells[i] = fleet.Cell[Outcome]{
 				ID:   fmt.Sprintf("%s/%s[%d]@e%d", ps.toolName, ps.program.Name, j.trial, e),
 				Spec: ps.toolName,
-				Run: func(cctx context.Context, s *fleet.Scratch) (Outcome, error) {
+				Run: func(cctx context.Context, _ *fleet.Scratch) (Outcome, error) {
 					tool := ps.tool
 					if ot, ok := tool.(ObservableTool); ok {
 						tool = ot.WithObserver(j.col.observe)
 					}
 					seed := budget.EpochSeed(TrialSeed(opts.BaseSeed, ps.toolName, ps.program.Name, j.trial), e)
-					if sr, ok := tool.(scratchRunner); ok {
-						ws, _ := s.State.(*workerState)
-						return sr.runScratch(cctx, ps.program, j.share, opts.MaxSteps, seed, ws), nil
-					}
 					return tool.Run(cctx, ps.program, j.share, opts.MaxSteps, seed), nil
 				},
 			}
@@ -245,7 +241,6 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 		results := fleet.Run(ctx, cells, fleet.Options{
 			Workers:     workers,
 			CellTimeout: opts.TrialTimeout,
-			NewState:    func(int) any { return &workerState{recycler: exec.NewRecycler()} },
 			Telemetry:   opts.Telemetry,
 		})
 

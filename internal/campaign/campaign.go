@@ -185,21 +185,15 @@ func (t RFFTool) WithObserver(obs ResultObserver) Tool {
 	return t
 }
 
-// Run implements Tool.
+// Run implements Tool. Cancelling ctx stops the fuzzer within one
+// scheduling step of the in-flight execution; the interrupted trial
+// records how far it got and an Err.
 func (t RFFTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) Outcome {
-	return t.runScratch(ctx, p, budget, maxSteps, seed, nil)
-}
-
-// runScratch implements scratchRunner: a fleet worker's recycler carries
-// trace buffers across the trials the worker runs. Cancelling ctx stops
-// the fuzzer within one scheduling step of the in-flight execution; the
-// interrupted trial records how far it got and an Err.
-func (t RFFTool) runScratch(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64, ws *workerState) Outcome {
 	var rep *core.Report
 	if t.Shards >= 1 {
 		rep = t.runSharded(ctx, p, budget, maxSteps, seed)
 	} else {
-		opts := core.Options{
+		rep = core.NewFuzzer(p.Name, p.Body, core.Options{
 			Budget:          budget,
 			MaxSteps:        maxSteps,
 			Seed:            seed,
@@ -207,11 +201,7 @@ func (t RFFTool) runScratch(ctx context.Context, p bench.Program, budget, maxSte
 			StopAtFirstBug:  true,
 			Telemetry:       t.Telemetry,
 			ResultObserver:  t.Observer,
-		}
-		if ws != nil {
-			opts.Recycle = ws.recycler
-		}
-		rep = core.NewFuzzer(p.Name, p.Body, opts).RunContext(ctx)
+		}).RunContext(ctx)
 	}
 	out := Outcome{
 		FirstBug:   rep.FirstBug,
@@ -226,9 +216,8 @@ func (t RFFTool) runScratch(ctx context.Context, p bench.Program, budget, maxSte
 	return out
 }
 
-// runSharded runs the trial on the sharded runner. The
-// shard runner owns its own per-shard recyclers, so the fleet worker's
-// scratch recycler is not threaded through.
+// runSharded runs the trial on the sharded runner, which owns its own
+// per-shard recyclers.
 func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) *core.Report {
 	opts := shard.Options{
 		Budget:          budget,
@@ -272,17 +261,11 @@ func (t SchedulerTool) WithObserver(obs ResultObserver) Tool {
 	return t
 }
 
-// Run implements Tool.
+// Run implements Tool. ctx is threaded into every execution's engine
+// (stopping a cancelled execution within one scheduling step) and
+// checked between executions; the interrupted trial records how far it
+// got and an Err, counting as a censored no-bug outcome.
 func (t SchedulerTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) Outcome {
-	return t.runScratch(ctx, p, budget, maxSteps, seed, nil)
-}
-
-// runScratch implements scratchRunner. ctx is threaded into every
-// execution's engine (stopping a cancelled execution within one
-// scheduling step) and checked between executions; the interrupted
-// trial records how far it got and an Err, counting as a censored
-// no-bug outcome.
-func (t SchedulerTool) runScratch(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64, ws *workerState) Outcome {
 	s := t.Factory()
 	out := Outcome{Budget: budget}
 	var labels []telemetry.Label
@@ -290,12 +273,8 @@ func (t SchedulerTool) runScratch(ctx context.Context, p bench.Program, budget, 
 		labels = []telemetry.Label{telemetry.L("tool", t.ToolName), telemetry.L("program", p.Name)}
 	}
 	// The trial never inspects traces after the crash check, so their
-	// backing arrays recycle straight into the next execution — and,
-	// under a fleet worker, across every trial the worker runs.
+	// backing arrays recycle straight into the next execution.
 	recycler := exec.NewRecycler()
-	if ws != nil {
-		recycler = ws.recycler
-	}
 	for i := 1; i <= budget; i++ {
 		if err := ctx.Err(); err != nil {
 			out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", out.Executions, err)
@@ -410,25 +389,6 @@ type MatrixOptions struct {
 	Budgeter *budget.Config
 }
 
-// workerState is the campaign's per-fleet-worker scratch: allocation
-// caches that are unsafe to share across threads but profit from reuse
-// across the trials one worker runs sequentially. The abstract-event
-// InternTable deliberately stays trial-owned (inside each fuzzer): it
-// then holds one program's events and dies with its trial, and a
-// sequential trial assigns the same EventIDs on every rerun. A
-// worker-shared table would grow across programs and make a trial's IDs
-// depend on which trials the worker ran before it.
-type workerState struct {
-	recycler *exec.Recycler
-}
-
-// scratchRunner is the optional Tool extension the matrix runner uses
-// when it owns the trial's execution context: ctx carries the trial
-// deadline and ws the worker's caches.
-type scratchRunner interface {
-	runScratch(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64, ws *workerState) Outcome
-}
-
 // MatrixResult holds every trial outcome, indexed by tool then program.
 type MatrixResult struct {
 	Tools    []string
@@ -531,13 +491,7 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 			Spec: j.tool.Name(),
 			Run: func(ctx context.Context, s *fleet.Scratch) (Outcome, error) {
 				seed := TrialSeed(opts.BaseSeed, j.tool.Name(), j.program.Name, j.trial)
-				var out Outcome
-				if sr, ok := j.tool.(scratchRunner); ok {
-					ws, _ := s.State.(*workerState)
-					out = sr.runScratch(ctx, j.program, j.budget, opts.MaxSteps, seed, ws)
-				} else {
-					out = j.tool.Run(ctx, j.program, j.budget, opts.MaxSteps, seed)
-				}
+				out := j.tool.Run(ctx, j.program, j.budget, opts.MaxSteps, seed)
 				// Streamed while the matrix runs, tagged with the full
 				// cell identity so interleaved workers stay told apart.
 				// The terminal event of a panicking cell is instead the
@@ -560,7 +514,6 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 	results := fleet.Run(ctx, cells, fleet.Options{
 		Workers:     workers,
 		CellTimeout: opts.TrialTimeout,
-		NewState:    func(int) any { return &workerState{recycler: exec.NewRecycler()} },
 		OnDone:      opts.Progress,
 		Telemetry:   opts.Telemetry,
 	})

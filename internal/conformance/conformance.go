@@ -419,7 +419,6 @@ func firstBugOf(col *collector) int {
 type toolSlot struct {
 	spec   string
 	name   string
-	det    bool
 	trials int
 }
 
@@ -427,14 +426,15 @@ type toolSlot struct {
 type progCellID struct{ slot, trial int }
 
 // runProgramBudgeted runs one program's (spec, trial) cells under an
-// adaptive epoch allocator instead of fixed per-cell budgets. The
-// cells share a pool of Budget x len(ids) executions; each epoch the
-// policy reallocates the epoch's slice by observed reward (marginal
-// ground-truth rf-pair coverage and first-bug events). Collectors
-// persist across epochs, so coverage first-cover indexes remain
-// cumulative per cell and the returned cellResults slot into the same
-// merge loop as the fixed path. Cells stop (and release their budget)
-// on their first failure, infrastructure error, or recovered panic.
+// epoch allocator. The cells share a pool of Budget x len(ids)
+// executions; each epoch the policy reallocates the epoch's slice by
+// observed reward (marginal ground-truth rf-pair coverage and first-bug
+// events). Without a BudgetPolicy the pool is spent as one uniform
+// epoch, which hands every cell exactly Budget executions: the fixed
+// per-cell budget. Collectors persist across epochs, so coverage
+// first-cover indexes remain cumulative per cell. Cells stop (and
+// release their budget) on their first failure, infrastructure error,
+// or recovered panic.
 //
 // The allocator and every epoch's trial seeds derive from (Seed,
 // program, cell) alone, so the result is a pure function of (seed,
@@ -450,12 +450,13 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 	prevExecs := make([]int, len(ids))
 	prevCovers := make([]int, len(ids))
 
+	bc := budget.Config{Policy: "uniform", Epochs: 1}
+	if opts.BudgetPolicy != "" {
+		bc = budget.Config{Policy: opts.BudgetPolicy, Epochs: opts.BudgetEpochs}
+	}
 	// fill() validated the config; New cannot fail here.
 	allocSeed := campaign.TrialSeed(opts.Seed, "budget-allocator", bp.Name, 0)
-	alloc, err := budget.New(len(ids), allocSeed, budget.Config{
-		Policy: opts.BudgetPolicy,
-		Epochs: opts.BudgetEpochs,
-	})
+	alloc, err := budget.New(len(ids), allocSeed, bc)
 	if err != nil {
 		panic(fmt.Sprintf("conformance: %v", err))
 	}
@@ -535,7 +536,7 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 		}
 		col := cols[i]
 		replays, failedReplays := col.replayCheck(bp.Body, opts.MaxSteps)
-		out[i] = fleet.Result[cellResult]{Value: cellResult{
+		c := cellResult{
 			tool:           col.tool,
 			executions:     col.execs,
 			foundBug:       len(col.failures) > 0,
@@ -544,8 +545,11 @@ func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []too
 			violations:     col.violations,
 			coverage:       CoverageAt(cp, col.coverTimes, len(gt.pairs)),
 			firstBug:       firstBugOf(col),
-			allocated:      states[i].Allocated,
-		}}
+		}
+		if opts.BudgetPolicy != "" {
+			c.allocated = states[i].Allocated
+		}
+		out[i] = fleet.Result[cellResult]{Value: c}
 	}
 	return out
 }
@@ -585,7 +589,7 @@ func RunContext(ctx context.Context, opts Options) *Report {
 		if t.Deterministic() {
 			trials = 1
 		}
-		slots = append(slots, toolSlot{spec: spec, name: t.Name(), det: t.Deterministic(), trials: trials})
+		slots = append(slots, toolSlot{spec: spec, name: t.Name(), trials: trials})
 		rep.Tools = append(rep.Tools, ToolReport{
 			Tool:     t.Name(),
 			Spec:     spec,
@@ -637,46 +641,7 @@ func RunContext(ctx context.Context, opts Options) *Report {
 				ids = append(ids, progCellID{si, tr})
 			}
 		}
-		var results []fleet.Result[cellResult]
-		if opts.BudgetPolicy != "" {
-			results = runProgramBudgeted(ctx, opts, rep.Checkpoints, slots, ids, bp, gt)
-		} else {
-			var cells []fleet.Cell[cellResult]
-			for _, id := range ids {
-				id := id
-				slot := slots[id.slot]
-				cells = append(cells, fleet.Cell[cellResult]{
-					ID:   fmt.Sprintf("%s/%s[%d]", slot.name, bp.Name, id.trial),
-					Spec: slot.name,
-					Run: func(cctx context.Context, _ *fleet.Scratch) (cellResult, error) {
-						col := newCollector(gt, bp.Name, slot.name)
-						tool, err := strategy.Resolve(slot.spec, strategy.Config{Observer: col.observe})
-						if err != nil {
-							return cellResult{}, err
-						}
-						seed := campaign.TrialSeed(opts.Seed, slot.name, bp.Name, id.trial)
-						out := tool.Run(cctx, bp, opts.Budget, opts.MaxSteps, seed)
-						if out.Errored() {
-							col.violations = append(col.violations, Violation{
-								Program: bp.Name, Tool: slot.name, Kind: "trial-error", Detail: out.Err,
-							})
-						}
-						replays, failedReplays := col.replayCheck(bp.Body, opts.MaxSteps)
-						return cellResult{
-							tool:           slot.name,
-							executions:     col.execs,
-							foundBug:       len(col.failures) > 0,
-							replays:        replays,
-							replayFailures: failedReplays,
-							violations:     col.violations,
-							coverage:       CoverageAt(rep.Checkpoints, col.coverTimes, len(gt.pairs)),
-							firstBug:       firstBugOf(col),
-						}, nil
-					},
-				})
-			}
-			results = fleet.Run(ctx, cells, fleet.Options{Workers: opts.Workers})
-		}
+		results := runProgramBudgeted(ctx, opts, rep.Checkpoints, slots, ids, bp, gt)
 
 		// Merge barrier: fold cells into the report in deterministic
 		// cell order.

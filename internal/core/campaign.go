@@ -62,8 +62,7 @@ type Execution struct {
 
 // NewCampaign returns the campaign state for the named program, its
 // corpus seeded with opts.InitialCorpus (ε when empty). Of opts it reads
-// everything but Seed, Recycle and the observers, which belong to the
-// driver.
+// everything but Seed and the observers, which belong to the driver.
 func NewCampaign(name string, prog exec.Program, opts Options) *Campaign {
 	return &Campaign{
 		name:   name,

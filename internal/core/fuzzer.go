@@ -58,12 +58,6 @@ type Options struct {
 	// interesting-schedule). A nil sink costs one branch per
 	// instrumentation point.
 	Telemetry telemetry.Sink
-	// Recycle, if non-nil, supplies the trace-buffer recycler — a
-	// parallel campaign driver threads one per worker so buffers survive
-	// across the trials that worker runs. Recyclers carry only capacity
-	// hints, never schedule state, so sharing one across sequential
-	// campaigns cannot change results. Nil allocates a fresh recycler.
-	Recycle *exec.Recycler
 }
 
 // FailureRecord captures one crashing schedule (Algorithm 1's S_fail
@@ -123,15 +117,11 @@ func NewFuzzer(name string, prog exec.Program, opts Options) *Fuzzer {
 	if opts.Budget <= 0 {
 		panic("core.NewFuzzer: Options.Budget must be positive")
 	}
-	recycler := opts.Recycle
-	if recycler == nil {
-		recycler = exec.NewRecycler()
-	}
 	return &Fuzzer{
 		c:         NewCampaign(name, prog, opts),
 		sched:     NewProactive(),
 		rng:       rand.New(rand.NewSource(opts.Seed)),
-		recycler:  recycler,
+		recycler:  exec.NewRecycler(),
 		traceObs:  opts.TraceObserver,
 		resultObs: opts.ResultObserver,
 	}

@@ -11,9 +11,8 @@
 //     caller whose cells are themselves deterministic (fixed seeds, no
 //     shared mutable state) gets bit-identical output at any worker
 //     count.
-//   - Isolation: every worker owns a Scratch — reusable allocation
-//     caches built once per worker — that is never shared across
-//     workers and never accessed concurrently.
+//   - Isolation: every worker owns one Scratch, naming the worker, that
+//     is never shared across workers and never accessed concurrently.
 //   - Containment: a panicking cell is recovered with its stack and
 //     reported as that cell's error; sibling cells are unaffected.
 //   - Cancellation: the pool's context cancels unstarted cells, and
@@ -40,18 +39,12 @@ import (
 	"rff/internal/telemetry"
 )
 
-// Scratch is a worker's reusable state, handed to every cell the worker
-// runs. Cells on the same worker execute sequentially, so the state
-// needs no locking; cells on different workers never see the same
-// Scratch.
+// Scratch identifies the worker running a cell; the worker hands the
+// same Scratch to every cell it runs, and cells on different workers
+// never see the same Scratch.
 type Scratch struct {
 	// Worker is the owning worker's index in [0, workers).
 	Worker int
-	// State is whatever Options.NewState built for this worker —
-	// typically allocation caches (e.g. an exec.Recycler) that are
-	// unsafe to share across threads but profit from reuse across
-	// cells. Nil when no NewState hook is set.
-	State any
 }
 
 // Cell is one independent unit of work.
@@ -64,8 +57,8 @@ type Cell[T any] struct {
 	Spec string
 	// Run executes the cell. ctx carries the pool's cancellation and,
 	// when Options.CellTimeout is set, this cell's deadline; cells that
-	// cannot observe ctx mid-run simply ignore it. scratch is the
-	// owning worker's state.
+	// cannot observe ctx mid-run simply ignore it. scratch names the
+	// owning worker.
 	Run func(ctx context.Context, scratch *Scratch) (T, error)
 }
 
@@ -100,9 +93,6 @@ type Options struct {
 	// immediately with context.DeadlineExceeded; running cells must
 	// observe ctx themselves to stop early.
 	CellTimeout time.Duration
-	// NewState, if non-nil, builds each worker's Scratch.State once,
-	// before its first cell.
-	NewState func(worker int) any
 	// OnDone, if non-nil, is called after each completed cell with the
 	// running completion count. Calls are serialized and the count is
 	// strictly increasing, but cells complete in any order.
@@ -145,9 +135,6 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) []Result[T] 
 		go func(w int) {
 			defer wg.Done()
 			scratch := &Scratch{Worker: w}
-			if opts.NewState != nil {
-				scratch.State = opts.NewState(w)
-			}
 			var cellsDone int64
 			for {
 				i := int(next.Add(1)) - 1

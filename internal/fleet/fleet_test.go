@@ -89,41 +89,28 @@ func TestCellError(t *testing.T) {
 }
 
 func TestWorkerScratchIsolationAndReuse(t *testing.T) {
-	type state struct{ worker int }
 	const n, workers = 40, 4
 	var mu sync.Mutex
-	made := 0
-	seen := make([]*state, n)
-	cells := make([]fleet.Cell[*state], n)
+	byWorker := make(map[int]*fleet.Scratch)
+	cells := make([]fleet.Cell[*fleet.Scratch], n)
 	for i := range cells {
 		i := i
-		cells[i] = fleet.Cell[*state]{Run: func(_ context.Context, s *fleet.Scratch) (*state, error) {
-			st := s.State.(*state)
-			if st.worker != s.Worker {
-				t.Errorf("cell %d: scratch of worker %d handed to worker %d", i, st.worker, s.Worker)
+		cells[i] = fleet.Cell[*fleet.Scratch]{Run: func(_ context.Context, s *fleet.Scratch) (*fleet.Scratch, error) {
+			if s.Worker < 0 || s.Worker >= workers {
+				t.Errorf("cell %d: worker %d out of range [0, %d)", i, s.Worker, workers)
 			}
 			mu.Lock()
-			seen[i] = st
-			mu.Unlock()
-			return st, nil
+			defer mu.Unlock()
+			if prev, ok := byWorker[s.Worker]; ok && prev != s {
+				t.Errorf("cell %d: worker %d handed a second Scratch", i, s.Worker)
+			}
+			byWorker[s.Worker] = s
+			return s, nil
 		}}
 	}
-	results := fleet.Run(context.Background(), cells, fleet.Options{
-		Workers: workers,
-		NewState: func(w int) any {
-			mu.Lock()
-			made++
-			mu.Unlock()
-			return &state{worker: w}
-		},
-	})
-	if made > workers {
-		t.Fatalf("NewState called %d times for %d workers", made, workers)
-	}
-	// Scratch state is stable across every cell a worker ran.
-	for i, r := range results {
-		if seen[i] == nil || r.Value != seen[i] {
-			t.Fatalf("cell %d: scratch changed between run and result", i)
+	for i, r := range fleet.Run(context.Background(), cells, fleet.Options{Workers: workers}) {
+		if r.Value == nil || r.Value.Worker != r.Worker {
+			t.Fatalf("cell %d: ran on worker %d with another worker's Scratch", i, r.Worker)
 		}
 	}
 }

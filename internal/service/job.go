@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rff/internal/campaign"
+	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/store"
 	"rff/internal/telemetry"
@@ -218,8 +219,13 @@ func (c *artifactCollector) observe(res *exec.Result) {
 		return
 	}
 	f := *res.Failure
-	art := newReplayArtifact(res.Program, res.Seed, &f, res.Trace.ThreadOrder())
-	data, err := encodeArtifact(art)
+	// The standard crash artifact, encoded in Artifact.Save's format: a
+	// fetched blob is a valid `rff replay` file.
+	data, err := core.EncodeArtifact(core.NewArtifact(res.Program, core.FailureRecord{
+		Seed:      res.Seed,
+		Failure:   &f,
+		Decisions: res.Trace.ThreadOrder(),
+	}))
 	if err != nil {
 		return // unserializable failure: droppable, the outcome still records it
 	}

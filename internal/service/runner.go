@@ -10,28 +10,10 @@ import (
 
 	"rff/internal/budget"
 	"rff/internal/campaign"
-	"rff/internal/core"
-	"rff/internal/exec"
 	"rff/internal/store"
 	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
-
-// newReplayArtifact packs one observed failure into the standard crash
-// artifact shape (the same core.Artifact that `rff replay` consumes).
-func newReplayArtifact(program string, seed int64, f *exec.Failure, decisions []exec.ThreadID) *core.Artifact {
-	return core.NewArtifact(program, core.FailureRecord{
-		Seed:      seed,
-		Failure:   f,
-		Decisions: decisions,
-	})
-}
-
-// encodeArtifact renders the canonical artifact bytes — identical to
-// Artifact.Save's format, so a fetched blob is a valid crash file.
-func encodeArtifact(a *core.Artifact) ([]byte, error) {
-	return core.EncodeArtifact(a)
-}
 
 // runJob executes one campaign end to end: resolve the workload and
 // tools, run the evaluation matrix under the job's context, persist the

@@ -77,7 +77,7 @@ func LoadCorpus(dir string, cfg Config) (*Triager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("triage corpus: cluster %s: %w", c.ID, err)
 		}
-		bytes, err := encodeArtifact(art)
+		bytes, err := core.EncodeArtifact(art)
 		if err != nil {
 			return nil, fmt.Errorf("triage corpus: cluster %s: %w", c.ID, err)
 		}

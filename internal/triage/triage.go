@@ -235,12 +235,6 @@ type Outcome struct {
 	Dedup bool
 }
 
-// encodeArtifact renders the canonical artifact JSON (the content that
-// gets addressed and stored).
-func encodeArtifact(a *core.Artifact) ([]byte, error) {
-	return core.EncodeArtifact(a)
-}
-
 // resolveProgram finds the executable body for an artifact's program
 // name: generated programs regenerate from the name, benchmark programs
 // resolve through the registry.
@@ -267,7 +261,7 @@ func (t *Triager) Add(a *core.Artifact, tool string) (Outcome, error) {
 	if err := a.Validate(); err != nil {
 		return Outcome{}, fmt.Errorf("triage: invalid artifact: %w", err)
 	}
-	data, err := encodeArtifact(a)
+	data, err := core.EncodeArtifact(a)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("triage: %w", err)
 	}
@@ -322,7 +316,7 @@ func (t *Triager) Add(a *core.Artifact, tool string) (Outcome, error) {
 	for _, d := range res.Decisions {
 		min.Decisions = append(min.Decisions, int32(d))
 	}
-	minData, err := encodeArtifact(min)
+	minData, err := core.EncodeArtifact(min)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("triage: %w", err)
 	}
