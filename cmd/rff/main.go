@@ -61,7 +61,7 @@ func main() {
 	case "tools":
 		cmdTools(os.Args[2:])
 	case "run":
-		cmdRun(os.Args[2:])
+		os.Exit(cmdRun(os.Args[2:]))
 	case "explore":
 		cmdExplore(os.Args[2:])
 	case "replay":
@@ -204,7 +204,10 @@ func (s *telemetrySession) close() {
 	}
 }
 
-func cmdRun(args []string) {
+// cmdRun runs the run subcommand and returns its exit status. It never
+// exits itself, so the deferred profile stop and telemetry flush always
+// run.
+func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	prog := fs.String("prog", "", "benchmark program name (see `rff list`)")
 	toolsFlag := fs.String("tools", "", "comma-separated strategy specs to run (see `rff tools`; default rff)")
@@ -232,7 +235,7 @@ func cmdRun(args []string) {
 	p, err := bench.Resolve(*prog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	specText := *toolsFlag
 	if specText == "" {
@@ -241,17 +244,19 @@ func cmdRun(args []string) {
 	specs, err := strategy.ParseSpecs(specText)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	// Canonicalize up front: an invalid spec fails before any set-up,
 	// and the checks below compare canonical specs.
 	for i, s := range specs {
 		if specs[i], err = strategy.Canonical(s); err != nil {
 			fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	wantsVerbose := *verbose || *doMin || *outDir != "" || *races
+	epochsSet := false
+	fs.Visit(func(f *flag.Flag) { epochsSet = epochsSet || f.Name == "budget-epochs" })
 	for _, bad := range []struct {
 		when bool
 		msg  string
@@ -261,19 +266,20 @@ func cmdRun(args []string) {
 		{*shards < 0, "-shards must be >= 0"},
 		{wantsVerbose && (len(specs) != 1 || specs[0] != "rff"), "-v/-minimize/-out/-races apply to -tools rff only"},
 		{wantsVerbose && *budgetPolicy != "", "-budget-policy is incompatible with -v/-minimize/-out/-races"},
+		{epochsSet && *budgetPolicy == "", "-budget-epochs requires -budget-policy"},
 		// The sharded runner recycles traces on its shards before the
 		// barrier, so there is nothing for a TraceObserver to see.
 		{*races && *shards >= 1, "-races is incompatible with -shards; run the race detector unsharded"},
 	} {
 		if bad.when {
 			fmt.Fprintf(os.Stderr, "rff: %s\n", bad.msg)
-			os.Exit(1)
+			return 1
 		}
 	}
 	stopCPU, err := perf.StartCPUProfile(*cpuProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer func() {
 		stopCPU()
@@ -284,13 +290,13 @@ func cmdRun(args []string) {
 	ts, err := startTelemetry(*metricsPath, *eventsPath, *progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer ts.close()
 	tools, err := strategy.ResolveAll(specs, strategy.Config{Telemetry: ts.sink(), Shards: *shards})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	names := make([]string, len(tools))
 	for i, tl := range tools {
@@ -350,7 +356,7 @@ func cmdRun(args []string) {
 		if !rep.FoundBug() {
 			fmt.Printf("%s: no bug in %d schedules (%d rf pairs, %d combos, corpus %d)\n",
 				p.Name, rep.Executions, rep.UniquePairs, rep.UniqueSigs, rep.CorpusSize)
-			return
+			return 0
 		}
 		f := rep.Failures[0]
 		fmt.Printf("%s: bug at schedule %d\n", p.Name, rep.FirstBug)
@@ -361,7 +367,7 @@ func cmdRun(args []string) {
 			res := minimize.Minimize(p.Name, p.Body, f.Decisions, f.Failure, minimize.Options{MaxSteps: *maxSteps})
 			if res == nil {
 				fmt.Println("  minimize: original schedule did not reproduce")
-				return
+				return 0
 			}
 			fmt.Printf("  minimize: %d -> %d context switches (%d preemptions) in %d probes\n",
 				res.OriginalSwitches, res.MinimalSwitches, res.Preemptions, res.Probes)
@@ -373,18 +379,19 @@ func cmdRun(args []string) {
 			paths, err := core.SaveFailures(*outDir, rep)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "rff: saving artifacts: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			for _, path := range paths {
 				fmt.Printf("  artifact: %s\n", path)
 			}
 		}
-		return
+		return 0
 	}
 
 	// Every trial of every tool is one matrix cell; the matrix runs them
-	// on a fleet pool with results identical at any -workers count. A
-	// fixed budget is one uniform epoch of the budgeted runner's pool.
+	// on a fleet pool with results identical at any -workers count.
+	// Without -budget-policy the matrix spends its pool as one uniform
+	// epoch, which is exactly a fixed budget per trial.
 	var bcfg *budgetpkg.Config
 	if *budgetPolicy != "" {
 		bcfg = &budgetpkg.Config{Policy: *budgetPolicy, Epochs: *budgetEpochs}
@@ -402,7 +409,7 @@ func cmdRun(args []string) {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	for _, toolName := range m.Tools {
 		outs := m.Outcomes[toolName][p.Name]
@@ -432,6 +439,7 @@ func cmdRun(args []string) {
 				c.Tool, c.Spent, c.Allocated, c.SharePct, c.NewPairs, status)
 		}
 	}
+	return 0
 }
 
 func cmdReplay(args []string) {

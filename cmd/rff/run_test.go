@@ -53,6 +53,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-tools", "rff:nofb", "-minimize"},
 		{"-races", "-budget-policy", "ucb"},
 		{"-races", "-shards", "2"},
+		{"-budget-epochs", "3"},
 	} {
 		stdout, stderr, code := rff(t, append([]string{"run", "-prog", "CS/account"}, args...)...)
 		if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "rff: ") {
@@ -61,6 +62,23 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("rejected -out run created %s", dir)
+	}
+}
+
+// A run that fails after its profile and event stream are open still
+// stops the profile and closes the stream before exiting 1.
+func TestRunFailureFlushesProfileAndEvents(t *testing.T) {
+	dir := t.TempDir()
+	events, profile := filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "c.pprof")
+	_, stderr, code := rff(t, "run", "-prog", "CS/account", "-budget-policy", "ucb", "-shards", "2",
+		"-events", events, "-cpuprofile", profile)
+	if code != 1 || !strings.Contains(stderr, "sharded") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming the sharded conflict", code, stderr)
+	}
+	for _, path := range []string{events, profile} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s left empty or missing (%v)", filepath.Base(path), err)
+		}
 	}
 }
 

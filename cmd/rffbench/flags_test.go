@@ -226,6 +226,7 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{"triage", "-progen-seed", "1", "-tools", "pct:x"},
 		{"table-b", "-budget-policy", "nosuch"},
 		{"conformance", "-budget-policy", "nosuch"},
+		{"table-b", "-budget-epochs", "3"},
 		{"conformance", "-grammar", "nosuch"},
 		{"sched-eval", "-grammar", "nosuch"},
 		{"triage", "-progen-seed", "1", "-progen-grammar", "nosuch"},

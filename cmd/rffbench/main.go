@@ -221,8 +221,8 @@ func (s *shared) register(fs *flag.FlagSet, take []string) {
 	fs.StringVar(&s.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 }
 
-// validate resolves -tools and checks -budget-policy, so a typo fails
-// before the run starts.
+// validate resolves -tools and checks -budget-policy and
+// -budget-epochs, so a typo fails before the run starts.
 func (s *shared) validate(fs *flag.FlagSet) error {
 	if fs.Lookup("tools") != nil {
 		specs, err := strategy.ParseSpecs(s.tools)
@@ -237,6 +237,13 @@ func (s *shared) validate(fs *flag.FlagSet) error {
 	if b := s.budgeter(); b != nil {
 		if err := b.Validate(); err != nil {
 			return usageError{err}
+		}
+	}
+	if fs.Lookup("budget-policy") != nil && s.budgetPolicy == "" {
+		epochsSet := false
+		fs.Visit(func(f *flag.Flag) { epochsSet = epochsSet || f.Name == "budget-epochs" })
+		if epochsSet {
+			return usagef("-budget-epochs requires -budget-policy")
 		}
 	}
 	return nil

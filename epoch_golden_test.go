@@ -1,13 +1,14 @@
 package repro
 
 // Epoch oracle: a committed digest of the two epoch-driven execution
-// modes — budgeted matrices (campaign + budget allocator), budgeted
+// modes — matrices (campaign + budget allocator, budgeted or fixed),
 // conformance runs, and sharded campaigns (shard barrier). The other
 // determinism tests pin these modes only against themselves across
 // worker and shard counts; this one pins them against a recorded past,
 // so a rewrite of the epoch machinery must reproduce every outcome,
 // budget report, allocation trace, budget-epoch event, fixed-budget
-// conformance report, sharded report and failure stream byte for byte.
+// matrix and conformance report, sharded report and failure stream
+// byte for byte.
 //
 // Regenerate (only for an intentional semantic change) with
 //
@@ -112,6 +113,39 @@ func renderBudgetedMatrices(b *bytes.Buffer) {
 	}
 }
 
+// renderFixedMatrices pins matrices without a Budgeter: every trial gets
+// the fixed budget (budget x trials for a deterministic tool), and no
+// budget report is produced. Panic stacks carry line numbers, so they
+// are left out of the hash.
+func renderFixedMatrices(b *bytes.Buffer) {
+	progs := epochBenchPrograms()
+	for _, seed := range epochSeeds {
+		for _, trials := range []int{1, 2} {
+			res, err := strategy.RunMatrix(context.Background(), strategy.DefaultSpecs(), progs, strategy.Config{
+				Trials:   trials,
+				Budget:   60,
+				MaxSteps: 5000,
+				BaseSeed: seed,
+				Workers:  2,
+			})
+			if err != nil {
+				panic(err)
+			}
+			for _, byProg := range res.Outcomes {
+				for _, outs := range byProg {
+					for i := range outs {
+						outs[i].Stack = ""
+					}
+				}
+			}
+			h := sha256.New()
+			writeJSON(h, res)
+			fmt.Fprintf(b, "matrix fixed seed=%d trials=%d report=%t errors=%d %x\n",
+				seed, trials, res.BudgetReport != nil, len(res.TrialErrors()), h.Sum(nil)[:12])
+		}
+	}
+}
+
 func renderBudgetedConformance(b *bytes.Buffer) {
 	for _, seed := range []int64{1, 2} {
 		rep := conformance.Run(conformance.Options{
@@ -193,6 +227,7 @@ func writeReport(h hash.Hash, rep *core.Report) {
 func renderEpochDigest() []byte {
 	var b bytes.Buffer
 	renderBudgetedMatrices(&b)
+	renderFixedMatrices(&b)
 	renderBudgetedConformance(&b)
 	renderFixedConformance(&b)
 	renderShards(&b)

@@ -11,16 +11,16 @@ import (
 	"rff/internal/telemetry"
 )
 
-// This file is the adaptive-budget matrix runner: instead of handing
-// every (tool, program, trial) cell a fixed budget up front, the total
-// execution pool (Budget x Trials x cells) is spent in epochs. Each
-// epoch is one fleet wave; at the barrier the runner folds every
-// cell's marginal rf-pair coverage and first-bug events into the
-// budget.Allocator, which decides the next epoch's shares. All
-// allocation decisions happen at the barrier in deterministic cell
-// order from barrier-merged data, so the outcome matrix, the
-// allocation trace, and the budget report are bit-identical at any
-// worker count.
+// This file is the matrix runner: the total execution pool (Budget x
+// Trials x cells) is spent in epochs. Each epoch is one fleet wave; at
+// the barrier the runner folds every cell's marginal rf-pair coverage
+// and first-bug events into the budget.Allocator, which decides the
+// next epoch's shares. All allocation decisions happen at the barrier
+// in deterministic cell order from barrier-merged data, so the outcome
+// matrix, the allocation trace, and the budget report are
+// bit-identical at any worker count. A matrix without a Budgeter is
+// one uniform epoch: every trial gets exactly its fixed budget, and
+// neither coverage nor a budget report is collected.
 
 // PairCover records the first time a (tool, program) cell covered an
 // rf-pair, at an epoch-granular global execution index: executions
@@ -119,8 +119,12 @@ type budgetedPair struct {
 	done     bool
 }
 
-func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Program, opts MatrixOptions, workers int) *MatrixResult {
-	bcfg := *opts.Budgeter
+func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts MatrixOptions, workers int) *MatrixResult {
+	budgeted := opts.Budgeter != nil
+	bcfg := budget.Config{Policy: "uniform", Epochs: 1}
+	if budgeted {
+		bcfg = *opts.Budgeter
+	}
 	maxTrials := 1
 	var pairs []*budgetedPair
 	res := &MatrixResult{
@@ -132,8 +136,9 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 		res.Outcomes[tl.Name()] = make(map[string][]Outcome)
 		trials := opts.Trials
 		if tl.Deterministic() {
-			// As in the fixed matrix, deterministic tools run a single
-			// trial that absorbs the whole per-pair entitlement.
+			// Deterministic tools run a single trial that absorbs the
+			// whole per-pair entitlement (the paper gives every tool
+			// the same budget).
 			trials = 1
 		}
 		if trials > maxTrials {
@@ -172,16 +177,16 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 	}
 	bcfg = alloc.Config()
 	totalPool := int64(opts.Budget) * int64(opts.Trials) * int64(len(pairs))
-	epochs := bcfg.Epochs
+	tel := opts.Telemetry
 
-	if t := opts.Telemetry; t != nil {
-		t.Emit(telemetry.EvCampaignStart, telemetry.Fields{
+	if tel != nil {
+		tel.Emit(telemetry.EvCampaignStart, telemetry.Fields{
 			"tools":         res.Tools,
 			"programs":      len(res.Programs),
 			"trials":        opts.Trials,
 			"budget":        opts.Budget,
 			"budget_policy": bcfg.Policy,
-			"epochs":        epochs,
+			"epochs":        bcfg.Epochs,
 			"pool":          totalPool,
 			"workers":       workers,
 		})
@@ -196,7 +201,7 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			pair  int
 			trial int
 			share int
-			col   *pairCollector
+			col   *pairCollector // nil without a Budgeter
 		}
 		var jobs []epochJob
 		for pi, share := range shares {
@@ -217,7 +222,11 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 					s++
 				}
 				if s > 0 {
-					jobs = append(jobs, epochJob{pair: pi, trial: ti, share: s, col: newPairCollector()})
+					j := epochJob{pair: pi, trial: ti, share: s}
+					if budgeted {
+						j.col = newPairCollector()
+					}
+					jobs = append(jobs, j)
 				}
 			}
 		}
@@ -226,11 +235,13 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			j := j
 			ps := pairs[j.pair]
 			cells[i] = fleet.Cell[Outcome]{
-				ID:   fmt.Sprintf("%s/%s[%d]@e%d", ps.toolName, ps.program.Name, j.trial, e),
+				ID: fmt.Sprintf("%s/%s[%d]@e%d", ps.toolName, ps.program.Name, j.trial, e),
+				// The canonical strategy name labels the fleet's per-cell
+				// telemetry series, keeping per-strategy durations apart.
 				Spec: ps.toolName,
 				Run: func(cctx context.Context, _ *fleet.Scratch) (Outcome, error) {
 					tool := ps.tool
-					if ot, ok := tool.(ObservableTool); ok {
+					if ot, ok := tool.(ObservableTool); ok && j.col != nil {
 						tool = ot.WithObserver(j.col.observe)
 					}
 					seed := budget.EpochSeed(TrialSeed(opts.BaseSeed, ps.toolName, ps.program.Name, j.trial), e)
@@ -241,7 +252,8 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 		results := fleet.Run(ctx, cells, fleet.Options{
 			Workers:     workers,
 			CellTimeout: opts.TrialTimeout,
-			Telemetry:   opts.Telemetry,
+			OnDone:      opts.Progress,
+			Telemetry:   tel,
 		})
 
 		// Barrier: fold the wave back in deterministic job order, then
@@ -254,7 +266,10 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			ts := &ps.trials[j.trial]
 			y := &ys[j.pair].Reward
 			out := r.Value
-			if r.Err != nil {
+			// Any other error is a cell the cancelled pool never
+			// started: its trial stays unfinished, and the final
+			// accounting records the abort.
+			if r.Panicked {
 				out = Outcome{Err: r.Err.Error(), Stack: r.Stack}
 			}
 			if out.Found() && ts.firstBug == 0 {
@@ -279,6 +294,9 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				ts.sigs = out.UniqueSigs
 			}
 			y.Executions += out.Executions
+			if j.col == nil {
+				continue
+			}
 			for _, pk := range j.col.order {
 				if _, dup := ps.seen[pk]; dup {
 					continue
@@ -311,9 +329,9 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			waveNew += ys[pi].Reward.NewPairs
 		}
 		globalSpent += waveExecs
-		if t := opts.Telemetry; t != nil {
-			t.Add(telemetry.MBudgetEpochs, 1)
-			t.Emit(telemetry.EvBudgetEpoch, telemetry.Fields{
+		if tel != nil && budgeted {
+			tel.Add(telemetry.MBudgetEpochs, 1)
+			tel.Emit(telemetry.EvBudgetEpoch, telemetry.Fields{
 				"epoch":      e,
 				"pool":       pool,
 				"executions": waveExecs,
@@ -322,14 +340,10 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				"spent":      globalSpent,
 			})
 		}
-		if opts.Progress != nil {
-			opts.Progress(e+1, epochs)
-		}
 		return ys
 	})
 
-	// Final accounting in matrix order: outcomes, trial events, and the
-	// budget report.
+	// Final accounting in matrix order: outcomes and trial events.
 	cancelled := ctx.Err()
 	for _, ps := range pairs {
 		for ti := range ps.trials {
@@ -346,29 +360,64 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 				Err:        ts.err,
 				Stack:      ts.stack,
 			}
-			res.Outcomes[ps.toolName][ps.program.Name][ti] = out
-			if t := opts.Telemetry; t != nil {
-				recordTrial(t, ps.toolName, ps.program.Name, ti, out)
-				if !out.Errored() {
-					t.Emit(telemetry.EvTrialDone, telemetry.Fields{
-						"tool":       ps.toolName,
-						"program":    ps.program.Name,
-						"trial":      ti,
-						"executions": out.Executions,
-						"first_bug":  out.FirstBug,
-					})
+			if !budgeted {
+				// A fixed trial is censored at its entitlement.
+				out.Budget = opts.Budget
+				if ps.tool.Deterministic() {
+					out.Budget *= opts.Trials
 				}
+			}
+			res.Outcomes[ps.toolName][ps.program.Name][ti] = out
+			if tel != nil {
+				recordTrial(tel, ps.toolName, ps.program.Name, ti, out)
 			}
 		}
 	}
+	if budgeted {
+		res.BudgetReport = budgetReport(alloc, pairs, globalSpent, totalPool, tel)
+	}
+	if tel != nil {
+		tel.Emit(telemetry.EvCampaignDone, telemetry.Fields{
+			"epochs": alloc.Epoch(),
+			"pool":   totalPool,
+			"spent":  globalSpent,
+			"errors": len(res.TrialErrors()),
+		})
+	}
+	return res
+}
 
+// recordTrial counts one finished trial and emits its terminal event:
+// trial-done, or trial_error (with the panic stack) when it aborted.
+func recordTrial(t telemetry.Sink, tool, program string, trial int, out Outcome) {
+	labels := []telemetry.Label{{Name: "tool", Value: tool}, {Name: "program", Value: program}}
+	t.Add(telemetry.MTrialsDone, 1, labels...)
+	fields := telemetry.Fields{"tool": tool, "program": program, "trial": trial}
+	if !out.Errored() {
+		fields["executions"] = out.Executions
+		fields["first_bug"] = out.FirstBug
+		t.Emit(telemetry.EvTrialDone, fields)
+		return
+	}
+	t.Add(telemetry.MTrialPanics, 1, labels...)
+	fields["error"] = out.Err
+	if out.Stack != "" {
+		fields["stack"] = out.Stack
+	}
+	t.Emit(telemetry.EvTrialError, fields)
+}
+
+// budgetReport builds a budgeted matrix's allocation record and sets
+// the per-cell share gauges and the reallocation counter.
+func budgetReport(alloc *budget.Allocator, pairs []*budgetedPair, spent, pool int64, tel telemetry.Sink) *BudgetReport {
+	bcfg := alloc.Config()
 	states := alloc.Cells()
 	rep := &BudgetReport{
 		Policy:        bcfg.Policy,
 		Epochs:        alloc.Epoch(),
 		MinShare:      bcfg.MinShare,
-		Pool:          totalPool,
-		Spent:         globalSpent,
+		Pool:          pool,
+		Spent:         spent,
 		Reallocations: alloc.Reallocations(),
 		Trace:         alloc.Trace(),
 	}
@@ -385,24 +434,17 @@ func runMatrixBudgeted(ctx context.Context, tools []Tool, programs []bench.Progr
 			Done:      ps.done,
 			Covers:    ps.covers,
 		}
-		if globalSpent > 0 {
-			cell.SharePct = 100 * float64(st.Spent) / float64(globalSpent)
+		if spent > 0 {
+			cell.SharePct = 100 * float64(st.Spent) / float64(spent)
 		}
 		rep.Cells = append(rep.Cells, cell)
-		if t := opts.Telemetry; t != nil {
-			t.Set(telemetry.MBudgetShare, int64(cell.SharePct+0.5),
+		if tel != nil {
+			tel.Set(telemetry.MBudgetShare, int64(cell.SharePct+0.5),
 				telemetry.L("tool", ps.toolName), telemetry.L("program", ps.program.Name))
 		}
 	}
-	res.BudgetReport = rep
-	if t := opts.Telemetry; t != nil {
-		t.Add(telemetry.MBudgetReallocations, int64(rep.Reallocations))
-		t.Emit(telemetry.EvCampaignDone, telemetry.Fields{
-			"epochs": rep.Epochs,
-			"pool":   rep.Pool,
-			"spent":  rep.Spent,
-			"errors": len(res.TrialErrors()),
-		})
+	if tel != nil {
+		tel.Add(telemetry.MBudgetReallocations, int64(rep.Reallocations))
 	}
-	return res
+	return rep
 }

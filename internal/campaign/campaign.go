@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -15,7 +16,6 @@ import (
 	"rff/internal/budget"
 	"rff/internal/core"
 	"rff/internal/exec"
-	"rff/internal/fleet"
 	"rff/internal/shard"
 	"rff/internal/stats"
 	"rff/internal/telemetry"
@@ -28,7 +28,9 @@ type Outcome struct {
 	FirstBug int
 	// Executions is the number of schedules actually run.
 	Executions int
-	// Budget is the schedule budget the trial ran under.
+	// Budget is the schedule budget the trial ran under: its fixed
+	// entitlement, or under a Budgeter the executions it was spent
+	// across epochs. An unfound trial is censored here.
 	Budget int
 	// CorpusSize and UniqueSigs carry the greybox fuzzer's final
 	// feedback state (zero for tools without a corpus); the parallel-
@@ -372,20 +374,27 @@ type MatrixOptions struct {
 	// outcomes wall-clock-dependent — leave it 0 for reproducible
 	// matrices.
 	TrialTimeout time.Duration
-	// Progress, if non-nil, is called after each completed trial.
+	// Progress, if non-nil, is called after each completed cell of an
+	// epoch wave with the wave's (done, total) count. A fixed-budget
+	// matrix is a single wave of one cell per trial, so it reports per
+	// trial; a budgeted matrix restarts the count every epoch.
 	Progress func(done, total int)
 	// Telemetry, if non-nil, receives matrix-level metrics (completed
 	// trials per tool/program, recovered trial panics, fleet worker
-	// metrics) and the campaign event stream (campaign-start,
-	// trial-done, trial_error, campaign-done).
+	// metrics) and the campaign event stream: campaign-start, then
+	// trial-done or trial_error per trial at the final barrier in matrix
+	// order, then campaign-done. The budget series (budget-epoch events,
+	// budget_epochs, budget_share_pct, budget_reallocations) are emitted
+	// only under a Budgeter.
 	Telemetry telemetry.Sink
-	// Budgeter, when non-nil with a non-empty Policy, switches the
-	// matrix to adaptive budget scheduling: the total execution pool
-	// (Budget x Trials x cells) is spent in epochs, reallocated across
-	// (tool, program) cells by the named policy. Callers must validate
-	// the config first (budget.Config.Validate); an invalid policy
-	// panics here. TrialTimeout applies per epoch cell rather than per
-	// trial in this mode.
+	// Budgeter, when non-nil, switches the matrix to adaptive budget
+	// scheduling: the total execution pool (Budget x Trials x cells) is
+	// spent in epochs, reallocated across (tool, program) cells by the
+	// named policy from their rf-pair coverage, and the result carries
+	// a BudgetReport. Callers must validate the config first
+	// (budget.Config.Validate); an invalid policy panics here.
+	// TrialTimeout applies per epoch cell rather than per trial in this
+	// mode. Nil runs fixed budgets: one uniform epoch.
 	Budgeter *budget.Config
 }
 
@@ -407,20 +416,22 @@ func RunMatrix(tools []Tool, programs []bench.Program, opts MatrixOptions) *Matr
 	return RunMatrixContext(context.Background(), tools, programs, opts)
 }
 
-// RunMatrixContext executes the evaluation matrix under ctx. The matrix
-// decomposes into independent (tool, program, trial) cells; a fleet
-// pool runs them concurrently (MatrixOptions.Workers bounds the pool)
-// and the merge barrier re-orders completed cells into the exact
-// sequential result. Every cell draws its seed from TrialSeed, no
-// mutable state is shared across workers, and aggregate telemetry is
-// merged at the barrier in cell order — so the returned MatrixResult is
-// bit-identical at any worker count.
+// RunMatrixContext executes the evaluation matrix under ctx. The
+// matrix decomposes into independent (tool, program, trial) cells, and
+// every matrix is spent by one epoch runner (budgeted.go): without a
+// Budgeter the pool runs as one uniform epoch, which hands every cell
+// exactly its fixed budget. Each epoch is one fleet wave
+// (MatrixOptions.Workers bounds the pool) whose barrier folds the
+// completed cells back in matrix order. Every cell draws its seed from
+// TrialSeed, no mutable state is shared across workers, and aggregate
+// telemetry is merged at the barriers in cell order — so the returned
+// MatrixResult is bit-identical at any worker count.
 //
 // A panicking trial is contained by the pool: its outcome records the
 // error and the scrubbed panic stack, and the matrix keeps running.
-// Cancelling ctx aborts unstarted cells (their outcomes record the
-// cancellation error); cells already inside a non-interruptible tool
-// finish first.
+// Cancelling ctx aborts unstarted cells, whose outcomes read "trial
+// aborted after N schedules"; cells already inside a non-interruptible
+// tool finish first.
 func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Program, opts MatrixOptions) *MatrixResult {
 	if opts.Trials <= 0 {
 		opts.Trials = 1
@@ -432,131 +443,7 @@ func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Progra
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Budgeter != nil && opts.Budgeter.Policy != "" {
-		return runMatrixBudgeted(ctx, tools, programs, opts, workers)
-	}
-
-	res := &MatrixResult{
-		Budget:   opts.Budget,
-		Outcomes: make(map[string]map[string][]Outcome),
-	}
-	type job struct {
-		tool    Tool
-		program bench.Program
-		trial   int
-		budget  int
-	}
-	var jobs []job
-	for _, tl := range tools {
-		res.Tools = append(res.Tools, tl.Name())
-		res.Outcomes[tl.Name()] = make(map[string][]Outcome)
-		trials := opts.Trials
-		budget := opts.Budget
-		if tl.Deterministic() {
-			// Deterministic tools run once but receive the same total
-			// compute as a randomized tool's trial set (the paper gives
-			// every tool the same wall-clock budget).
-			trials = 1
-			budget *= opts.Trials
-		}
-		for _, p := range programs {
-			res.Outcomes[tl.Name()][p.Name] = make([]Outcome, trials)
-			for tr := 0; tr < trials; tr++ {
-				jobs = append(jobs, job{tl, p, tr, budget})
-			}
-		}
-	}
-	for _, p := range programs {
-		res.Programs = append(res.Programs, p.Name)
-	}
-
-	if t := opts.Telemetry; t != nil {
-		t.Emit(telemetry.EvCampaignStart, telemetry.Fields{
-			"tools":    res.Tools,
-			"programs": len(res.Programs),
-			"trials":   opts.Trials,
-			"budget":   opts.Budget,
-			"jobs":     len(jobs),
-			"workers":  workers,
-		})
-	}
-
-	cells := make([]fleet.Cell[Outcome], len(jobs))
-	for i, j := range jobs {
-		j := j
-		cells[i] = fleet.Cell[Outcome]{
-			ID: fmt.Sprintf("%s/%s[%d]", j.tool.Name(), j.program.Name, j.trial),
-			// The canonical strategy name labels the fleet's per-cell
-			// telemetry series, keeping per-strategy durations apart.
-			Spec: j.tool.Name(),
-			Run: func(ctx context.Context, s *fleet.Scratch) (Outcome, error) {
-				seed := TrialSeed(opts.BaseSeed, j.tool.Name(), j.program.Name, j.trial)
-				out := j.tool.Run(ctx, j.program, j.budget, opts.MaxSteps, seed)
-				// Streamed while the matrix runs, tagged with the full
-				// cell identity so interleaved workers stay told apart.
-				// The terminal event of a panicking cell is instead the
-				// trial_error emitted at the merge barrier.
-				if t := opts.Telemetry; t != nil && !out.Errored() {
-					t.Emit(telemetry.EvTrialDone, telemetry.Fields{
-						"tool":       j.tool.Name(),
-						"program":    j.program.Name,
-						"trial":      j.trial,
-						"executions": out.Executions,
-						"first_bug":  out.FirstBug,
-						"worker":     s.Worker,
-					})
-				}
-				return out, nil
-			},
-		}
-	}
-
-	results := fleet.Run(ctx, cells, fleet.Options{
-		Workers:     workers,
-		CellTimeout: opts.TrialTimeout,
-		OnDone:      opts.Progress,
-		Telemetry:   opts.Telemetry,
-	})
-
-	// Merge barrier: fold completed cells back into matrix order. The
-	// result maps, the aggregate counters, and the trial_error events
-	// are all populated in deterministic cell order here, independent of
-	// which worker finished which cell when.
-	for i, r := range results {
-		j := jobs[i]
-		out := r.Value
-		if r.Err != nil {
-			out = Outcome{Budget: j.budget, Err: r.Err.Error(), Stack: r.Stack}
-		}
-		res.Outcomes[j.tool.Name()][j.program.Name][j.trial] = out
-		if t := opts.Telemetry; t != nil {
-			recordTrial(t, j.tool.Name(), j.program.Name, j.trial, out)
-		}
-	}
-	if t := opts.Telemetry; t != nil {
-		t.Emit(telemetry.EvCampaignDone, telemetry.Fields{
-			"jobs":   len(jobs),
-			"errors": len(res.TrialErrors()),
-		})
-	}
-	return res
-}
-
-// recordTrial counts one finished trial and, when it errored, emits its
-// trial_error event. Both matrix runners call it at their final barrier,
-// in matrix order.
-func recordTrial(t telemetry.Sink, tool, program string, trial int, out Outcome) {
-	labels := []telemetry.Label{{Name: "tool", Value: tool}, {Name: "program", Value: program}}
-	t.Add(telemetry.MTrialsDone, 1, labels...)
-	if !out.Errored() {
-		return
-	}
-	t.Add(telemetry.MTrialPanics, 1, labels...)
-	fields := telemetry.Fields{"tool": tool, "program": program, "trial": trial, "error": out.Err}
-	if out.Stack != "" {
-		fields["stack"] = out.Stack
-	}
-	t.Emit(telemetry.EvTrialError, fields)
+	return runMatrix(ctx, tools, programs, opts, workers)
 }
 
 // TrialErrors lists the trials that aborted with an infrastructure
@@ -659,12 +546,7 @@ func (m *MatrixResult) CumulativeCurve(tool string) []CurvePoint {
 	if len(times) == 0 {
 		return nil
 	}
-	// Sort ascending and emit cumulative counts.
-	for i := 1; i < len(times); i++ {
-		for j := i; j > 0 && times[j] < times[j-1]; j-- {
-			times[j], times[j-1] = times[j-1], times[j]
-		}
-	}
+	slices.Sort(times)
 	pts := make([]CurvePoint, 0, len(times))
 	for i, t := range times {
 		pts = append(pts, CurvePoint{Schedules: t, Bugs: i + 1})

@@ -249,13 +249,21 @@ func TestMatrixTelemetry(t *testing.T) {
 	if len(evs) < 2 || evs[0].Kind != telemetry.EvCampaignStart || evs[len(evs)-1].Kind != telemetry.EvCampaignDone {
 		t.Fatalf("event stream not bracketed by campaign start/done (%d events)", len(evs))
 	}
-	// Every trial ends in exactly one terminal event: trial-done for a
-	// healthy trial (emitted mid-run, tagged with its cell identity) or
-	// trial_error for a panicked one (emitted at the merge barrier, with
-	// the stack).
+	// A fixed matrix carries no budget series or report.
+	if m.BudgetReport != nil {
+		t.Fatalf("fixed matrix produced a budget report: %+v", m.BudgetReport)
+	}
+	if got := snap.Total(telemetry.MBudgetEpochs); got != 0 {
+		t.Fatalf("fixed matrix counted %d budget epochs", got)
+	}
+	// Every trial ends in exactly one terminal event, emitted at the
+	// final barrier with its cell identity: trial-done for a healthy
+	// trial or trial_error (with the stack) for a panicked one.
 	trialDone, trialError := 0, 0
 	for _, ev := range evs {
 		switch ev.Kind {
+		case telemetry.EvBudgetEpoch:
+			t.Fatalf("fixed matrix emitted a budget-epoch event: %+v", ev.Fields)
 		case telemetry.EvTrialDone:
 			trialDone++
 			if ev.Fields["tool"] == nil || ev.Fields["program"] == nil || ev.Fields["trial"] == nil {
@@ -293,5 +301,21 @@ func TestMatrixTelemetry(t *testing.T) {
 	}
 	if got := snap.Value(telemetry.MFleetWorkersBusy); got != 0 {
 		t.Fatalf("fleet_workers_busy = %d at the barrier, want 0", got)
+	}
+}
+
+// A cancelled matrix records every unstarted trial as aborted and
+// censored at its fixed entitlement.
+func TestCancelledMatrixAbortsTrials(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := campaign.RunMatrixContext(ctx, mustTools(t, "pos", "genmc"), miniPrograms(t, "CS/account"),
+		campaign.MatrixOptions{Trials: 2, Budget: 100, BaseSeed: 1})
+	for tool, want := range map[string]int{"POS": 100, "GenMC*": 200} {
+		for tr, o := range m.Outcomes[tool]["CS/account"] {
+			if o.Err != "trial aborted after 0 schedules: context canceled" || o.Budget != want {
+				t.Errorf("%s[%d] = %+v, want aborted and censored at %d", tool, tr, o, want)
+			}
+		}
 	}
 }

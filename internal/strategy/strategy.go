@@ -121,7 +121,9 @@ type Config struct {
 	// every strategy stops a timed-out trial within one scheduling step
 	// and records a censored, errored outcome.
 	TrialTimeout time.Duration
-	// Progress, if non-nil, is called after each completed trial.
+	// Progress, if non-nil, is called after each completed cell of an
+	// epoch wave (campaign.MatrixOptions.Progress): per trial under
+	// fixed budgets, restarting every epoch under a Budgeter.
 	Progress func(done, total int)
 	// Shards, when >= 1, runs RFF trials on the sharded runner with
 	// that many worker shards (campaign.RFFTool.Shards).
@@ -129,13 +131,14 @@ type Config struct {
 	// is a distinct deterministic algorithm, so Shards changes results
 	// and participates in cache identity. Other strategies ignore it.
 	Shards int
-	// Budgeter, when non-nil with a non-empty Policy, runs the matrix
-	// under adaptive budget scheduling (internal/budget): the total
-	// execution pool is reallocated across (tool, program) cells at
-	// epoch barriers by the named policy. Like Shards it changes
-	// results and participates in cache identity. RunMatrix validates
-	// it; the two are mutually exclusive (the sharded runner's observer
-	// sees only failures, which would starve the reward signal).
+	// Budgeter, when non-nil, runs the matrix under adaptive budget
+	// scheduling (internal/budget): the total execution pool is
+	// reallocated across (tool, program) cells at epoch barriers by the
+	// named policy. Nil runs fixed per-trial budgets. Like Shards it
+	// changes results and participates in cache identity. RunMatrix
+	// validates it; the two are mutually exclusive (the sharded
+	// runner's observer sees only failures, which would starve the
+	// reward signal).
 	Budgeter *budget.Config
 }
 
@@ -317,7 +320,7 @@ func RunMatrix(ctx context.Context, specs []string, programs []bench.Program, cf
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Budgeter != nil && cfg.Budgeter.Policy != "" {
+	if cfg.Budgeter != nil {
 		if err := cfg.Budgeter.Validate(); err != nil {
 			return nil, err
 		}

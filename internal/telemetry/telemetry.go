@@ -155,7 +155,8 @@ const (
 	EvFirstBug = "first-bug"
 	// EvInteresting fires when a mutant is added to the corpus.
 	EvInteresting = "interesting-schedule"
-	// EvTrialDone fires after every successfully completed matrix trial.
+	// EvTrialDone fires at the matrix's final barrier, in matrix order,
+	// for every trial that finished without an infrastructure failure.
 	EvTrialDone = "trial-done"
 	// EvTrialError fires (at the merge barrier, in deterministic cell
 	// order) for every matrix trial that aborted with an infrastructure
