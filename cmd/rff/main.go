@@ -266,6 +266,7 @@ func cmdRun(args []string) int {
 		{*shards < 0, "-shards must be >= 0"},
 		{wantsVerbose && (len(specs) != 1 || specs[0] != "rff"), "-v/-minimize/-out/-races apply to -tools rff only"},
 		{wantsVerbose && *budgetPolicy != "", "-budget-policy is incompatible with -v/-minimize/-out/-races"},
+		{wantsVerbose && (*trials != 1 || *trialTimeout != 0), "-v/-minimize/-out/-races run one trial without a deadline: drop -trials and -trial-timeout"},
 		{epochsSet && *budgetPolicy == "", "-budget-epochs requires -budget-policy"},
 		// The sharded runner recycles traces on its shards before the
 		// barrier, so there is nothing for a TraceObserver to see.

@@ -52,6 +52,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-tools", "rff,pos", "-v"},
 		{"-tools", "rff:nofb", "-minimize"},
 		{"-races", "-budget-policy", "ucb"},
+		{"-v", "-trials", "3"},
+		{"-v", "-trial-timeout", "1ns"},
 		{"-races", "-shards", "2"},
 		{"-budget-epochs", "3"},
 	} {

@@ -29,6 +29,9 @@ func cmdConformance(fs *flag.FlagSet, s *shared) func() error {
 		"progen grammar to draw programs from ("+strings.Join(progen.Grammars(), ", ")+")")
 	out := fs.String("out", "", "directory for summary.txt, coverage.txt, and report.json (e.g. results/conformance)")
 	return func() error {
+		if err := positive(fs, "programs", "trials", "budget", "gt-budget"); err != nil {
+			return err
+		}
 		if _, err := progen.ParseGrammar(*grammar); err != nil {
 			return usageError{err}
 		}

@@ -241,6 +241,18 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{"shards", "-prog", "nosuch"},
 		{"triage"},
 		{"triage", "-in", "dir", "-progen-seed", "1"},
+		{"table-b", "-budget", "0"},
+		{"table-b", "-trials", "0"},
+		{"conformance", "-budget", "0"},
+		{"conformance", "-programs", "0"},
+		{"conformance", "-trials", "0"},
+		{"sched-eval", "-budget", "0"},
+		{"sched-eval", "-programs", "0"},
+		{"sched-eval", "-trials", "-1"},
+		{"triage", "-progen-seed", "1", "-campaign-budget", "0"},
+		{"shards", "-budget", "0"},
+		{"fig5", "-n", "0"},
+		{"classes", "-budget", "0"},
 	} {
 		err := rffbench(args)
 		if !errors.As(err, new(usageError)) {

@@ -309,6 +309,17 @@ func (s *shared) progress(unit string, n int) func(done, total int) {
 	}
 }
 
+// positive rejects a non-positive value of any of the named int flags
+// as a usage error, so no count falls back to a default or panics.
+func positive(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if n := fs.Lookup(name).Value.(flag.Getter).Get().(int); n < 1 {
+			return usagef("-%s must be >= 1, got %d", name, n)
+		}
+	}
+	return nil
+}
+
 // splitList parses a comma-separated flag value entry by entry; a bad
 // entry is a usage error, which parse words to name the entry.
 func splitList[T any](flagName, list string, parse func(string) (T, error)) ([]T, error) {
@@ -336,6 +347,9 @@ func matrix(render func(*campaign.MatrixResult), fixed ...string) subcommand {
 			progs := fs.String("progs", "", "comma-separated program list (default: all)")
 			jsonPath := fs.String("json", "", "write the experiment summary as machine-readable JSON to this file")
 			return func() error {
+				if err := positive(fs, "trials", "budget"); err != nil {
+					return err
+				}
 				ps, err := programs(*progs, *suite)
 				if err != nil {
 					return err
@@ -573,6 +587,9 @@ func cmdFig5(fs *flag.FlagSet, s *shared) func() error {
 	csv := fs.Bool("csv", false, "emit CSV instead of ASCII bars")
 	nofb := fs.Bool("nofeedback", false, "profile RFF without greybox feedback instead of POS (RQ3 ablation)")
 	return func() error {
+		if err := positive(fs, "n"); err != nil {
+			return err
+		}
 		p, err := bench.Resolve(*prog)
 		if err != nil {
 			return usageError{err}
@@ -581,13 +598,13 @@ func cmdFig5(fs *flag.FlagSet, s *shared) func() error {
 		// ideal fleet cells: identical output at any worker count, half
 		// the wall-clock with two cores.
 		cells := []fleet.Cell[*campaign.Distribution]{
-			{ID: "fig5/top", Run: func(context.Context, *fleet.Scratch) (*campaign.Distribution, error) {
+			{ID: "fig5/top", Run: func(context.Context) (*campaign.Distribution, error) {
 				if *nofb {
 					return campaign.RFDistributionRFF(p, *n, s.seed, s.maxSteps, false), nil
 				}
 				return campaign.RFDistributionPOS(p, *n, s.seed, s.maxSteps), nil
 			}},
-			{ID: "fig5/bottom", Run: func(context.Context, *fleet.Scratch) (*campaign.Distribution, error) {
+			{ID: "fig5/bottom", Run: func(context.Context) (*campaign.Distribution, error) {
 				return campaign.RFDistributionRFF(p, *n, s.seed, s.maxSteps, true), nil
 			}},
 		}
@@ -622,6 +639,9 @@ func cmdClasses(fs *flag.FlagSet, s *shared) func() error {
 	prog := fs.String("prog", "Extras/reorder_2", "program to enumerate")
 	maxExecs := fs.Int("budget", 500000, "max schedules")
 	return func() error {
+		if err := positive(fs, "budget"); err != nil {
+			return err
+		}
 		p, err := bench.Resolve(*prog)
 		if err != nil {
 			return usageError{err}
@@ -657,6 +677,9 @@ func cmdShards(fs *flag.FlagSet, s *shared) func() error {
 	counts := fs.String("shards", "1,2,4", "comma-separated shard counts (the first is the speedup baseline)")
 	target := fs.Float64("assert-speedup", 0, "fail unless the highest shard count reaches this execs/sec speedup (0 = no assert; skipped on 1 CPU)")
 	return func() error {
+		if err := positive(fs, "budget"); err != nil {
+			return err
+		}
 		p, err := bench.Resolve(*prog)
 		if err != nil {
 			return usageError{err}

@@ -37,6 +37,9 @@ func cmdSchedEval(fs *flag.FlagSet, s *shared) func() error {
 		"additionally fail when the best adaptive policy's median time-to-first-bug is worse than uniform's (ties pass)")
 	out := fs.String("out", "", "directory for summary.txt, coverage.txt, and report.json")
 	return func() error {
+		if err := positive(fs, "programs", "trials", "budget", "gt-budget"); err != nil {
+			return err
+		}
 		seeds, err := splitList("seeds", *seedsFlag, func(e string) (int64, error) {
 			return strconv.ParseInt(e, 10, 64)
 		})

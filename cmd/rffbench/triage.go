@@ -1,11 +1,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"rff/internal/bench"
 	"rff/internal/campaign"
@@ -18,9 +18,10 @@ import (
 	"rff/internal/triage"
 )
 
-// triageCollector records an artifact for every failing execution a
-// campaign-mode tool observes.
+// triageCollector records an artifact for every failing execution one
+// campaign-mode trial observes.
 type triageCollector struct {
+	tool string
 	arts []*core.Artifact
 }
 
@@ -63,6 +64,9 @@ func cmdTriage(fs *flag.FlagSet, s *shared) func() error {
 		}
 		if modes != 1 {
 			return usagef("triage: exactly one of -in, -store, -progen-seed is required")
+		}
+		if err := positive(fs, "progen-count", "campaign-budget", "trials"); err != nil {
+			return err
 		}
 		feats, err := progen.ParseGrammar(*progenGrammar)
 		if err != nil {
@@ -121,14 +125,42 @@ func triageStore(tr *triage.Triager, dir string) ([]string, error) {
 	return triage.FromStore(tr, st, idx)
 }
 
-// triageCampaign fuzzes progen-generated programs with each tool and
-// feeds every observed failure through the triager, in a deterministic
-// (tool, program, content) order.
+// triageCampaign fuzzes progen-generated programs with every tool in one
+// campaign matrix and feeds every observed failure through the triager,
+// in a deterministic (tool, program, content) order.
 func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, feats progen.Features, budget, trials int) ([]string, error) {
 	gen := progen.NewGenerator(progenSeed, progen.Options{Features: feats})
 	var programs []bench.Program
 	for i := 0; i < count; i++ {
 		programs = append(programs, gen.Next().Bench())
+	}
+	tools, err := strategy.ResolveAll(s.specs, strategy.Config{})
+	if err != nil {
+		return nil, err
+	}
+
+	// Observe runs on the matrix's coordinator; each trial's collector
+	// is then touched only by the cell running that trial.
+	type trialKey struct {
+		tool, program string
+		trial         int
+	}
+	cols := make(map[trialKey]*triageCollector)
+	m := campaign.RunMatrix(tools, programs, campaign.MatrixOptions{
+		Trials:   trials,
+		Budget:   budget,
+		MaxSteps: s.maxSteps,
+		BaseSeed: s.seed,
+		Observe: func(tool, program string, trial int) campaign.ResultObserver {
+			k := trialKey{tool, program, trial}
+			if cols[k] == nil {
+				cols[k] = &triageCollector{tool: tool}
+			}
+			return cols[k].observe
+		},
+	})
+	if errs := m.TrialErrors(); len(errs) > 0 {
+		return nil, fmt.Errorf("%d campaign trials aborted:\n  %s", len(errs), strings.Join(errs, "\n  "))
 	}
 
 	type tagged struct {
@@ -137,31 +169,13 @@ func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, 
 		data []byte
 	}
 	var arts []tagged
-	for _, spec := range s.specs {
-		col := &triageCollector{}
-		tool, err := strategy.Resolve(spec, strategy.Config{
-			Observer: campaign.ResultObserver(col.observe),
-			Budget:   budget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		runs := trials
-		if tool.Deterministic() {
-			runs = 1
-		}
-		for _, p := range programs {
-			for trial := 0; trial < runs; trial++ {
-				tool.Run(context.Background(), p, budget, s.maxSteps,
-					campaign.TrialSeed(s.seed, tool.Name(), p.Name, trial))
-			}
-		}
+	for _, col := range cols {
 		for _, a := range col.arts {
 			data, err := core.EncodeArtifact(a)
 			if err != nil {
 				continue
 			}
-			arts = append(arts, tagged{art: a, tool: tool.Name(), data: data})
+			arts = append(arts, tagged{art: a, tool: col.tool, data: data})
 		}
 	}
 	// Fix the ingestion order so first-seen ordinals (and therefore the

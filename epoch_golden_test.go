@@ -164,9 +164,9 @@ func renderBudgetedConformance(b *bytes.Buffer) {
 	}
 }
 
-// renderFixedConformance pins conformance without a budget policy: every
-// (spec, trial) cell gets the same fixed budget, which the epoch runner
-// spends as one uniform epoch.
+// renderFixedConformance pins conformance without a budget policy: each
+// program runs as a fixed-budget matrix (one uniform epoch), so every
+// trial gets the fixed budget and a deterministic tool budget x trials.
 func renderFixedConformance(b *bytes.Buffer) {
 	for _, grammar := range []string{"core", "chan"} {
 		for _, seed := range []int64{1, 2} {

@@ -202,6 +202,7 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 			trial int
 			share int
 			col   *pairCollector // nil without a Budgeter
+			obs   ResultObserver // col's, then opts.Observe's; nil for neither
 		}
 		var jobs []epochJob
 		for pi, share := range shares {
@@ -225,6 +226,10 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 					j := epochJob{pair: pi, trial: ti, share: s}
 					if budgeted {
 						j.col = newPairCollector()
+						j.obs = j.col.observe
+					}
+					if opts.Observe != nil {
+						j.obs = chainObservers(j.obs, opts.Observe(ps.toolName, ps.program.Name, ti))
 					}
 					jobs = append(jobs, j)
 				}
@@ -239,10 +244,10 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 				// The canonical strategy name labels the fleet's per-cell
 				// telemetry series, keeping per-strategy durations apart.
 				Spec: ps.toolName,
-				Run: func(cctx context.Context, _ *fleet.Scratch) (Outcome, error) {
+				Run: func(cctx context.Context) (Outcome, error) {
 					tool := ps.tool
-					if ot, ok := tool.(ObservableTool); ok && j.col != nil {
-						tool = ot.WithObserver(j.col.observe)
+					if ot, ok := tool.(ObservableTool); ok && j.obs != nil {
+						tool = ot.WithObserver(j.obs)
 					}
 					seed := budget.EpochSeed(TrialSeed(opts.BaseSeed, ps.toolName, ps.program.Name, j.trial), e)
 					return tool.Run(cctx, ps.program, j.share, opts.MaxSteps, seed), nil

@@ -84,17 +84,17 @@ type Tool interface {
 }
 
 // ResultObserver receives every counted execution's result during a trial
-// — the hook the conformance harness threads through every tool to compare
-// observed behaviors against the systematically enumerated ground truth.
-// Observers run before the trace is reclaimed and must not retain it.
+// (MatrixOptions.Observe hands one to each matrix cell). Observers run
+// before the trace is reclaimed and must not retain it.
 type ResultObserver func(res *exec.Result)
 
-// ObservableTool is the optional Tool extension the budgeted matrix
-// runner uses to watch the executions of the trials it schedules:
-// WithObserver returns a copy of the tool whose runs additionally
-// invoke obs, chained after any observer the tool already carries.
-// Every built-in tool implements it; a tool that does not simply runs
-// unobserved (its budget cells earn zero coverage reward).
+// ObservableTool is the optional Tool extension the matrix runner uses
+// to watch the executions of the trials it schedules (the Budgeter's
+// coverage collector and MatrixOptions.Observe): WithObserver returns a
+// copy of the tool whose runs additionally invoke obs, chained after
+// any observer the tool already carries. Every built-in tool implements
+// it; a tool that does not simply runs unobserved (its budget cells
+// earn zero coverage reward).
 type ObservableTool interface {
 	Tool
 	WithObserver(obs ResultObserver) Tool
@@ -396,6 +396,14 @@ type MatrixOptions struct {
 	// TrialTimeout applies per epoch cell rather than per trial in this
 	// mode. Nil runs fixed budgets: one uniform epoch.
 	Budgeter *budget.Config
+	// Observe, if non-nil, is asked once per epoch cell, on the
+	// coordinator while it builds the wave, for an observer of that
+	// (tool, program, trial) cell's executions; a nil result observes
+	// nothing. The observer is chained after the Budgeter's coverage
+	// collector through ObservableTool.WithObserver, and runs on the
+	// cell's fleet worker. Returning the same observer for every epoch
+	// of a trial gives it the trial's whole execution stream.
+	Observe func(tool, program string, trial int) ResultObserver
 }
 
 // MatrixResult holds every trial outcome, indexed by tool then program.

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"rff/internal/bench"
 	"rff/internal/budget"
+	"rff/internal/progen"
+	"rff/internal/strategy"
 )
 
 // budgetedSmallOpts mirrors smallOpts with an adaptive budget policy.
@@ -116,4 +119,54 @@ func TestBudgetedInvalidPolicyPanics(t *testing.T) {
 	}()
 	o := budgetedSmallOpts(1, "no-such-policy")
 	_ = RunContext(context.Background(), o)
+}
+
+// TestDeterministicToolsGetTrialsEntitlement: conformance runs each
+// program as a campaign matrix, so at Trials k a deterministic tool's
+// single trial absorbs Budget x k executions, exactly as
+// strategy.RunMatrix runs it for the same spec, program, seed and budget.
+func TestDeterministicToolsGetTrialsEntitlement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("enumerates ground truth for three programs")
+	}
+	specs := []string{"genmc", "period"}
+	beyondBudget := false
+	for _, seed := range []int64{1, 2, 3} {
+		opts := Options{Programs: 1, Seed: seed, Specs: specs, Trials: 2, Budget: 20}
+		rep := Run(opts)
+		if rep.Err != "" || rep.Programs != 1 {
+			t.Fatalf("seed %d: run checked %d programs: %s", seed, rep.Programs, rep.Err)
+		}
+
+		// The run's one program: the generator's first candidate that
+		// enumerates completely.
+		opts.fill()
+		gen := progen.NewGenerator(seed, opts.Gen)
+		bp := gen.Next().Bench()
+		for {
+			if _, ok := EnumeratePairs(context.Background(), bp.Name, bp.Body, opts.GTBudget, opts.MaxSteps); ok {
+				break
+			}
+			bp = gen.Next().Bench()
+		}
+		m, err := strategy.RunMatrix(context.Background(), specs, []bench.Program{bp}, strategy.Config{
+			Trials: 2, Budget: 20, MaxSteps: opts.MaxSteps, BaseSeed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range rep.Tools {
+			outs := m.Outcomes[tr.Tool][bp.Name]
+			if len(outs) != 1 || tr.TrialsRun != 1 {
+				t.Fatalf("seed %d: %s ran %d conformance / %d matrix trials, want 1", seed, tr.Tool, tr.TrialsRun, len(outs))
+			}
+			if want := int64(outs[0].Executions); tr.Executions != want {
+				t.Errorf("seed %d: %s ran %d executions on %s, the matrix %d", seed, tr.Tool, tr.Executions, bp.Name, want)
+			}
+			beyondBudget = beyondBudget || tr.Executions > int64(opts.Budget)
+		}
+	}
+	if !beyondBudget {
+		t.Error("no deterministic trial ran past Budget: the workload does not exercise the Budget x Trials entitlement")
+	}
 }

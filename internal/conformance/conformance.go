@@ -37,7 +37,6 @@ import (
 	"rff/internal/campaign"
 	"rff/internal/core"
 	"rff/internal/exec"
-	"rff/internal/fleet"
 	"rff/internal/progen"
 	"rff/internal/sched"
 	"rff/internal/strategy"
@@ -56,9 +55,11 @@ type Options struct {
 	// strategy, i.e. strategy.Names()).
 	Specs []string
 	// Trials per (program, spec) for randomized strategies; deterministic
-	// ones always run once (default 1).
+	// ones always run once, with the whole Budget x Trials entitlement,
+	// as in every campaign matrix (default 1).
 	Trials int
-	// Budget is the schedule budget per trial (default 300).
+	// Budget is the schedule budget per trial (default 300). Coverage
+	// checkpoints stop at Budget.
 	Budget int
 	// GTBudget caps the ground-truth enumeration per program; programs
 	// that do not enumerate completely within it are skipped
@@ -67,8 +68,9 @@ type Options struct {
 	// MaxSteps bounds every execution, ground truth and trials alike
 	// (default 4096).
 	MaxSteps int
-	// Workers bounds the fleet pool running a program's (spec, trial)
-	// cells (default 1; results are identical at any worker count).
+	// Workers bounds the campaign matrix's worker pool running a
+	// program's (spec, trial) cells (default 1; results are identical at
+	// any worker count).
 	Workers int
 	// MaxCandidates caps generator candidates consumed, guarding against
 	// a pathological skip rate (default 6x Programs).
@@ -79,11 +81,12 @@ type Options struct {
 	// "sync", "all"; default "core"). A non-empty value overrides
 	// Gen.Features.
 	Grammar string
-	// BudgetPolicy, when non-empty, replaces the fixed per-cell budget
-	// with an adaptive epoch allocator (see internal/budget): each
-	// program's (spec, trial) cells share a pool of Budget x cells
-	// executions, reallocated every epoch by the named policy. Results
-	// stay a pure function of (seed, options) at any worker count.
+	// BudgetPolicy, when non-empty, runs each program's matrix under the
+	// named adaptive allocation policy (campaign.MatrixOptions.Budgeter):
+	// the pool of Budget x Trials executions per spec is reallocated
+	// across the (spec, program) cells every epoch, and a cell's share
+	// splits across its live trials. Results stay a pure function of
+	// (seed, options) at any worker count.
 	BudgetPolicy string
 	// BudgetEpochs is the number of allocation epochs under BudgetPolicy
 	// (default budget.DefaultEpochs).
@@ -339,25 +342,6 @@ func (c *collector) replayCheck(body exec.Program, maxSteps int) (replays, faile
 	return replays, failed
 }
 
-// cellResult is one (spec, trial) cell's contribution to the report.
-type cellResult struct {
-	tool           string
-	executions     int
-	foundBug       bool
-	replays        int
-	replayFailures int
-	violations     []Violation
-	// coverage[i] is the fraction (0..1) of ground-truth rf-pairs
-	// covered by checkpoint i.
-	coverage []float64
-	// firstBug is the 1-based execution index of the cell's first
-	// observed failure; 0 if the cell found no bug.
-	firstBug int
-	// allocated is the execution budget the adaptive allocator granted
-	// the cell; 0 under fixed budgets.
-	allocated int64
-}
-
 // Checkpoints returns the coverage sampling points for a budget: powers
 // of two up to the budget, then the budget itself. A non-positive
 // budget yields the single checkpoint [budget].
@@ -406,154 +390,6 @@ func EnumeratePairs(ctx context.Context, name string, body exec.Program, gtBudge
 	return gt.pairs, true
 }
 
-// firstBugOf extracts a collector's first-bug execution index (0 when
-// the cell observed no failure).
-func firstBugOf(col *collector) int {
-	if len(col.failures) == 0 {
-		return 0
-	}
-	return col.failures[0].execution
-}
-
-// toolSlot is one resolved strategy spec of a run.
-type toolSlot struct {
-	spec   string
-	name   string
-	trials int
-}
-
-// progCellID addresses one (spec, trial) cell of one program.
-type progCellID struct{ slot, trial int }
-
-// runProgramBudgeted runs one program's (spec, trial) cells under an
-// epoch allocator. The cells share a pool of Budget x len(ids)
-// executions; each epoch the policy reallocates the epoch's slice by
-// observed reward (marginal ground-truth rf-pair coverage and first-bug
-// events). Without a BudgetPolicy the pool is spent as one uniform
-// epoch, which hands every cell exactly Budget executions: the fixed
-// per-cell budget. Collectors persist across epochs, so coverage
-// first-cover indexes remain cumulative per cell. Cells stop (and
-// release their budget) on their first failure, infrastructure error,
-// or recovered panic.
-//
-// The allocator and every epoch's trial seeds derive from (Seed,
-// program, cell) alone, so the result is a pure function of (seed,
-// options) at any worker count.
-func runProgramBudgeted(ctx context.Context, opts Options, cp []int, slots []toolSlot, ids []progCellID, bp bench.Program, gt *behaviorSet) []fleet.Result[cellResult] {
-	cols := make([]*collector, len(ids))
-	for i, id := range ids {
-		cols[i] = newCollector(gt, bp.Name, slots[id.slot].name)
-	}
-	done := make([]bool, len(ids))
-	cellErr := make([]error, len(ids))
-	bugSeen := make([]bool, len(ids))
-	prevExecs := make([]int, len(ids))
-	prevCovers := make([]int, len(ids))
-
-	bc := budget.Config{Policy: "uniform", Epochs: 1}
-	if opts.BudgetPolicy != "" {
-		bc = budget.Config{Policy: opts.BudgetPolicy, Epochs: opts.BudgetEpochs}
-	}
-	// fill() validated the config; New cannot fail here.
-	allocSeed := campaign.TrialSeed(opts.Seed, "budget-allocator", bp.Name, 0)
-	alloc, err := budget.New(len(ids), allocSeed, bc)
-	if err != nil {
-		panic(fmt.Sprintf("conformance: %v", err))
-	}
-	alloc.Spend(ctx, int64(opts.Budget)*int64(len(ids)), func(e, _ int, shares []int) []budget.Yield {
-		type job struct{ cell, share int }
-		var jobs []job
-		for i, s := range shares {
-			if s > 0 {
-				jobs = append(jobs, job{i, s})
-			}
-		}
-		cells := make([]fleet.Cell[campaign.Outcome], len(jobs))
-		for k, j := range jobs {
-			j := j
-			id := ids[j.cell]
-			slot := slots[id.slot]
-			col := cols[j.cell]
-			cells[k] = fleet.Cell[campaign.Outcome]{
-				ID:   fmt.Sprintf("%s/%s[%d]@e%d", slot.name, bp.Name, id.trial, e),
-				Spec: slot.name,
-				Run: func(cctx context.Context, _ *fleet.Scratch) (campaign.Outcome, error) {
-					tool, err := strategy.Resolve(slot.spec, strategy.Config{Observer: col.observe})
-					if err != nil {
-						return campaign.Outcome{}, err
-					}
-					seed := budget.EpochSeed(campaign.TrialSeed(opts.Seed, slot.name, bp.Name, id.trial), e)
-					return tool.Run(cctx, bp, j.share, opts.MaxSteps, seed), nil
-				},
-			}
-		}
-		res := fleet.Run(ctx, cells, fleet.Options{Workers: opts.Workers})
-
-		// Epoch barrier: fold outcomes and report every cell's yield,
-		// both in deterministic cell order.
-		for k, r := range res {
-			i := jobs[k].cell
-			if r.Err != nil {
-				cellErr[i] = r.Err
-				done[i] = true
-				continue
-			}
-			if out := r.Value; out.Errored() {
-				cols[i].violations = append(cols[i].violations, Violation{
-					Program: bp.Name, Tool: cols[i].tool, Kind: "trial-error", Detail: out.Err,
-				})
-				done[i] = true
-			}
-		}
-		ys := make([]budget.Yield, len(ids))
-		for i, col := range cols {
-			first := false
-			if !bugSeen[i] && len(col.failures) > 0 {
-				bugSeen[i] = true
-				first = true
-				done[i] = true
-			}
-			ys[i] = budget.Yield{
-				Reward: budget.Reward{
-					Executions: col.execs - prevExecs[i],
-					NewPairs:   len(col.coverTimes) - prevCovers[i],
-					FirstBug:   first,
-				},
-				Done: done[i],
-			}
-			prevExecs[i] = col.execs
-			prevCovers[i] = len(col.coverTimes)
-		}
-		return ys
-	})
-
-	states := alloc.Cells()
-	out := make([]fleet.Result[cellResult], len(ids))
-	for i := range ids {
-		if cellErr[i] != nil {
-			out[i] = fleet.Result[cellResult]{Err: cellErr[i]}
-			continue
-		}
-		col := cols[i]
-		replays, failedReplays := col.replayCheck(bp.Body, opts.MaxSteps)
-		c := cellResult{
-			tool:           col.tool,
-			executions:     col.execs,
-			foundBug:       len(col.failures) > 0,
-			replays:        replays,
-			replayFailures: failedReplays,
-			violations:     col.violations,
-			coverage:       CoverageAt(cp, col.coverTimes, len(gt.pairs)),
-			firstBug:       firstBugOf(col),
-		}
-		if opts.BudgetPolicy != "" {
-			c.allocated = states[i].Allocated
-		}
-		out[i] = fleet.Result[cellResult]{Value: c}
-	}
-	return out
-}
-
 // Run executes a conformance run to completion.
 func Run(opts Options) *Report { return RunContext(context.Background(), opts) }
 
@@ -577,29 +413,32 @@ func RunContext(ctx context.Context, opts Options) *Report {
 
 	// Resolve every spec once up front: validates them, fixes the
 	// canonical tool-name order of the report, and fails fast on an
-	// unknown spec.
-	var slots []toolSlot
-	for _, spec := range opts.Specs {
-		t, err := strategy.Resolve(spec, strategy.Config{})
-		if err != nil {
-			rep.Err = err.Error()
-			return rep
-		}
-		trials := opts.Trials
-		if t.Deterministic() {
-			trials = 1
-		}
-		slots = append(slots, toolSlot{spec: spec, name: t.Name(), trials: trials})
+	// unknown spec. Every program's matrix runs these same tools.
+	tools, err := strategy.ResolveAll(opts.Specs, strategy.Config{})
+	if err != nil {
+		rep.Err = err.Error()
+		return rep
+	}
+	for i, t := range tools {
 		rep.Tools = append(rep.Tools, ToolReport{
 			Tool:     t.Name(),
-			Spec:     spec,
+			Spec:     opts.Specs[i],
 			Coverage: make([]float64, len(rep.Checkpoints)),
 		})
 	}
+	mopts := campaign.MatrixOptions{
+		Trials:   opts.Trials,
+		Budget:   opts.Budget,
+		MaxSteps: opts.MaxSteps,
+		BaseSeed: opts.Seed,
+		Workers:  opts.Workers,
+	}
+	if opts.BudgetPolicy != "" {
+		mopts.Budgeter = &budget.Config{Policy: opts.BudgetPolicy, Epochs: opts.BudgetEpochs}
+	}
 
 	gen := progen.NewGenerator(opts.Seed, opts.Gen)
-	coverSamples := make([]int, len(slots))    // per-tool (program, trial) sample counts
-	ttfbTimes := make([][]float64, len(slots)) // per-tool first-bug execution indexes
+	ttfbTimes := make([][]float64, len(tools)) // per-tool first-bug execution indexes
 
 	for rep.Programs < opts.Programs {
 		if ctx.Err() != nil {
@@ -633,56 +472,64 @@ func RunContext(ctx context.Context, opts Options) *Report {
 		rep.GTFailures += int64(len(gt.failures))
 		rep.GTFinals += int64(len(gt.finals))
 
-		// Every (spec, trial) cell, on the fleet pool; merge in cell
-		// order keeps the report deterministic at any worker count.
-		var ids []progCellID
-		for si, slot := range slots {
-			for tr := 0; tr < slot.trials; tr++ {
-				ids = append(ids, progCellID{si, tr})
+		// One matrix over the program: every (tool, trial) cell runs
+		// under its own collector, which persists across epochs so its
+		// first-cover indexes stay cumulative per trial.
+		cols := make(map[string][]*collector, len(tools))
+		for _, t := range tools {
+			trials := opts.Trials
+			if t.Deterministic() {
+				trials = 1
+			}
+			for range trials {
+				cols[t.Name()] = append(cols[t.Name()], newCollector(gt, bp.Name, t.Name()))
 			}
 		}
-		results := runProgramBudgeted(ctx, opts, rep.Checkpoints, slots, ids, bp, gt)
+		mopts.Observe = func(tool, _ string, trial int) campaign.ResultObserver {
+			return cols[tool][trial].observe
+		}
+		m := campaign.RunMatrixContext(ctx, tools, []bench.Program{bp}, mopts)
 
-		// Merge barrier: fold cells into the report in deterministic
-		// cell order.
-		for i, r := range results {
-			tr := &rep.Tools[ids[i].slot]
-			if r.Err != nil {
-				rep.Violations = append(rep.Violations, Violation{
-					Program: bp.Name, Tool: slots[ids[i].slot].name, Kind: "trial-error",
-					Detail: r.Err.Error(),
-				})
-				continue
+		// Merge barrier: fold trials into the report in matrix order.
+		for si, tl := range tools {
+			tr := &rep.Tools[si]
+			if br := m.BudgetReport; br != nil {
+				tr.Allocated += br.Cells[si].Allocated
 			}
-			c := r.Value
-			tr.TrialsRun++
-			tr.Executions += int64(c.executions)
-			if c.foundBug {
-				tr.BugsFound++
-			}
-			tr.Replays += c.replays
-			tr.ReplayFailures += c.replayFailures
-			tr.Allocated += c.allocated
-			if c.firstBug > 0 {
-				ttfbTimes[ids[i].slot] = append(ttfbTimes[ids[i].slot], float64(c.firstBug))
-			}
-			rep.Violations = append(rep.Violations, c.violations...)
-			for j, f := range c.coverage {
-				tr.Coverage[j] += f
-			}
-			coverSamples[ids[i].slot]++
-			if t := opts.Telemetry; t != nil {
-				lbl := telemetry.L("tool", c.tool)
-				if n := len(c.violations); n > 0 {
-					t.Add(telemetry.MConformanceViolations, int64(n), lbl)
+			for ti, out := range m.Outcomes[tl.Name()][bp.Name] {
+				col := cols[tl.Name()][ti]
+				if out.Errored() {
+					col.violations = append(col.violations, Violation{
+						Program: bp.Name, Tool: col.tool, Kind: "trial-error", Detail: out.Err,
+					})
 				}
-				if c.replays > 0 {
-					t.Add(telemetry.MConformanceReplays, int64(c.replays), lbl)
+				replays, replayFailures := col.replayCheck(bp.Body, opts.MaxSteps)
+				coverage := CoverageAt(rep.Checkpoints, col.coverTimes, len(gt.pairs))
+				tr.TrialsRun++
+				tr.Executions += int64(col.execs)
+				if len(col.failures) > 0 {
+					tr.BugsFound++
+					ttfbTimes[si] = append(ttfbTimes[si], float64(col.failures[0].execution))
 				}
-				if c.replayFailures > 0 {
-					t.Add(telemetry.MConformanceReplayFailures, int64(c.replayFailures), lbl)
+				tr.Replays += replays
+				tr.ReplayFailures += replayFailures
+				rep.Violations = append(rep.Violations, col.violations...)
+				for j, f := range coverage {
+					tr.Coverage[j] += f
 				}
-				t.Observe(telemetry.MConformanceCoverage, int64(c.coverage[len(c.coverage)-1]*100), lbl)
+				if t := opts.Telemetry; t != nil {
+					lbl := telemetry.L("tool", col.tool)
+					if n := len(col.violations); n > 0 {
+						t.Add(telemetry.MConformanceViolations, int64(n), lbl)
+					}
+					if replays > 0 {
+						t.Add(telemetry.MConformanceReplays, int64(replays), lbl)
+					}
+					if replayFailures > 0 {
+						t.Add(telemetry.MConformanceReplayFailures, int64(replayFailures), lbl)
+					}
+					t.Observe(telemetry.MConformanceCoverage, int64(coverage[len(coverage)-1]*100), lbl)
+				}
 			}
 		}
 
@@ -706,7 +553,7 @@ func RunContext(ctx context.Context, opts Options) *Report {
 	// Normalize coverage sums into means, and fold first-bug times into
 	// the shared TTFB summary.
 	for si := range rep.Tools {
-		if n := coverSamples[si]; n > 0 {
+		if n := rep.Tools[si].TrialsRun; n > 0 {
 			for j := range rep.Tools[si].Coverage {
 				rep.Tools[si].Coverage[j] = rep.Tools[si].Coverage[j] / float64(n) * 100
 			}

@@ -11,8 +11,9 @@
 //     caller whose cells are themselves deterministic (fixed seeds, no
 //     shared mutable state) gets bit-identical output at any worker
 //     count.
-//   - Isolation: every worker owns one Scratch, naming the worker, that
-//     is never shared across workers and never accessed concurrently.
+//   - Isolation: at most Options.Workers cells run at once, and cells
+//     share nothing through the pool; a cell that needs per-run state
+//     builds its own.
 //   - Containment: a panicking cell is recovered with its stack and
 //     reported as that cell's error; sibling cells are unaffected.
 //   - Cancellation: the pool's context cancels unstarted cells, and
@@ -39,14 +40,6 @@ import (
 	"rff/internal/telemetry"
 )
 
-// Scratch identifies the worker running a cell; the worker hands the
-// same Scratch to every cell it runs, and cells on different workers
-// never see the same Scratch.
-type Scratch struct {
-	// Worker is the owning worker's index in [0, workers).
-	Worker int
-}
-
 // Cell is one independent unit of work.
 type Cell[T any] struct {
 	// ID names the cell in telemetry and results ("RFF/CS/account[2]").
@@ -57,9 +50,8 @@ type Cell[T any] struct {
 	Spec string
 	// Run executes the cell. ctx carries the pool's cancellation and,
 	// when Options.CellTimeout is set, this cell's deadline; cells that
-	// cannot observe ctx mid-run simply ignore it. scratch names the
-	// owning worker.
-	Run func(ctx context.Context, scratch *Scratch) (T, error)
+	// cannot observe ctx mid-run simply ignore it.
+	Run func(ctx context.Context) (T, error)
 }
 
 // Result is the outcome of one cell.
@@ -77,8 +69,6 @@ type Result[T any] struct {
 	// Stack is the panic stack, scrubbed of its nondeterministic
 	// "goroutine N" header (empty unless Panicked).
 	Stack string
-	// Worker is the index of the worker that ran the cell.
-	Worker int
 	// Duration is the cell's wall-clock time (zero if never started).
 	Duration time.Duration
 }
@@ -130,11 +120,10 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) []Result[T] 
 		wg         sync.WaitGroup
 	)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			scratch := &Scratch{Worker: w}
 			var cellsDone int64
 			for {
 				i := int(next.Add(1)) - 1
@@ -144,7 +133,7 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) []Result[T] 
 				if t := opts.Telemetry; t != nil {
 					t.Set(telemetry.MFleetWorkersBusy, busy.Add(1))
 				}
-				res := runCell(ctx, cells[i], scratch, opts.CellTimeout)
+				res := runCell(ctx, cells[i], opts.CellTimeout)
 				if t := opts.Telemetry; t != nil {
 					t.Set(telemetry.MFleetWorkersBusy, busy.Add(-1))
 					if spec := cells[i].Spec; spec != "" {
@@ -169,7 +158,7 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) []Result[T] 
 			if t := opts.Telemetry; t != nil && cellsDone > 0 {
 				t.Add(telemetry.MFleetCellsDone, cellsDone)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if t := opts.Telemetry; t != nil {
@@ -186,9 +175,8 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) []Result[T] 
 }
 
 // runCell executes one cell with panic containment and its deadline.
-func runCell[T any](ctx context.Context, c Cell[T], scratch *Scratch, timeout time.Duration) (res Result[T]) {
+func runCell[T any](ctx context.Context, c Cell[T], timeout time.Duration) (res Result[T]) {
 	res.Cell = c.ID
-	res.Worker = scratch.Worker
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -207,7 +195,7 @@ func runCell[T any](ctx context.Context, c Cell[T], scratch *Scratch, timeout ti
 			res.Stack = scrubStack(debug.Stack())
 		}
 	}()
-	res.Value, res.Err = c.Run(ctx, scratch)
+	res.Value, res.Err = c.Run(ctx)
 	return res
 }
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +21,7 @@ func squareCells(n int) []fleet.Cell[int] {
 		i := i
 		cells[i] = fleet.Cell[int]{
 			ID: fmt.Sprintf("sq[%d]", i),
-			Run: func(context.Context, *fleet.Scratch) (int, error) {
+			Run: func(context.Context) (int, error) {
 				// Skew cell durations so completion order differs from
 				// submission order under concurrency.
 				if i%3 == 0 {
@@ -54,7 +54,7 @@ func TestRunMergesInCellOrder(t *testing.T) {
 
 func TestPanicContainment(t *testing.T) {
 	cells := squareCells(9)
-	cells[4].Run = func(context.Context, *fleet.Scratch) (int, error) {
+	cells[4].Run = func(context.Context) (int, error) {
 		panic("cell blew up")
 	}
 	results := fleet.Run(context.Background(), cells, fleet.Options{Workers: 3})
@@ -79,7 +79,7 @@ func TestPanicContainment(t *testing.T) {
 
 func TestCellError(t *testing.T) {
 	boom := errors.New("boom")
-	cells := []fleet.Cell[int]{{ID: "bad", Run: func(context.Context, *fleet.Scratch) (int, error) {
+	cells := []fleet.Cell[int]{{ID: "bad", Run: func(context.Context) (int, error) {
 		return 0, boom
 	}}}
 	results := fleet.Run(context.Background(), cells, fleet.Options{})
@@ -88,30 +88,27 @@ func TestCellError(t *testing.T) {
 	}
 }
 
-func TestWorkerScratchIsolationAndReuse(t *testing.T) {
+func TestAtMostWorkersCellsRunAtOnce(t *testing.T) {
 	const n, workers = 40, 4
-	var mu sync.Mutex
-	byWorker := make(map[int]*fleet.Scratch)
-	cells := make([]fleet.Cell[*fleet.Scratch], n)
+	var running, highWater atomic.Int64
+	cells := make([]fleet.Cell[int], n)
 	for i := range cells {
-		i := i
-		cells[i] = fleet.Cell[*fleet.Scratch]{Run: func(_ context.Context, s *fleet.Scratch) (*fleet.Scratch, error) {
-			if s.Worker < 0 || s.Worker >= workers {
-				t.Errorf("cell %d: worker %d out of range [0, %d)", i, s.Worker, workers)
+		cells[i] = fleet.Cell[int]{Run: func(context.Context) (int, error) {
+			now := running.Add(1)
+			defer running.Add(-1)
+			for {
+				hw := highWater.Load()
+				if now <= hw || highWater.CompareAndSwap(hw, now) {
+					break
+				}
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			if prev, ok := byWorker[s.Worker]; ok && prev != s {
-				t.Errorf("cell %d: worker %d handed a second Scratch", i, s.Worker)
-			}
-			byWorker[s.Worker] = s
-			return s, nil
+			time.Sleep(time.Millisecond)
+			return 0, nil
 		}}
 	}
-	for i, r := range fleet.Run(context.Background(), cells, fleet.Options{Workers: workers}) {
-		if r.Value == nil || r.Value.Worker != r.Worker {
-			t.Fatalf("cell %d: ran on worker %d with another worker's Scratch", i, r.Worker)
-		}
+	fleet.Run(context.Background(), cells, fleet.Options{Workers: workers})
+	if hw := highWater.Load(); hw < 1 || hw > workers {
+		t.Fatalf("%d cells ran at once, want 1..%d", hw, workers)
 	}
 }
 
@@ -120,12 +117,12 @@ func TestCancelledContextSkipsUnstartedCells(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	cells := []fleet.Cell[int]{
-		{ID: "running", Run: func(context.Context, *fleet.Scratch) (int, error) {
+		{ID: "running", Run: func(context.Context) (int, error) {
 			close(started)
 			<-release
 			return 1, nil
 		}},
-		{ID: "skipped", Run: func(context.Context, *fleet.Scratch) (int, error) {
+		{ID: "skipped", Run: func(context.Context) (int, error) {
 			return 2, nil
 		}},
 	}
@@ -144,7 +141,7 @@ func TestCancelledContextSkipsUnstartedCells(t *testing.T) {
 }
 
 func TestCellTimeout(t *testing.T) {
-	cells := []fleet.Cell[int]{{ID: "slow", Run: func(ctx context.Context, _ *fleet.Scratch) (int, error) {
+	cells := []fleet.Cell[int]{{ID: "slow", Run: func(ctx context.Context) (int, error) {
 		select {
 		case <-ctx.Done():
 			return 0, ctx.Err()
@@ -194,7 +191,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		cells := make([]fleet.Cell[uint64], 64)
 		for i := range cells {
 			i := i
-			cells[i] = fleet.Cell[uint64]{Run: func(context.Context, *fleet.Scratch) (uint64, error) {
+			cells[i] = fleet.Cell[uint64]{Run: func(context.Context) (uint64, error) {
 				z := uint64(i) * 0x9E3779B97F4A7C15
 				for k := 0; k < 1000; k++ {
 					z ^= z >> 13

@@ -30,26 +30,16 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-spec resolution (instead of strategy.ResolveAll) threads a
-	// per-tool artifact collector through each tool's Observer, so a
-	// stored artifact knows which strategy exposed it. The collector
-	// learns its tool's canonical name right after resolution, before
-	// any trial can observe a result.
-	tools := make([]campaign.Tool, len(req.Tools))
-	collectors := make([]*artifactCollector, len(req.Tools))
-	for i, spec := range req.Tools {
-		col := newArtifactCollector("")
-		tl, err := strategy.Resolve(spec, strategy.Config{
-			Telemetry: sink,
-			Observer:  col.observe,
-			Shards:    req.Shards,
-		})
-		if err != nil {
-			return nil, err
-		}
-		col.tool = tl.Name()
-		collectors[i] = col
-		tools[i] = tl
+	tools, err := strategy.ResolveAll(req.Tools, strategy.Config{Telemetry: sink, Shards: req.Shards})
+	if err != nil {
+		return nil, err
+	}
+	// One artifact collector per tool, so a stored artifact knows which
+	// strategy exposed it; the matrix routes every trial's executions to
+	// its tool's collector.
+	collectors := make(map[string]*artifactCollector, len(tools))
+	for _, tl := range tools {
+		collectors[tl.Name()] = newArtifactCollector(tl.Name())
 	}
 
 	opts := campaign.MatrixOptions{
@@ -59,6 +49,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 		BaseSeed:  req.Seed,
 		Workers:   req.Workers,
 		Telemetry: sink,
+		Observe: func(tool, _ string, _ int) campaign.ResultObserver {
+			return collectors[tool].observe
+		},
 	}
 	if req.BudgetPolicy != "" {
 		opts.Budgeter = &budget.Config{Policy: req.BudgetPolicy, Epochs: req.BudgetEpochs}
@@ -93,7 +86,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 		Request:   json.RawMessage(j.CanonJSON),
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 	}
-	for _, col := range collectors {
+	for _, tool := range m.Tools {
+		col := collectors[tool]
 		col.mu.Lock()
 		arts := append([]collectedArtifact(nil), col.arts...)
 		col.mu.Unlock()

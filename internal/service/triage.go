@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-
 	"rff/internal/core"
 	"rff/internal/store"
 	"rff/internal/triage"
@@ -18,31 +16,8 @@ func (s *Server) triageEntry(entry *store.Entry) {
 	if s.triager == nil || entry == nil || len(entry.Artifacts) == 0 {
 		return
 	}
-	// The report blob carries the per-artifact tool attribution the
-	// index entry doesn't.
-	tools := map[store.ID]string{}
-	if data, err := s.store.Get(entry.Report); err == nil {
-		var res CampaignResult
-		if json.Unmarshal(data, &res) == nil {
-			for _, ref := range res.Artifacts {
-				tools[ref.ID] = ref.Tool
-			}
-		}
-	}
-	for _, id := range entry.Artifacts {
-		data, err := s.store.Get(id)
-		if err != nil {
-			s.logf("triage: fetching artifact %s: %v", id, err)
-			continue
-		}
-		a, err := core.DecodeArtifact(data)
-		if err != nil {
-			s.logf("triage: decoding artifact %s: %v", id, err)
-			continue
-		}
-		if _, err := s.triager.Add(a, tools[id]); err != nil {
-			s.logf("triage: artifact %s: %v", id, err)
-		}
+	for _, line := range triage.FromEntry(s.triager, s.store, entry) {
+		s.logf("triage: artifact %s", line)
 	}
 	s.triageMu.Lock()
 	defer s.triageMu.Unlock()

@@ -211,7 +211,7 @@ func newRunner(name string, prog exec.Program, opts Options) *runner {
 		r.shards = append(r.shards, s)
 		r.cells = append(r.cells, fleet.Cell[struct{}]{
 			ID: "shard " + strconv.Itoa(w),
-			Run: func(ctx context.Context, _ *fleet.Scratch) (struct{}, error) {
+			Run: func(ctx context.Context) (struct{}, error) {
 				for {
 					i := int(r.next.Add(1)) - 1
 					if i >= len(r.plan) || !r.execOne(ctx, s, r.plan[i], r.epochStart+i, &r.digests[i]) {

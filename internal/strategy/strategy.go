@@ -103,8 +103,9 @@ type Config struct {
 	Telemetry telemetry.Sink
 	// Observer, if non-nil, is threaded into every resolved tool and
 	// sees every counted execution's result (before its trace is
-	// reclaimed) — the conformance harness's cross-check hook. Every
-	// registered strategy honours it.
+	// reclaimed), in every trial the tool runs. Every registered
+	// strategy honours it. A matrix that needs one observer per trial
+	// uses campaign.MatrixOptions.Observe instead.
 	Observer campaign.ResultObserver
 	// Trials per (tool, program) cell; deterministic tools run once.
 	Trials int

@@ -63,32 +63,38 @@ type storedReport struct {
 // strings.
 func FromStore(t *Triager, s *store.Store, idx *store.Index) (skipped []string, err error) {
 	for _, e := range idx.Entries() {
-		tools := map[store.ID]string{}
-		if data, err := s.Get(e.Report); err == nil {
-			var rep storedReport
-			if json.Unmarshal(data, &rep) == nil {
-				for _, ref := range rep.Artifacts {
-					tools[ref.ID] = ref.Tool
-				}
-			}
-		}
-		for _, id := range e.Artifacts {
-			data, err := s.Get(id)
-			if err != nil {
-				skipped = append(skipped, fmt.Sprintf("%s: %v", id, err))
-				continue
-			}
-			a, err := core.DecodeArtifact(data)
-			if err != nil {
-				skipped = append(skipped, fmt.Sprintf("%s: %v", id, err))
-				continue
-			}
-			if _, err := t.Add(a, tools[id]); err != nil {
-				skipped = append(skipped, fmt.Sprintf("%s: %v", id, err))
+		skipped = append(skipped, FromEntry(t, s, e)...)
+	}
+	return skipped, nil
+}
+
+// FromEntry ingests one campaign's artifacts in the entry's order,
+// attributing each to the tool the campaign's report records ("" when
+// the report is unreadable). Artifacts that cannot be fetched, decoded
+// or triaged are returned as "id: reason" strings.
+func FromEntry(t *Triager, s *store.Store, e *store.Entry) (skipped []string) {
+	tools := map[store.ID]string{}
+	if data, err := s.Get(e.Report); err == nil {
+		var rep storedReport
+		if json.Unmarshal(data, &rep) == nil {
+			for _, ref := range rep.Artifacts {
+				tools[ref.ID] = ref.Tool
 			}
 		}
 	}
-	return skipped, nil
+	for _, id := range e.Artifacts {
+		data, err := s.Get(id)
+		if err == nil {
+			var a *core.Artifact
+			if a, err = core.DecodeArtifact(data); err == nil {
+				_, err = t.Add(a, tools[id])
+			}
+		}
+		if err != nil {
+			skipped = append(skipped, fmt.Sprintf("%s: %v", id, err))
+		}
+	}
+	return skipped
 }
 
 // RegressFailure is one corpus entry that no longer reproduces as
