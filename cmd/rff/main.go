@@ -40,14 +40,13 @@ import (
 	"rff/internal/exec"
 	"rff/internal/minimize"
 	"rff/internal/perf"
-	"rff/internal/progen"
 	"rff/internal/race"
 	"rff/internal/report"
-	"rff/internal/sched"
 	"rff/internal/shard"
 	"rff/internal/strategy"
 	"rff/internal/systematic"
 	"rff/internal/telemetry"
+	"rff/internal/triage"
 )
 
 func main() {
@@ -456,31 +455,26 @@ func cmdReplay(args []string) {
 }
 
 // runReplay is cmdReplay's testable core: it loads an artifact, replays
-// its decision sequence, and returns the process exit code. Every
-// failure mode — unreadable file, malformed or truncated JSON, unknown
-// program, non-reproducing schedule — yields a readable message on
-// stderr and a non-zero code, never a panic or a silent success.
+// its decision sequence, and returns the process exit code. It exits 0
+// only when the replay reproduces the recorded failure under the rule
+// `rff regress` applies (triage.Replay: same kind, and same location
+// when one is recorded). Every failure mode — unreadable file, malformed
+// or truncated JSON, unknown program, non-reproducing schedule — yields
+// a readable message and a non-zero code, never a panic or a silent
+// success.
 func runReplay(artifactPath string, showTrace bool, stdout, stderr io.Writer) int {
 	a, err := core.LoadArtifact(artifactPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "rff: %v\n", err)
 		return 1
 	}
-	p, ok := bench.Get(a.Program)
-	if !ok {
-		// Generated programs ("gen/s<seed>/<index>") are not in the bench
-		// registry; regenerate them from the name instead.
-		if gp, gok := progen.FromName(a.Program); gok {
-			p, ok = gp.Bench(), true
-		}
-	}
-	if !ok {
-		fmt.Fprintf(stderr, "rff: artifact references unknown program %q\n", a.Program)
+	res, mismatch, err := triage.Replay(a, 0)
+	if err != nil {
+		fmt.Fprintf(stderr, "rff: artifact references %v\n", err)
 		return 1
 	}
-	res := exec.Run(p.Name, p.Body, exec.Config{Scheduler: sched.NewReplay(a.ThreadOrder())})
-	if res.Failure == nil {
-		fmt.Fprintf(stdout, "%s: replay did NOT reproduce (expected %s: %s)\n", a.Program, a.FailureKind, a.FailureMsg)
+	if mismatch != "" {
+		fmt.Fprintf(stdout, "%s: replay did NOT reproduce: %s\n", a.Program, mismatch)
 		return 1
 	}
 	fmt.Fprintf(stdout, "%s: reproduced %v\n", a.Program, res.Failure)

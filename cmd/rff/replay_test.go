@@ -87,3 +87,38 @@ func TestReplayCorruptArtifacts(t *testing.T) {
 		}
 	})
 }
+
+// TestReplayMismatchFails: an artifact whose replay fails differently
+// from its record — another kind, or another location — does not
+// reproduce: exit 1 and a reason, the rule `rff regress` applies.
+func TestReplayMismatchFails(t *testing.T) {
+	a, err := core.LoadArtifact(saveCrash(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		edit func(a *core.Artifact)
+		want string
+	}{
+		{"kind", func(a *core.Artifact) { a.FailureKind = "deadlock" }, "expected deadlock"},
+		{"location", func(a *core.Artifact) { a.FailureLoc = "nowhere.go:1" }, "expected nowhere.go:1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := *a
+			tc.edit(&b)
+			path := filepath.Join(dir, tc.name+".json")
+			if err := b.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := replayOut(path)
+			if code != 1 {
+				t.Fatalf("mismatched replay exited %d: %s%s", code, stdout, stderr)
+			}
+			if !strings.Contains(stdout, "did NOT reproduce") || !strings.Contains(stdout, tc.want) {
+				t.Fatalf("stdout %q does not name the mismatch %q", stdout, tc.want)
+			}
+		})
+	}
+}

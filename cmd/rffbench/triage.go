@@ -10,32 +10,12 @@ import (
 	"rff/internal/bench"
 	"rff/internal/campaign"
 	"rff/internal/core"
-	"rff/internal/exec"
 	"rff/internal/progen"
 	"rff/internal/store"
 	"rff/internal/strategy"
 	"rff/internal/telemetry"
 	"rff/internal/triage"
 )
-
-// triageCollector records an artifact for every failing execution one
-// campaign-mode trial observes.
-type triageCollector struct {
-	tool string
-	arts []*core.Artifact
-}
-
-func (c *triageCollector) observe(res *exec.Result) {
-	if res.Failure == nil {
-		return
-	}
-	f := *res.Failure
-	c.arts = append(c.arts, core.NewArtifact(res.Program, core.FailureRecord{
-		Seed:      res.Seed,
-		Failure:   &f,
-		Decisions: res.Trace.ThreadOrder(),
-	}))
-}
 
 // cmdTriage minimizes and clusters crash artifacts into a regression
 // corpus and prints the ranked report. Three input modes: a crash
@@ -126,7 +106,7 @@ func triageStore(tr *triage.Triager, dir string) ([]string, error) {
 }
 
 // triageCampaign fuzzes progen-generated programs with every tool in one
-// campaign matrix and feeds every observed failure through the triager,
+// campaign matrix and feeds every trial's failure through the triager,
 // in a deterministic (tool, program, content) order.
 func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, feats progen.Features, budget, trials int) ([]string, error) {
 	gen := progen.NewGenerator(progenSeed, progen.Options{Features: feats})
@@ -139,25 +119,11 @@ func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, 
 		return nil, err
 	}
 
-	// Observe runs on the matrix's coordinator; each trial's collector
-	// is then touched only by the cell running that trial.
-	type trialKey struct {
-		tool, program string
-		trial         int
-	}
-	cols := make(map[trialKey]*triageCollector)
 	m := campaign.RunMatrix(tools, programs, campaign.MatrixOptions{
 		Trials:   trials,
 		Budget:   budget,
 		MaxSteps: s.maxSteps,
 		BaseSeed: s.seed,
-		Observe: func(tool, program string, trial int) campaign.ResultObserver {
-			k := trialKey{tool, program, trial}
-			if cols[k] == nil {
-				cols[k] = &triageCollector{tool: tool}
-			}
-			return cols[k].observe
-		},
 	})
 	if errs := m.TrialErrors(); len(errs) > 0 {
 		return nil, fmt.Errorf("%d campaign trials aborted:\n  %s", len(errs), strings.Join(errs, "\n  "))
@@ -169,13 +135,19 @@ func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, 
 		data []byte
 	}
 	var arts []tagged
-	for _, col := range cols {
-		for _, a := range col.arts {
-			data, err := core.EncodeArtifact(a)
-			if err != nil {
-				continue
+	for _, tool := range m.Tools {
+		for _, p := range m.Programs {
+			for _, o := range m.Outcomes[tool][p] {
+				a := o.Artifact(p)
+				if a == nil {
+					continue
+				}
+				data, err := core.EncodeArtifact(a)
+				if err != nil {
+					return nil, err
+				}
+				arts = append(arts, tagged{art: a, tool: tool, data: data})
 			}
-			arts = append(arts, tagged{art: a, tool: col.tool, data: data})
 		}
 	}
 	// Fix the ingestion order so first-seen ordinals (and therefore the

@@ -8,7 +8,7 @@ package repro
 // so a rewrite of the epoch machinery must reproduce every outcome,
 // budget report, allocation trace, budget-epoch event, fixed-budget
 // matrix and conformance report, sharded report and failure stream
-// byte for byte.
+// byte for byte, and rffd's stored report and artifact IDs.
 //
 // Regenerate (only for an intentional semantic change) with
 //
@@ -26,13 +26,16 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"rff/internal/bench"
 	"rff/internal/budget"
 	"rff/internal/conformance"
 	"rff/internal/core"
 	"rff/internal/exec"
+	"rff/internal/service"
 	"rff/internal/shard"
+	"rff/internal/store"
 	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
@@ -224,6 +227,66 @@ func writeReport(h hash.Hash, rep *core.Report) {
 	}
 }
 
+// renderService pins rffd's stored result for the CI service-smoke
+// progen request, sequential, at two shards and under ucb: the report
+// blob's bytes and the artifact IDs the index entry lists.
+func renderService(b *bytes.Buffer) {
+	const ci = `{"progen_seed":7,"progen_count":2,"tools":["rff","random"],"budget":300,"trials":2`
+	for _, v := range []struct{ name, extra string }{
+		{"ci", ""},
+		{"ci shards=2", `,"shards":2`},
+		{"ci ucb", `,"budget_policy":"ucb"`},
+	} {
+		var req service.CampaignRequest
+		if err := json.Unmarshal([]byte(ci+v.extra+"}"), &req); err != nil {
+			panic(err)
+		}
+		entry, report := runServiceJob(req)
+		h := sha256.New()
+		h.Write(report)
+		for _, id := range entry.Artifacts {
+			fmt.Fprintln(h, id)
+		}
+		fmt.Fprintf(b, "rffd %s artifacts=%d %x\n", v.name, len(entry.Artifacts), h.Sum(nil)[:12])
+	}
+}
+
+// runServiceJob runs one campaign on a fresh rffd server over a
+// throwaway store and returns its index entry and stored report bytes.
+func runServiceJob(req service.CampaignRequest) (*store.Entry, []byte) {
+	dir, err := os.MkdirTemp("", "rffd-digest")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := store.Open(dir)
+	if err != nil {
+		panic(err)
+	}
+	srv, err := service.New(service.Options{Store: st})
+	if err != nil {
+		panic(err)
+	}
+	j, err := srv.Submit(req)
+	if err != nil {
+		panic(err)
+	}
+	srv.Start()
+	defer srv.Drain(context.Background())
+	for !j.State().Terminal() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	v := j.View()
+	if v.State != service.JobDone {
+		panic(fmt.Sprintf("rffd job %s: %s", v.State, v.Error))
+	}
+	report, err := st.Get(v.Result.Report)
+	if err != nil {
+		panic(err)
+	}
+	return v.Result, report
+}
+
 func renderEpochDigest() []byte {
 	var b bytes.Buffer
 	renderBudgetedMatrices(&b)
@@ -231,6 +294,7 @@ func renderEpochDigest() []byte {
 	renderBudgetedConformance(&b)
 	renderFixedConformance(&b)
 	renderShards(&b)
+	renderService(&b)
 	return b.Bytes()
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"rff/internal/bench"
 	"rff/internal/budget"
+	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/fleet"
 	"rff/internal/telemetry"
@@ -98,6 +99,7 @@ func (c *pairCollector) observe(res *exec.Result) {
 type budgetedTrial struct {
 	cum      int64
 	firstBug int64
+	failure  *core.FailureRecord
 	corpus   int
 	sigs     int
 	err      string
@@ -279,6 +281,7 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 			}
 			if out.Found() && ts.firstBug == 0 {
 				ts.firstBug = ts.cum + int64(out.FirstBug)
+				ts.failure = out.Failure
 				ts.done = true
 				y.FirstBug = true
 				if cand := globalSpent + int64(out.FirstBug); ps.firstBug == 0 || cand < ps.firstBug {
@@ -364,6 +367,7 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 				UniqueSigs: ts.sigs,
 				Err:        ts.err,
 				Stack:      ts.stack,
+				Failure:    ts.failure,
 			}
 			if !budgeted {
 				// A fixed trial is censored at its entitlement.

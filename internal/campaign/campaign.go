@@ -48,10 +48,30 @@ type Outcome struct {
 	// nondeterministic goroutine header), empty unless the trial
 	// panicked.
 	Stack string
+	// Failure is the trial's first failing execution (Algorithm 1's
+	// S_fail: every tool stops at its first bug), set if and only if
+	// Found. Its Seed, Failure and Decisions reproduce it; Artifact
+	// serializes exactly those. It stays out of the JSON form, so
+	// stored matrices and reports carry no traces.
+	Failure *core.FailureRecord `json:"-"`
 }
 
 // Found reports whether the trial exposed the bug.
 func (o Outcome) Found() bool { return o.FirstBug > 0 }
+
+// Artifact returns the crash artifact of the trial's first failure in
+// program: the execution seed, the failure and the replay decisions.
+// It returns nil when the trial found no bug.
+func (o Outcome) Artifact(program string) *core.Artifact {
+	if o.Failure == nil {
+		return nil
+	}
+	return core.NewArtifact(program, core.FailureRecord{
+		Seed:      o.Failure.Seed,
+		Failure:   o.Failure.Failure,
+		Decisions: o.Failure.Decisions,
+	})
+}
 
 // Errored reports whether the trial aborted with an infrastructure
 // failure instead of running to its budget.
@@ -85,16 +105,18 @@ type Tool interface {
 
 // ResultObserver receives every counted execution's result during a trial
 // (MatrixOptions.Observe hands one to each matrix cell). Observers run
-// before the trace is reclaimed and must not retain it.
+// before the trace is reclaimed and must not retain it. A trial's
+// failure needs no observer: it travels in Outcome.Failure.
 type ResultObserver func(res *exec.Result)
 
 // ObservableTool is the optional Tool extension the matrix runner uses
 // to watch the executions of the trials it schedules (the Budgeter's
-// coverage collector and MatrixOptions.Observe): WithObserver returns a
-// copy of the tool whose runs additionally invoke obs, chained after
-// any observer the tool already carries. Every built-in tool implements
-// it; a tool that does not simply runs unobserved (its budget cells
-// earn zero coverage reward).
+// coverage collector and MatrixOptions.Observe), and strategy.Resolve
+// to attach strategy.Config.Observer: WithObserver returns a copy of
+// the tool whose runs additionally invoke obs, chained after any
+// observer the tool already carries. Every built-in tool implements
+// it; in a matrix a tool that does not simply runs unobserved (its
+// budget cells earn zero coverage reward).
 type ObservableTool interface {
 	Tool
 	WithObserver(obs ResultObserver) Tool
@@ -212,6 +234,9 @@ func (t RFFTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int,
 		CorpusSize: rep.CorpusSize,
 		UniqueSigs: rep.UniqueSigs,
 	}
+	if len(rep.Failures) > 0 {
+		out.Failure = &rep.Failures[0]
+	}
 	if err := ctx.Err(); err != nil && rep.FirstBug == 0 && rep.Executions < budget {
 		out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", rep.Executions, err)
 	}
@@ -306,12 +331,14 @@ func (t SchedulerTool) Run(ctx context.Context, p bench.Program, budget, maxStep
 				tel.Add(telemetry.MSchedulesCrashed, 1, labels...)
 			}
 		}
-		crashed := res.Buggy()
-		recycler.Reclaim(res.Trace)
-		if crashed {
+		if res.Buggy() {
+			// The trial ends here and its recycler with it, so the
+			// crashing trace needs no Reclaim.
 			out.FirstBug = i
+			out.Failure = &core.FailureRecord{Seed: res.Seed, Failure: res.Failure, Decisions: res.Trace.ThreadOrder()}
 			break
 		}
+		recycler.Reclaim(res.Trace)
 	}
 	return out
 }
@@ -402,7 +429,9 @@ type MatrixOptions struct {
 	// nothing. The observer is chained after the Budgeter's coverage
 	// collector through ObservableTool.WithObserver, and runs on the
 	// cell's fleet worker. Returning the same observer for every epoch
-	// of a trial gives it the trial's whole execution stream.
+	// of a trial gives it the trial's whole execution stream. It is for
+	// callers that need every execution, as conformance's soundness
+	// checks do; a trial's failure is already in Outcome.Failure.
 	Observe func(tool, program string, trial int) ResultObserver
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,12 +51,12 @@ func TestMatrixShapeAndDeterminism(t *testing.T) {
 	if got := len(m1.Outcomes["RFF"]["CS/account"]); got != 3 {
 		t.Fatalf("RFF should run 3 trials, got %d", got)
 	}
-	// Same seed, same everything.
+	// Same seed, same everything, the failure's replay record included.
 	for _, tool := range m1.Tools {
 		for _, p := range m1.Programs {
 			a, b := m1.Outcomes[tool][p], m2.Outcomes[tool][p]
 			for i := range a {
-				if a[i] != b[i] {
+				if !reflect.DeepEqual(a[i], b[i]) {
 					t.Fatalf("matrix not reproducible at %s/%s[%d]: %+v vs %+v", tool, p, i, a[i], b[i])
 				}
 			}

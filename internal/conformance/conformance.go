@@ -217,24 +217,14 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s: %s: %s", v.Program, v.Tool, v.Kind, v.Detail)
 }
 
-// observedFailure is one failure a trial reported, with everything the
-// replay check needs.
-type observedFailure struct {
-	failure   exec.Failure
-	decisions []exec.ThreadID
-	seed      int64
-	execution int
-}
-
 // collector is the per-(program, spec, trial) result observer: it
-// checks soundness online and records coverage and failures.
+// checks soundness online and records coverage.
 type collector struct {
 	gt         *behaviorSet
 	execs      int
 	seen       map[string]struct{} // all distinct pairs observed
 	coverTimes []int               // first-cover execution index, GT pairs only
 	violations []Violation
-	failures   []observedFailure
 	program    string
 	tool       string
 }
@@ -271,12 +261,6 @@ func (c *collector) observe(res *exec.Result) {
 				Detail: fmt.Sprintf("observed failure %q outside the enumerated set", key),
 			})
 		}
-		c.failures = append(c.failures, observedFailure{
-			failure:   *res.Failure,
-			decisions: res.Trace.ThreadOrder(),
-			seed:      res.Seed,
-			execution: c.execs,
-		})
 	case res.Truncated:
 		// A truncated run is a tree-path prefix: its rf-pairs are inside
 		// the enumerated set (checked above), but it reaches no final
@@ -292,54 +276,40 @@ func (c *collector) observe(res *exec.Result) {
 	}
 }
 
-// replayCheck verifies the no-false-bugs invariant for every failure the
-// trial observed: serialize a crash artifact, decode it back, replay its
-// decision sequence, and demand the identical failure.
-func (c *collector) replayCheck(body exec.Program, maxSteps int) (replays, failed int) {
-	for _, of := range c.failures {
-		replays++
-		f := of.failure
-		art := core.NewArtifact(c.program, core.FailureRecord{
-			Seed:      of.seed,
-			Execution: of.execution,
-			Failure:   &f,
-			Decisions: of.decisions,
-		})
-		data, err := json.Marshal(art)
-		if err != nil {
-			failed++
-			c.violations = append(c.violations, Violation{
-				Program: c.program, Tool: c.tool, Kind: "replay",
-				Detail: fmt.Sprintf("artifact marshal failed: %v", err),
-			})
-			continue
-		}
-		art2, err := core.DecodeArtifact(data)
-		if err != nil {
-			failed++
-			c.violations = append(c.violations, Violation{
-				Program: c.program, Tool: c.tool, Kind: "replay",
-				Detail: fmt.Sprintf("artifact round-trip failed: %v", err),
-			})
-			continue
-		}
-		res := exec.Run(c.program, body, exec.Config{
-			Scheduler: sched.NewReplay(art2.ThreadOrder()),
-			MaxSteps:  maxSteps,
-		})
-		if res.Failure == nil || failureKey(res.Failure) != failureKey(&f) {
-			failed++
-			got := "no failure"
-			if res.Failure != nil {
-				got = failureKey(res.Failure)
-			}
-			c.violations = append(c.violations, Violation{
-				Program: c.program, Tool: c.tool, Kind: "replay",
-				Detail: fmt.Sprintf("decisions replayed to %q, want %q", got, failureKey(&f)),
-			})
-		}
+// replayCheck verifies the no-false-bugs invariant for the trial's
+// failure (out.Failure): serialize its crash artifact, decode it back,
+// replay its decision sequence, and demand the identical failure.
+func (c *collector) replayCheck(out campaign.Outcome, body exec.Program, maxSteps int) (replays, failed int) {
+	if out.Failure == nil {
+		return 0, 0
 	}
-	return replays, failed
+	want := failureKey(out.Failure.Failure)
+	violation := func(detail string) (int, int) {
+		c.violations = append(c.violations, Violation{
+			Program: c.program, Tool: c.tool, Kind: "replay", Detail: detail,
+		})
+		return 1, 1
+	}
+	data, err := json.Marshal(out.Artifact(c.program))
+	if err != nil {
+		return violation(fmt.Sprintf("artifact marshal failed: %v", err))
+	}
+	art, err := core.DecodeArtifact(data)
+	if err != nil {
+		return violation(fmt.Sprintf("artifact round-trip failed: %v", err))
+	}
+	res := exec.Run(c.program, body, exec.Config{
+		Scheduler: sched.NewReplay(art.ThreadOrder()),
+		MaxSteps:  maxSteps,
+	})
+	if res.Failure == nil || failureKey(res.Failure) != want {
+		got := "no failure"
+		if res.Failure != nil {
+			got = failureKey(res.Failure)
+		}
+		return violation(fmt.Sprintf("decisions replayed to %q, want %q", got, want))
+	}
+	return 1, 0
 }
 
 // Checkpoints returns the coverage sampling points for a budget: powers
@@ -503,13 +473,13 @@ func RunContext(ctx context.Context, opts Options) *Report {
 						Program: bp.Name, Tool: col.tool, Kind: "trial-error", Detail: out.Err,
 					})
 				}
-				replays, replayFailures := col.replayCheck(bp.Body, opts.MaxSteps)
+				replays, replayFailures := col.replayCheck(out, bp.Body, opts.MaxSteps)
 				coverage := CoverageAt(rep.Checkpoints, col.coverTimes, len(gt.pairs))
 				tr.TrialsRun++
 				tr.Executions += int64(col.execs)
-				if len(col.failures) > 0 {
+				if out.Found() {
 					tr.BugsFound++
-					ttfbTimes[si] = append(ttfbTimes[si], float64(col.failures[0].execution))
+					ttfbTimes[si] = append(ttfbTimes[si], float64(out.FirstBug))
 				}
 				tr.Replays += replays
 				tr.ReplayFailures += replayFailures

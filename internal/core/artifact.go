@@ -75,6 +75,19 @@ func NewArtifact(program string, fr FailureRecord) *Artifact {
 	return a
 }
 
+// Failure reconstructs the recorded failure. Its Kind is zero when the
+// artifact names no known failure kind.
+func (a *Artifact) Failure() *exec.Failure {
+	f := &exec.Failure{Msg: a.FailureMsg, Thread: exec.ThreadID(a.Thread), Loc: a.FailureLoc}
+	for k := exec.FailAssert; int(k) < exec.NumFailureKinds; k++ {
+		if k.String() == a.FailureKind {
+			f.Kind = k
+			break
+		}
+	}
+	return f
+}
+
 // AbstractSchedule reconstructs the constraint set.
 func (a *Artifact) AbstractSchedule() (Schedule, error) {
 	var cs []Constraint

@@ -3,12 +3,13 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"rff/internal/campaign"
 	"rff/internal/core"
-	"rff/internal/exec"
 	"rff/internal/store"
 	"rff/internal/telemetry"
 )
@@ -185,64 +186,48 @@ func EncodeResult(res *CampaignResult) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// --- artifact collection -----------------------------------------------------
+// --- artifacts ---------------------------------------------------------------
 
-// collectedArtifact is one failure captured during a job, with its
+// collectedArtifact is one stored crash artifact: its reference and its
 // serialized core.Artifact bytes.
 type collectedArtifact struct {
 	ref  ArtifactRef
 	data []byte
 }
 
-// artifactCollector is a per-tool campaign.ResultObserver that turns
-// every failing execution into a content-addressed crash artifact.
-// Observers run concurrently across fleet workers, so the collector
-// locks; content addressing dedups identical failures, and the final
-// artifact list is sorted, keeping stored results independent of
-// worker scheduling.
-type artifactCollector struct {
-	tool string
-
-	mu   sync.Mutex
-	seen map[store.ID]bool
-	arts []collectedArtifact
-}
-
-func newArtifactCollector(tool string) *artifactCollector {
-	return &artifactCollector{tool: tool, seen: make(map[store.ID]bool)}
-}
-
-// observe implements campaign.ResultObserver. It copies everything it
-// keeps — the trace is recycled after it returns.
-func (c *artifactCollector) observe(res *exec.Result) {
-	if res.Failure == nil {
-		return
+// toolArtifacts turns every trial failure of one tool into a
+// content-addressed crash artifact in Artifact.Save's format, so a
+// fetched blob is a valid `rff replay` file. Content addressing dedups
+// identical failures, and the list is sorted by (program, id).
+func toolArtifacts(tool string, m *campaign.MatrixResult) ([]collectedArtifact, error) {
+	seen := make(map[store.ID]bool)
+	var arts []collectedArtifact
+	for _, p := range m.Programs {
+		for _, o := range m.Outcomes[tool][p] {
+			a := o.Artifact(p)
+			if a == nil {
+				continue
+			}
+			data, err := core.EncodeArtifact(a)
+			if err != nil {
+				return nil, fmt.Errorf("encoding artifact: %w", err)
+			}
+			id := store.SumID(data)
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			arts = append(arts, collectedArtifact{
+				ref:  ArtifactRef{ID: id, Tool: tool, Program: p, FailureKind: a.FailureKind},
+				data: data,
+			})
+		}
 	}
-	f := *res.Failure
-	// The standard crash artifact, encoded in Artifact.Save's format: a
-	// fetched blob is a valid `rff replay` file.
-	data, err := core.EncodeArtifact(core.NewArtifact(res.Program, core.FailureRecord{
-		Seed:      res.Seed,
-		Failure:   &f,
-		Decisions: res.Trace.ThreadOrder(),
-	}))
-	if err != nil {
-		return // unserializable failure: droppable, the outcome still records it
-	}
-	id := store.SumID(data)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.seen[id] {
-		return
-	}
-	c.seen[id] = true
-	c.arts = append(c.arts, collectedArtifact{
-		ref: ArtifactRef{
-			ID:          id,
-			Tool:        c.tool,
-			Program:     res.Program,
-			FailureKind: f.Kind.String(),
-		},
-		data: data,
+	sort.Slice(arts, func(a, b int) bool {
+		if arts[a].ref.Program != arts[b].ref.Program {
+			return arts[a].ref.Program < arts[b].ref.Program
+		}
+		return arts[a].ref.ID < arts[b].ref.ID
 	})
+	return arts, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"rff/internal/budget"
@@ -34,14 +33,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One artifact collector per tool, so a stored artifact knows which
-	// strategy exposed it; the matrix routes every trial's executions to
-	// its tool's collector.
-	collectors := make(map[string]*artifactCollector, len(tools))
-	for _, tl := range tools {
-		collectors[tl.Name()] = newArtifactCollector(tl.Name())
-	}
-
 	opts := campaign.MatrixOptions{
 		Trials:    req.Trials,
 		Budget:    req.Budget,
@@ -49,9 +40,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 		BaseSeed:  req.Seed,
 		Workers:   req.Workers,
 		Telemetry: sink,
-		Observe: func(tool, _ string, _ int) campaign.ResultObserver {
-			return collectors[tool].observe
-		},
 	}
 	if req.BudgetPolicy != "" {
 		opts.Budgeter = &budget.Config{Policy: req.BudgetPolicy, Epochs: req.BudgetEpochs}
@@ -87,18 +75,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 	for _, tool := range m.Tools {
-		col := collectors[tool]
-		col.mu.Lock()
-		arts := append([]collectedArtifact(nil), col.arts...)
-		col.mu.Unlock()
-		// Content addressing already dedups within a tool; sorting by
-		// (program, id) erases observation-order nondeterminism.
-		sort.Slice(arts, func(a, b int) bool {
-			if arts[a].ref.Program != arts[b].ref.Program {
-				return arts[a].ref.Program < arts[b].ref.Program
-			}
-			return arts[a].ref.ID < arts[b].ref.ID
-		})
+		arts, err := toolArtifacts(tool, m)
+		if err != nil {
+			return nil, err
+		}
 		for _, ca := range arts {
 			id, err := s.store.Put(ca.data)
 			if err != nil {

@@ -32,17 +32,11 @@ type Options struct {
 	MaxSteps int
 	// Seed makes the whole campaign deterministic.
 	Seed int64
-	// Power tunes the power schedule.
-	Power core.PowerConfig
-	// Mutator tunes schedule mutation.
-	Mutator core.MutatorConfig
-	// DisableFeedback, DisableProactive and StopAtFirstBug are the
-	// core.Options ablation/stop switches, unchanged.
-	DisableFeedback  bool
-	DisableProactive bool
-	StopAtFirstBug   bool
-	// InitialCorpus is Algorithm 1's S_init (ε when empty).
-	InitialCorpus []core.Schedule
+	// DisableFeedback and StopAtFirstBug are the core.Options
+	// ablation/stop switches, unchanged. The other core.Options knobs
+	// keep their defaults.
+	DisableFeedback bool
+	StopAtFirstBug  bool
 	// Telemetry, if non-nil, receives campaign metrics plus the sharding
 	// series: the shard_execs counter per {program,shard}, the
 	// shard_merge_ns histogram, the shard_utilization_pct gauge, and
@@ -188,15 +182,11 @@ func newRunner(name string, prog exec.Program, opts Options) *runner {
 	r := &runner{
 		opts: opts,
 		c: core.NewCampaign(name, prog, core.Options{
-			Budget:           opts.Budget,
-			MaxSteps:         opts.MaxSteps,
-			Power:            opts.Power,
-			Mutator:          opts.Mutator,
-			DisableFeedback:  opts.DisableFeedback,
-			DisableProactive: opts.DisableProactive,
-			StopAtFirstBug:   opts.StopAtFirstBug,
-			InitialCorpus:    opts.InitialCorpus,
-			Telemetry:        opts.Telemetry,
+			Budget:          opts.Budget,
+			MaxSteps:        opts.MaxSteps,
+			DisableFeedback: opts.DisableFeedback,
+			StopAtFirstBug:  opts.StopAtFirstBug,
+			Telemetry:       opts.Telemetry,
 		}),
 		plan:    make([]*core.Entry, 0, opts.Epoch),
 		digests: make([]digest, opts.Epoch),

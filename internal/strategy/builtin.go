@@ -8,6 +8,7 @@ import (
 
 	"rff/internal/bench"
 	"rff/internal/campaign"
+	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/qlearn"
 	"rff/internal/sched"
@@ -35,7 +36,6 @@ func init() {
 			return campaign.RFFTool{
 				NoFeedback: len(sp.Args) == 1,
 				Telemetry:  cfg.Telemetry,
-				Observer:   cfg.Observer,
 				Shards:     cfg.Shards,
 			}, nil
 		},
@@ -50,7 +50,6 @@ func init() {
 				ToolName:  "POS",
 				Factory:   func() exec.Scheduler { return sched.NewPOS() },
 				Telemetry: cfg.Telemetry,
-				Observer:  cfg.Observer,
 			}, nil
 		},
 	})
@@ -85,7 +84,6 @@ func init() {
 				ToolName:  fmt.Sprintf("PCT%d", depth),
 				Factory:   func() exec.Scheduler { return sched.NewPCT(depth) },
 				Telemetry: cfg.Telemetry,
-				Observer:  cfg.Observer,
 			}, nil
 		},
 	})
@@ -99,7 +97,6 @@ func init() {
 				ToolName:  "Random",
 				Factory:   func() exec.Scheduler { return sched.NewRandom() },
 				Telemetry: cfg.Telemetry,
-				Observer:  cfg.Observer,
 			}, nil
 		},
 	})
@@ -122,7 +119,6 @@ func init() {
 				ToolName:  name,
 				Factory:   func() exec.Scheduler { return qlearn.New(qcfg) },
 				Telemetry: cfg.Telemetry,
-				Observer:  cfg.Observer,
 			}, nil
 		},
 	})
@@ -159,7 +155,6 @@ func init() {
 			}
 			return campaign.SystematicTool{
 				ToolName: name,
-				Observer: cfg.Observer,
 				Explore: func(ctx context.Context, p bench.Program, budget, maxSteps int, obs campaign.ResultObserver) campaign.Outcome {
 					rep := systematic.ICBContext(ctx, p.Name, p.Body, systematic.ICBOptions{
 						MaxExecutions:  budget,
@@ -168,7 +163,7 @@ func init() {
 						StopAtFirstBug: true,
 						OnExecution:    obs,
 					})
-					return systematicOutcome(ctx, rep.FirstBug, rep.Executions, budget)
+					return systematicOutcome(ctx, rep.FirstBug, rep.Executions, budget, rep.FirstFailure, rep.FirstDecisions)
 				},
 			}, nil
 		},
@@ -181,7 +176,6 @@ func init() {
 		Factory: func(_ Spec, cfg Config) (campaign.Tool, error) {
 			return campaign.SystematicTool{
 				ToolName: "GenMC*",
-				Observer: cfg.Observer,
 				Explore: func(ctx context.Context, p bench.Program, budget, maxSteps int, obs campaign.ResultObserver) campaign.Outcome {
 					rep := systematic.ExploreContext(ctx, p.Name, p.Body, systematic.ExploreOptions{
 						MaxExecutions:  budget,
@@ -189,7 +183,7 @@ func init() {
 						StopAtFirstBug: true,
 						OnExecution:    obs,
 					})
-					return systematicOutcome(ctx, rep.FirstBug, rep.Executions, budget)
+					return systematicOutcome(ctx, rep.FirstBug, rep.Executions, budget, rep.FirstFailure, rep.FirstDecisions)
 				},
 			}, nil
 		},
@@ -200,9 +194,13 @@ func init() {
 }
 
 // systematicOutcome maps an enumeration report to a trial outcome,
-// recording a censored error when the trial was cut short by ctx.
-func systematicOutcome(ctx context.Context, firstBug, executions, budget int) campaign.Outcome {
+// carrying its first failure (an enumeration has no execution seeds),
+// and records a censored error when the trial was cut short by ctx.
+func systematicOutcome(ctx context.Context, firstBug, executions, budget int, f *exec.Failure, decisions []exec.ThreadID) campaign.Outcome {
 	out := campaign.Outcome{FirstBug: firstBug, Executions: executions, Budget: budget}
+	if firstBug > 0 {
+		out.Failure = &core.FailureRecord{Failure: f, Decisions: decisions}
+	}
 	if err := ctx.Err(); err != nil && firstBug == 0 {
 		out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", executions, err)
 	}

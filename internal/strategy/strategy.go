@@ -101,11 +101,13 @@ type Config struct {
 	// Telemetry, if non-nil, is threaded exactly once into every
 	// resolved tool that supports per-execution instrumentation.
 	Telemetry telemetry.Sink
-	// Observer, if non-nil, is threaded into every resolved tool and
-	// sees every counted execution's result (before its trace is
-	// reclaimed), in every trial the tool runs. Every registered
-	// strategy honours it. A matrix that needs one observer per trial
-	// uses campaign.MatrixOptions.Observe instead.
+	// Observer, if non-nil, is threaded into every resolved tool once,
+	// by Resolve through campaign.ObservableTool.WithObserver, and sees
+	// every counted execution's result (before its trace is reclaimed),
+	// in every trial the tool runs. The benchmark's bughunt and panel
+	// workloads set it to count rf-pairs and keep failing schedules for
+	// replay. A matrix that needs one observer per trial uses
+	// campaign.MatrixOptions.Observe instead.
 	Observer campaign.ResultObserver
 	// Trials per (tool, program) cell; deterministic tools run once.
 	Trials int
@@ -266,14 +268,23 @@ func Canonical(specStr string) (string, error) {
 	return sp.String(), nil
 }
 
-// Resolve builds the configured tool a spec names, threading cfg
-// (today: the telemetry sink) into it exactly once.
+// Resolve builds the configured tool a spec names, threading cfg (the
+// telemetry sink, the shard count and the observer) into it exactly
+// once.
 func Resolve(specStr string, cfg Config) (campaign.Tool, error) {
 	sp, err := normalize(specStr)
 	if err != nil {
 		return nil, err
 	}
-	return registry[sp.Name].Factory(sp, cfg)
+	t, err := registry[sp.Name].Factory(sp, cfg)
+	if err != nil || cfg.Observer == nil {
+		return t, err
+	}
+	ot, ok := t.(campaign.ObservableTool)
+	if !ok {
+		return nil, fmt.Errorf("strategy %s cannot take an observer", sp)
+	}
+	return ot.WithObserver(cfg.Observer), nil
 }
 
 // MustResolve is Resolve for static specs in tests and examples; it

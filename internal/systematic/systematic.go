@@ -44,8 +44,10 @@ type ExploreReport struct {
 	// FirstBug is the 1-based execution index of the first failure
 	// (0 = none found).
 	FirstBug int
-	// FirstFailure describes the first failure.
-	FirstFailure *exec.Failure
+	// FirstFailure describes the first failure, and FirstDecisions
+	// replays it.
+	FirstFailure   *exec.Failure
+	FirstDecisions []exec.ThreadID
 	// Classes counts the distinct reads-from equivalence classes
 	// observed — the quantity partial-order and reads-from reduction
 	// techniques exploit (exponentially fewer classes than schedules).
@@ -124,14 +126,15 @@ func ExploreContext(ctx context.Context, name string, prog exec.Program, opts Ex
 		if opts.OnExecution != nil {
 			opts.OnExecution(res)
 		}
-		buggy := res.Buggy()
-		recycler.Reclaim(res.Trace)
-		if buggy && rep.FirstBug == 0 {
+		first := res.Buggy() && rep.FirstBug == 0
+		if first {
 			rep.FirstBug = rep.Executions
 			rep.FirstFailure = res.Failure
-			if opts.StopAtFirstBug {
-				break
-			}
+			rep.FirstDecisions = res.Trace.ThreadOrder()
+		}
+		recycler.Reclaim(res.Trace)
+		if first && opts.StopAtFirstBug {
+			break
 		}
 
 		// Advance to the next leaf: deepest step with an untried sibling.
@@ -171,9 +174,10 @@ type ICBOptions struct {
 
 // ICBReport summarizes a preemption-bounded exploration.
 type ICBReport struct {
-	Executions   int
-	FirstBug     int
-	FirstFailure *exec.Failure
+	Executions     int
+	FirstBug       int
+	FirstFailure   *exec.Failure
+	FirstDecisions []exec.ThreadID
 	// BoundReached is the largest preemption bound fully enumerated.
 	BoundReached int
 }
@@ -275,6 +279,7 @@ func ICBContext(ctx context.Context, name string, prog exec.Program, opts ICBOpt
 		if res.Buggy() && rep.FirstBug == 0 {
 			rep.FirstBug = rep.Executions
 			rep.FirstFailure = res.Failure
+			rep.FirstDecisions = res.Trace.ThreadOrder()
 			if opts.StopAtFirstBug {
 				return true
 			}

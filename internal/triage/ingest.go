@@ -127,32 +127,39 @@ func Regress(dir string, maxSteps int) ([]RegressFailure, int, error) {
 			bad = append(bad, RegressFailure{ClusterID: c.ID, Reason: err.Error()})
 			continue
 		}
-		if reason := replayArtifact(a, maxSteps); reason != "" {
+		_, reason, err := Replay(a, maxSteps)
+		if err != nil {
+			reason = err.Error()
+		}
+		if reason != "" {
 			bad = append(bad, RegressFailure{ClusterID: c.ID, Reason: reason})
 		}
 	}
 	return bad, len(f.Clusters), nil
 }
 
-// replayArtifact re-executes an artifact's decision sequence and checks
-// the recorded failure kind (and location, when recorded) reproduces.
-// Returns "" on success, else the mismatch reason.
-func replayArtifact(a *core.Artifact, maxSteps int) string {
+// Replay re-executes an artifact's decision sequence on its program
+// (maxSteps bounds the replay, 0 = engine default) and checks that the
+// recorded failure reproduces: the kind must match, and the location
+// too when the artifact records one. It returns the replayed result and
+// an empty mismatch when it reproduced, else the reason; err reports a
+// program name that resolves to no program.
+func Replay(a *core.Artifact, maxSteps int) (res *exec.Result, mismatch string, err error) {
 	prog, err := resolveProgram(a.Program)
 	if err != nil {
-		return err.Error()
+		return nil, "", err
 	}
-	res := exec.Run(a.Program, prog, exec.Config{
+	res = exec.Run(a.Program, prog, exec.Config{
 		Scheduler: sched.NewReplay(a.ThreadOrder()),
 		MaxSteps:  maxSteps,
 	})
 	switch {
 	case res.Failure == nil:
-		return fmt.Sprintf("replay of %s completed cleanly, expected %s", a.Program, a.FailureKind)
+		mismatch = fmt.Sprintf("replay of %s completed cleanly, expected %s", a.Program, a.FailureKind)
 	case res.Failure.Kind.String() != a.FailureKind:
-		return fmt.Sprintf("replay of %s failed with %s, expected %s", a.Program, res.Failure.Kind, a.FailureKind)
+		mismatch = fmt.Sprintf("replay of %s failed with %s, expected %s", a.Program, res.Failure.Kind, a.FailureKind)
 	case a.FailureLoc != "" && res.Failure.Loc != a.FailureLoc:
-		return fmt.Sprintf("replay of %s failed at %s, expected %s", a.Program, res.Failure.Loc, a.FailureLoc)
+		mismatch = fmt.Sprintf("replay of %s failed at %s, expected %s", a.Program, res.Failure.Loc, a.FailureLoc)
 	}
-	return ""
+	return res, mismatch, nil
 }

@@ -245,7 +245,7 @@ func resolveProgram(name string) (exec.Program, error) {
 	if p, ok := bench.Get(name); ok {
 		return p.Body, nil
 	}
-	return nil, fmt.Errorf("triage: unknown program %q", name)
+	return nil, fmt.Errorf("unknown program %q", name)
 }
 
 // Add ingests one artifact found by tool (""  = "unknown"): replays and
@@ -279,14 +279,9 @@ func (t *Triager) Add(a *core.Artifact, tool string) (Outcome, error) {
 
 	prog, err := resolveProgram(a.Program)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("triage: %w", err)
 	}
-	original := &exec.Failure{
-		Kind:   failureKindOf(a.FailureKind),
-		Msg:    a.FailureMsg,
-		Thread: exec.ThreadID(a.Thread),
-		Loc:    a.FailureLoc,
-	}
+	original := a.Failure()
 	if original.Kind == 0 {
 		return Outcome{}, fmt.Errorf("triage: artifact has unknown failure kind %q", a.FailureKind)
 	}
@@ -304,18 +299,12 @@ func (t *Triager) Add(a *core.Artifact, tool string) (Outcome, error) {
 
 	// The stored reproduction is the *minimized* artifact: same program
 	// and seed provenance, minimal decision sequence.
-	min := &core.Artifact{
-		Program:     a.Program,
-		Seed:        a.Seed,
-		Execution:   a.Execution,
-		FailureKind: res.Failure.Kind.String(),
-		FailureMsg:  res.Failure.Msg,
-		FailureLoc:  res.Failure.Loc,
-		Thread:      int32(res.Failure.Thread),
-	}
-	for _, d := range res.Decisions {
-		min.Decisions = append(min.Decisions, int32(d))
-	}
+	min := core.NewArtifact(a.Program, core.FailureRecord{
+		Seed:      a.Seed,
+		Execution: a.Execution,
+		Failure:   res.Failure,
+		Decisions: res.Decisions,
+	})
 	minData, err := core.EncodeArtifact(min)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("triage: %w", err)
@@ -404,16 +393,6 @@ func insertID(ids []store.ID, id store.ID) []store.ID {
 	return ids
 }
 
-// failureKindOf inverts exec.FailureKind.String.
-func failureKindOf(s string) exec.FailureKind {
-	for k := exec.FailAssert; int(k) < exec.NumFailureKinds; k++ {
-		if k.String() == s {
-			return k
-		}
-	}
-	return 0
-}
-
 // Clusters returns a deep copy of every cluster, sorted by ID.
 func (t *Triager) Clusters() []*Cluster {
 	t.mu.Lock()
@@ -442,29 +421,4 @@ func (t *Triager) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.clusters)
-}
-
-// Observer returns a campaign.ResultObserver-shaped hook that triages
-// every failing execution live (the rffd integration point). Failures
-// that cannot be triaged are dropped — the campaign outcome still
-// records them.
-func (t *Triager) Observer(tool string) func(res *exec.Result) {
-	return func(res *exec.Result) {
-		if res.Failure == nil {
-			return
-		}
-		f := *res.Failure
-		a := &core.Artifact{
-			Program:     res.Program,
-			Seed:        res.Seed,
-			FailureKind: f.Kind.String(),
-			FailureMsg:  f.Msg,
-			FailureLoc:  f.Loc,
-			Thread:      int32(f.Thread),
-		}
-		for _, d := range res.Trace.ThreadOrder() {
-			a.Decisions = append(a.Decisions, int32(d))
-		}
-		t.Add(a, tool)
-	}
 }
