@@ -7,6 +7,7 @@
 //	rff tools [-q] [-json]                     # list registered strategy specs
 //	rff run -prog CS/reorder_100 [-tools rff] [-budget 2000] [-seed 1] [-trials 1]
 //	        [-workers N] [-shards N] [-trial-timeout DUR]
+//	        [-budget-policy POLICY] [-budget-epochs N]
 //	        [-v] [-minimize] [-races] [-out DIR]
 //	        [-metrics out.json] [-events out.jsonl] [-progress 10s]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -19,6 +20,11 @@
 // in one invocation. See `rff tools` (or the README's tool-spec grammar
 // table) for the registered specs: rff, rff:nofb, pos, pct:<depth>,
 // random, qlearn[:key=value...], period[:<bound>], genmc.
+//
+// `rff run` runs every (tool, trial) cell through one campaign matrix.
+// -v, -minimize and -out act on each trial that found its bug, for any
+// tools and trial count; -races runs the race detector over every
+// counted execution of every trial, sharded or not.
 package main
 
 import (
@@ -28,8 +34,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -42,7 +50,6 @@ import (
 	"rff/internal/perf"
 	"rff/internal/race"
 	"rff/internal/report"
-	"rff/internal/shard"
 	"rff/internal/strategy"
 	"rff/internal/systematic"
 	"rff/internal/telemetry"
@@ -77,7 +84,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: rff <list|tools|run|explore|replay|regress> [flags]")
 	fmt.Fprintln(os.Stderr, "  rff list")
 	fmt.Fprintln(os.Stderr, "  rff tools [-q] [-json]")
-	fmt.Fprintln(os.Stderr, "  rff run -prog NAME [-tools SPEC[,SPEC...]] [-budget N] [-seed S] [-trials K] [-workers N] [-trial-timeout DUR] [-v] [-minimize] [-out DIR] [-metrics FILE] [-events FILE] [-progress DUR]")
+	fmt.Fprintln(os.Stderr, "  rff run -prog NAME [-tools SPEC[,SPEC...]] [-budget N] [-seed S] [-trials K] [-workers N] [-shards N] [-trial-timeout DUR] [-budget-policy POLICY] [-budget-epochs N] [-v] [-minimize] [-races] [-out DIR] [-metrics FILE] [-events FILE] [-progress DUR]")
 	fmt.Fprintln(os.Stderr, "  rff explore -prog NAME [-budget N]")
 	fmt.Fprintln(os.Stderr, "  rff replay -artifact FILE [-trace]")
 	fmt.Fprintln(os.Stderr, "  rff regress -corpus DIR [-maxsteps N]")
@@ -214,10 +221,10 @@ func cmdRun(args []string) int {
 	seed := fs.Int64("seed", 1, "base random seed")
 	trials := fs.Int("trials", 1, "number of trials")
 	maxSteps := fs.Int("maxsteps", 0, "per-execution step budget (0 = default)")
-	verbose := fs.Bool("v", false, "print the failing schedule details (rff tool only)")
-	doMin := fs.Bool("minimize", false, "delta-debug the failing schedule to minimal context switches (rff tool only)")
-	outDir := fs.String("out", "", "directory to write crash artifacts to (rff tool only)")
-	races := fs.Bool("races", false, "run the happens-before race detector over every execution (rff tool only)")
+	verbose := fs.Bool("v", false, "print each found failure's details")
+	doMin := fs.Bool("minimize", false, "delta-debug each found failure's schedule to minimal context switches")
+	outDir := fs.String("out", "", "directory to write each found failure's crash artifact to, as crash-NNN.json in matrix order")
+	races := fs.Bool("races", false, "run the happens-before race detector over every counted execution")
 	workers := fs.Int("workers", 0, "run trials concurrently on this many fleet workers; per-trial results are identical at any count (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "shard each rff trial's fuzz loop across this many worker shards; deterministic — results are identical at any shard count, though not to the unsharded loop (0 = unsharded)")
 	budgetPolicy := fs.String("budget-policy", "",
@@ -245,15 +252,13 @@ func cmdRun(args []string) int {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
 		return 1
 	}
-	// Canonicalize up front: an invalid spec fails before any set-up,
-	// and the checks below compare canonical specs.
-	for i, s := range specs {
-		if specs[i], err = strategy.Canonical(s); err != nil {
-			fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-			return 1
-		}
+	// Resolve up front, so an invalid or duplicate spec fails before
+	// any set-up.
+	tools, err := strategy.ResolveAll(specs, strategy.Config{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
+		return 1
 	}
-	wantsVerbose := *verbose || *doMin || *outDir != "" || *races
 	epochsSet := false
 	fs.Visit(func(f *flag.Flag) { epochsSet = epochsSet || f.Name == "budget-epochs" })
 	for _, bad := range []struct {
@@ -263,13 +268,7 @@ func cmdRun(args []string) int {
 		{*budget < 1, "-budget must be >= 1"},
 		{*trials < 1, "-trials must be >= 1"},
 		{*shards < 0, "-shards must be >= 0"},
-		{wantsVerbose && (len(specs) != 1 || specs[0] != "rff"), "-v/-minimize/-out/-races apply to -tools rff only"},
-		{wantsVerbose && *budgetPolicy != "", "-budget-policy is incompatible with -v/-minimize/-out/-races"},
-		{wantsVerbose && (*trials != 1 || *trialTimeout != 0), "-v/-minimize/-out/-races run one trial without a deadline: drop -trials and -trial-timeout"},
 		{epochsSet && *budgetPolicy == "", "-budget-epochs requires -budget-policy"},
-		// The sharded runner recycles traces on its shards before the
-		// barrier, so there is nothing for a TraceObserver to see.
-		{*races && *shards >= 1, "-races is incompatible with -shards; run the race detector unsharded"},
 	} {
 		if bad.when {
 			fmt.Fprintf(os.Stderr, "rff: %s\n", bad.msg)
@@ -293,11 +292,6 @@ func cmdRun(args []string) int {
 		return 1
 	}
 	defer ts.close()
-	tools, err := strategy.ResolveAll(specs, strategy.Config{Telemetry: ts.sink(), Shards: *shards})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		return 1
-	}
 	names := make([]string, len(tools))
 	for i, tl := range tools {
 		names[i] = tl.Name()
@@ -313,90 +307,11 @@ func cmdRun(args []string) int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if wantsVerbose {
-		tl := tools[0]
-		raceKeys := make(map[string]struct{})
-		opts := core.Options{
-			// Derive the same seed the matrix gives trial 0, so the
-			// verbose path reproduces trial 1 of a plain run.
-			Budget: *budget, Seed: campaign.TrialSeed(*seed, tl.Name(), p.Name, 0),
-			MaxSteps: *maxSteps, StopAtFirstBug: true,
-			Telemetry: ts.sink(),
-		}
-		if *races {
-			opts.TraceObserver = func(t *exec.Trace) {
-				for _, k := range race.DistinctKeys(race.Detect(t)) {
-					raceKeys[k] = struct{}{}
-				}
-			}
-		}
-		var rep *core.Report
-		if *shards >= 1 {
-			rep = shard.FuzzContext(ctx, p.Name, p.Body, shard.Options{
-				Budget: opts.Budget, Seed: opts.Seed, MaxSteps: opts.MaxSteps,
-				StopAtFirstBug: true, Telemetry: ts.sink(),
-				Shards: *shards,
-			})
-		} else {
-			rep = core.NewFuzzer(p.Name, p.Body, opts).RunContext(ctx)
-		}
-		if *races {
-			defer func() {
-				keys := make([]string, 0, len(raceKeys))
-				for k := range raceKeys {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				fmt.Printf("  data races (happens-before, %d distinct):\n", len(keys))
-				for _, k := range keys {
-					fmt.Printf("    %s\n", k)
-				}
-			}()
-		}
-		if !rep.FoundBug() {
-			fmt.Printf("%s: no bug in %d schedules (%d rf pairs, %d combos, corpus %d)\n",
-				p.Name, rep.Executions, rep.UniquePairs, rep.UniqueSigs, rep.CorpusSize)
-			return 0
-		}
-		f := rep.Failures[0]
-		fmt.Printf("%s: bug at schedule %d\n", p.Name, rep.FirstBug)
-		fmt.Printf("  failure:  %v\n", f.Failure)
-		fmt.Printf("  abstract: %v\n", f.Schedule)
-		fmt.Printf("  seed:     %d\n", f.Seed)
-		if *doMin {
-			res := minimize.Minimize(p.Name, p.Body, f.Decisions, f.Failure, minimize.Options{MaxSteps: *maxSteps})
-			if res == nil {
-				fmt.Println("  minimize: original schedule did not reproduce")
-				return 0
-			}
-			fmt.Printf("  minimize: %d -> %d context switches (%d preemptions) in %d probes\n",
-				res.OriginalSwitches, res.MinimalSwitches, res.Preemptions, res.Probes)
-			for _, sw := range res.Switches {
-				fmt.Printf("    after t%d's event %d -> run t%d\n", sw.After, sw.Count, sw.Thread)
-			}
-		}
-		if *outDir != "" {
-			paths, err := core.SaveFailures(*outDir, rep)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rff: saving artifacts: %v\n", err)
-				return 1
-			}
-			for _, path := range paths {
-				fmt.Printf("  artifact: %s\n", path)
-			}
-		}
-		return 0
-	}
-
 	// Every trial of every tool is one matrix cell; the matrix runs them
 	// on a fleet pool with results identical at any -workers count.
 	// Without -budget-policy the matrix spends its pool as one uniform
 	// epoch, which is exactly a fixed budget per trial.
-	var bcfg *budgetpkg.Config
-	if *budgetPolicy != "" {
-		bcfg = &budgetpkg.Config{Policy: *budgetPolicy, Epochs: *budgetEpochs}
-	}
-	m, err := strategy.RunMatrix(ctx, specs, []bench.Program{p}, strategy.Config{
+	cfg := strategy.Config{
 		Telemetry:    ts.sink(),
 		Trials:       *trials,
 		Budget:       *budget,
@@ -405,11 +320,63 @@ func cmdRun(args []string) int {
 		Workers:      *workers,
 		TrialTimeout: *trialTimeout,
 		Shards:       *shards,
-		Budgeter:     bcfg,
-	})
+	}
+	if *budgetPolicy != "" {
+		cfg.Budgeter = &budgetpkg.Config{Policy: *budgetPolicy, Epochs: *budgetEpochs}
+	}
+	// The observer runs on every trial's fleet worker at once.
+	var raceMu sync.Mutex
+	raceKeys := make(map[string]struct{})
+	if *races {
+		cfg.Observer = func(res *exec.Result) {
+			keys := race.DistinctKeys(race.Detect(res.Trace))
+			raceMu.Lock()
+			defer raceMu.Unlock()
+			for _, k := range keys {
+				raceKeys[k] = struct{}{}
+			}
+		}
+	}
+	m, err := strategy.RunMatrix(ctx, specs, []bench.Program{p}, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
 		return 1
+	}
+	// -v, -minimize and -out act on every found failure in matrix order
+	// (tool, then trial), which also numbers the artifacts.
+	saved := 0
+	details := func(o campaign.Outcome) error {
+		f := *o.Failure
+		if *verbose {
+			fmt.Printf("  failure:  %v\n", f.Failure)
+			fmt.Printf("  abstract: %v\n", f.Schedule)
+			fmt.Printf("  seed:     %d\n", f.Seed)
+		}
+		if *doMin {
+			if res := minimize.Minimize(p.Name, p.Body, f.Decisions, f.Failure, minimize.Options{MaxSteps: *maxSteps}); res == nil {
+				fmt.Println("  minimize: original schedule did not reproduce")
+			} else {
+				fmt.Printf("  minimize: %d -> %d context switches (%d preemptions) in %d probes\n",
+					res.OriginalSwitches, res.MinimalSwitches, res.Preemptions, res.Probes)
+				for _, sw := range res.Switches {
+					fmt.Printf("    after t%d's event %d -> run t%d\n", sw.After, sw.Count, sw.Thread)
+				}
+			}
+		}
+		if *outDir != "" {
+			f.Execution = o.FirstBug
+			path := filepath.Join(*outDir, fmt.Sprintf("crash-%03d.json", saved))
+			saved++
+			err := os.MkdirAll(*outDir, 0o755)
+			if err == nil {
+				err = core.NewArtifact(p.Name, f).Save(path)
+			}
+			if err != nil {
+				return fmt.Errorf("saving artifacts: %w", err)
+			}
+			fmt.Printf("  artifact: %s\n", path)
+		}
+		return nil
 	}
 	for _, toolName := range m.Tools {
 		outs := m.Outcomes[toolName][p.Name]
@@ -421,6 +388,10 @@ func cmdRun(args []string) int {
 			case o.Found():
 				found++
 				fmt.Printf("trial %d: %s found the bug after %d schedules\n", tr+1, toolName, o.FirstBug)
+				if err := details(o); err != nil {
+					fmt.Fprintf(os.Stderr, "rff: %v\n", err)
+					return 1
+				}
 			default:
 				fmt.Printf("trial %d: %s found no bug in %d schedules\n", tr+1, toolName, o.Executions)
 			}
@@ -437,6 +408,17 @@ func cmdRun(args []string) int {
 			}
 			fmt.Printf("  %s: spent %d of %d allocated (%.1f%% share, %d new rf-pairs%s)\n",
 				c.Tool, c.Spent, c.Allocated, c.SharePct, c.NewPairs, status)
+		}
+	}
+	if *races {
+		keys := make([]string, 0, len(raceKeys))
+		for k := range raceKeys {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Printf("data races (happens-before, %d distinct):\n", len(keys))
+		for _, k := range keys {
+			fmt.Printf("  %s\n", k)
 		}
 	}
 	return 0

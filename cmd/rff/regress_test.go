@@ -22,16 +22,8 @@ func buildCorpus(t *testing.T) string {
 	if !rep.FoundBug() {
 		t.Fatal("no failure to triage")
 	}
-	paths, err := core.SaveFailures(t.TempDir(), rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := core.LoadArtifact(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := triage.New(triage.Config{Budget: 64})
-	if _, err := tr.Add(a, "rff"); err != nil {
+	if _, err := tr.Add(core.NewArtifact(p.Name, rep.Failures[0]), "rff"); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "corpus")

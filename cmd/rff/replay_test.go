@@ -21,11 +21,11 @@ func saveCrash(t *testing.T) string {
 	if !rep.FoundBug() {
 		t.Fatal("no failure to serialize")
 	}
-	paths, err := core.SaveFailures(t.TempDir(), rep)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "crash-000.json")
+	if err := core.NewArtifact(p.Name, rep.Failures[0]).Save(path); err != nil {
 		t.Fatal(err)
 	}
-	return paths[0]
+	return path
 }
 
 // replayOut runs the replay core and captures its streams.

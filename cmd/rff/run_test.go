@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,14 +49,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-budget", "0"},
 		{"-trials", "0"},
 		{"-shards", "-1"},
-		{"-tools", "pos", "-out", dir},
-		{"-tools", "rff,pos", "-v"},
-		{"-tools", "rff:nofb", "-minimize"},
-		{"-races", "-budget-policy", "ucb"},
-		{"-v", "-trials", "3"},
-		{"-v", "-trial-timeout", "1ns"},
-		{"-races", "-shards", "2"},
 		{"-budget-epochs", "3"},
+		{"-budget-policy", "nosuch", "-out", dir},
 	} {
 		stdout, stderr, code := rff(t, append([]string{"run", "-prog", "CS/account"}, args...)...)
 		if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "rff: ") {
@@ -72,10 +67,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunFailureFlushesProfileAndEvents(t *testing.T) {
 	dir := t.TempDir()
 	events, profile := filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "c.pprof")
-	_, stderr, code := rff(t, "run", "-prog", "CS/account", "-budget-policy", "ucb", "-shards", "2",
+	_, stderr, code := rff(t, "run", "-prog", "CS/account", "-budget-policy", "nosuch",
 		"-events", events, "-cpuprofile", profile)
-	if code != 1 || !strings.Contains(stderr, "sharded") {
-		t.Fatalf("exit %d, stderr %q; want exit 1 naming the sharded conflict", code, stderr)
+	if code != 1 || !strings.Contains(stderr, "nosuch") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming the unknown policy", code, stderr)
 	}
 	for _, path := range []string{events, profile} {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
@@ -106,5 +101,56 @@ func TestRunFixedBudgetIsOneUniformEpoch(t *testing.T) {
 	}
 	if !strings.Contains(fixed, "GenMC* found no bug in 60 schedules") {
 		t.Errorf("GenMC did not get budget x trials schedules:\n%s", fixed)
+	}
+}
+
+// -out writes one artifact per found trial of any tool, numbered in
+// matrix order, and every artifact replays to its failure.
+func TestRunOutArtifactsReplay(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, code := rff(t, "run", "-prog", "CS/account", "-tools", "rff,pos", "-trials", "3", "-out", dir)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	found := strings.Count(stdout, "found the bug after")
+	if found == 0 {
+		t.Fatalf("no trial found the bug:\n%s", stdout)
+	}
+	for i := range found {
+		path := filepath.Join(dir, fmt.Sprintf("crash-%03d.json", i))
+		if !strings.Contains(stdout, "artifact: "+path+"\n") {
+			t.Errorf("%s not reported:\n%s", path, stdout)
+		}
+		if code, out, errOut := replayOut(path); code != 0 {
+			t.Errorf("replay %s exited %d: %s%s", path, code, out, errOut)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != found {
+		t.Errorf("%d artifacts for %d found trials", len(entries), found)
+	}
+}
+
+// -races and a budget policy both observe every counted execution of a
+// sharded trial, so their output is the same at every shard count.
+func TestRunObservedShardsIdentical(t *testing.T) {
+	for _, args := range [][]string{
+		{"-races"},
+		{"-tools", "rff,pos", "-trials", "2", "-budget-policy", "ucb"},
+	} {
+		var want string
+		for _, s := range []string{"1", "2", "4"} {
+			out, stderr, code := rff(t, append([]string{"run", "-prog", "CS/account", "-shards", s}, args...)...)
+			if code != 0 {
+				t.Fatalf("%v -shards %s: exit %d: %s", args, s, code, stderr)
+			}
+			if want == "" {
+				want = out
+			} else if out != want {
+				t.Errorf("%v: -shards %s printed\n%s\nwant (-shards 1)\n%s", args, s, out, want)
+			}
+		}
+		if args[0] == "-races" && !strings.Contains(want, "data races (happens-before, 3 distinct)") {
+			t.Errorf("-races found no races:\n%s", want)
+		}
 	}
 }

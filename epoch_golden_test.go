@@ -8,7 +8,9 @@ package repro
 // so a rewrite of the epoch machinery must reproduce every outcome,
 // budget report, allocation trace, budget-epoch event, fixed-budget
 // matrix and conformance report, sharded report and failure stream
-// byte for byte, and rffd's stored report and artifact IDs.
+// byte for byte, and rffd's stored report and artifact IDs. A budgeted
+// matrix with sharded RFF trials is pinned at three shard counts, which
+// must agree.
 //
 // Regenerate (only for an intentional semantic change) with
 //
@@ -24,6 +26,7 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,9 +206,11 @@ func renderShards(b *bytes.Buffer) {
 						Seed:           seed,
 						StopAtFirstBug: stop,
 						Shards:         shards,
-						FailureObserver: func(res *exec.Result) {
-							fmt.Fprintf(h, "observed %s %d %v %s\n",
-								res.Program, res.Seed, res.Trace.Decisions, res.Failure)
+						ResultObserver: func(res *exec.Result) {
+							if res.Failure != nil {
+								fmt.Fprintf(h, "observed %s %d %v %s\n",
+									res.Program, res.Seed, res.Trace.ThreadOrder(), res.Failure)
+							}
 						},
 					})
 					writeReport(h, rep)
@@ -214,6 +219,32 @@ func renderShards(b *bytes.Buffer) {
 				}
 			}
 		}
+	}
+}
+
+// renderShardedMatrices pins a ucb-budgeted rff,pos matrix whose RFF
+// trials run sharded: the barrier observes every execution, so the
+// cells' coverage rewards, and with them the whole matrix, are the same
+// at every shard count. The lines leave the shard count out of the
+// hash, and TestEpochDigest demands that they agree.
+func renderShardedMatrices(b *bytes.Buffer) {
+	for _, shards := range []int{1, 2, 4} {
+		res, err := strategy.RunMatrix(context.Background(), []string{"rff", "pos"}, epochBenchPrograms(), strategy.Config{
+			Trials:   2,
+			Budget:   60,
+			MaxSteps: 5000,
+			BaseSeed: 1,
+			Workers:  2,
+			Shards:   shards,
+			Budgeter: &budget.Config{Policy: "ucb", Epochs: 4, CollectCovers: true},
+		})
+		if err != nil {
+			panic(err)
+		}
+		h := sha256.New()
+		writeJSON(h, res)
+		fmt.Fprintf(b, "matrix ucb rff,pos shards=%d epochs=%d spent=%d %x\n",
+			shards, res.BudgetReport.Epochs, res.BudgetReport.Spent, h.Sum(nil)[:12])
 	}
 }
 
@@ -295,6 +326,7 @@ func renderEpochDigest() []byte {
 	renderFixedConformance(&b)
 	renderShards(&b)
 	renderService(&b)
+	renderShardedMatrices(&b)
 	return b.Bytes()
 }
 
@@ -304,6 +336,15 @@ func TestEpochDigest(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "epoch_digest.golden")
 	got := renderEpochDigest()
+	var sharded []string
+	for _, line := range strings.Split(string(got), "\n") {
+		if rest, ok := strings.CutPrefix(line, "matrix ucb rff,pos shards="); ok {
+			sharded = append(sharded, rest[strings.Index(rest, " "):])
+		}
+	}
+	if len(sharded) != 3 || sharded[1] != sharded[0] || sharded[2] != sharded[0] {
+		t.Errorf("budgeted sharded matrix differs across shard counts: %q", sharded)
+	}
 	if *updateEpochDigest {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

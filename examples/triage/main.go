@@ -46,8 +46,8 @@ func main() {
 	raceKeys := map[string]struct{}{}
 	rep := core.NewFuzzer("barrierBug", barrierBug, core.Options{
 		Budget: 2000, Seed: 3, StopAtFirstBug: true,
-		TraceObserver: func(tr *exec.Trace) {
-			for _, k := range race.DistinctKeys(race.Detect(tr)) {
+		ResultObserver: func(res *exec.Result) {
+			for _, k := range race.DistinctKeys(race.Detect(res.Trace)) {
 				raceKeys[k] = struct{}{}
 			}
 		},

@@ -177,11 +177,8 @@ type RFFTool struct {
 	// Telemetry, if non-nil, is threaded into every trial's fuzzer (and
 	// through it the execution engine).
 	Telemetry telemetry.Sink
-	// Observer, if non-nil, sees every counted execution's result.
-	// Sharded trials (Shards >= 1) narrow the contract: the observer is
-	// invoked only for counted *failing* executions, with a synthesized
-	// result carrying the program, seed, failure, and replay decisions
-	// but no live trace.
+	// Observer, if non-nil, sees every counted execution's result,
+	// sequential or sharded.
 	Observer ResultObserver
 	// Shards, when >= 1, runs each trial on the sharded runner
 	// (internal/shard) with that many worker shards instead of
@@ -215,7 +212,16 @@ func (t RFFTool) WithObserver(obs ResultObserver) Tool {
 func (t RFFTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) Outcome {
 	var rep *core.Report
 	if t.Shards >= 1 {
-		rep = t.runSharded(ctx, p, budget, maxSteps, seed)
+		rep = shard.FuzzContext(ctx, p.Name, p.Body, shard.Options{
+			Budget:          budget,
+			MaxSteps:        maxSteps,
+			Seed:            seed,
+			DisableFeedback: t.NoFeedback,
+			StopAtFirstBug:  true,
+			Telemetry:       t.Telemetry,
+			ResultObserver:  t.Observer,
+			Shards:          t.Shards,
+		})
 	} else {
 		rep = core.NewFuzzer(p.Name, p.Body, core.Options{
 			Budget:          budget,
@@ -241,24 +247,6 @@ func (t RFFTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int,
 		out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", rep.Executions, err)
 	}
 	return out
-}
-
-// runSharded runs the trial on the sharded runner, which owns its own
-// per-shard recyclers.
-func (t RFFTool) runSharded(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) *core.Report {
-	opts := shard.Options{
-		Budget:          budget,
-		MaxSteps:        maxSteps,
-		Seed:            seed,
-		DisableFeedback: t.NoFeedback,
-		StopAtFirstBug:  true,
-		Telemetry:       t.Telemetry,
-		Shards:          t.Shards,
-	}
-	if t.Observer != nil {
-		opts.FailureObserver = func(res *exec.Result) { t.Observer(res) }
-	}
-	return shard.FuzzContext(ctx, p.Name, p.Body, opts)
 }
 
 // --- scheduler-based tools ------------------------------------------------------

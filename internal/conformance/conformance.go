@@ -370,7 +370,20 @@ func Run(opts Options) *Report { return RunContext(context.Background(), opts) }
 // worker counts.
 func RunContext(ctx context.Context, opts Options) *Report {
 	opts.fill()
-	rep := &Report{
+	// Resolve every spec once up front: validates them, fixes the
+	// canonical tool-name order of the report, and fails fast on an
+	// unknown spec. Every program's matrix runs these same tools.
+	tools, err := strategy.ResolveAll(opts.Specs, strategy.Config{})
+	if err != nil {
+		rep := newReport(opts)
+		rep.Err = err.Error()
+		return rep
+	}
+	return run(ctx, opts, tools)
+}
+
+func newReport(opts Options) *Report {
+	return &Report{
 		Seed:         opts.Seed,
 		Grammar:      progen.GrammarName(opts.Gen.Features),
 		Budget:       opts.Budget,
@@ -380,15 +393,12 @@ func RunContext(ctx context.Context, opts Options) *Report {
 		BudgetEpochs: opts.BudgetEpochs,
 		Checkpoints:  Checkpoints(opts.Budget),
 	}
+}
 
-	// Resolve every spec once up front: validates them, fixes the
-	// canonical tool-name order of the report, and fails fast on an
-	// unknown spec. Every program's matrix runs these same tools.
-	tools, err := strategy.ResolveAll(opts.Specs, strategy.Config{})
-	if err != nil {
-		rep.Err = err.Error()
-		return rep
-	}
+// run checks the filled opts against tools, resolved from opts.Specs in
+// order.
+func run(ctx context.Context, opts Options, tools []campaign.Tool) *Report {
+	rep := newReport(opts)
 	for i, t := range tools {
 		rep.Tools = append(rep.Tools, ToolReport{
 			Tool:     t.Name(),

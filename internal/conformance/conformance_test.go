@@ -1,10 +1,13 @@
 package conformance
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
+	"rff/internal/campaign"
+	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
 
@@ -127,4 +130,37 @@ func mustJSON(v any) string {
 		panic(err)
 	}
 	return string(b)
+}
+
+// TestShardedRFFConformance holds sharded RFF to the enumeration
+// oracle: the shard barrier observes every counted execution, so every
+// behavior it reaches is checked against ground truth and every failure
+// it reports must replay, as for the sequential loop.
+func TestShardedRFFConformance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("conformance matrix is slow under -short")
+	}
+	sharded := []campaign.Tool{strategy.MustResolve("rff", strategy.Config{Shards: 2})}
+	replays := 0
+	for _, grammar := range []string{"core", "chan"} {
+		for _, seed := range []int64{1, 2} {
+			opts := Options{Programs: 6, Seed: seed, Budget: 150, Workers: 2, Grammar: grammar, Specs: []string{"rff"}}
+			opts.fill()
+			rep := run(context.Background(), opts, sharded)
+			if rep.Err != "" || rep.Programs != 6 {
+				t.Fatalf("%s seed=%d: checked %d programs: %s", grammar, seed, rep.Programs, rep.Err)
+			}
+			if len(rep.Violations) != 0 {
+				t.Errorf("%s seed=%d: sharded RFF violations:\n%s", grammar, seed, rep.Summary())
+			}
+			tr := rep.Tools[0]
+			if tr.Executions == 0 || tr.ReplayFailures != 0 {
+				t.Errorf("%s seed=%d: observed %d executions, %d replay failures", grammar, seed, tr.Executions, tr.ReplayFailures)
+			}
+			replays += tr.Replays
+		}
+	}
+	if replays == 0 {
+		t.Error("no sharded failure was found, so none was replayed")
+	}
 }

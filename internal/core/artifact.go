@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"rff/internal/exec"
 )
@@ -189,21 +188,4 @@ func LoadArtifact(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("artifact %s: %w", path, err)
 	}
 	return a, nil
-}
-
-// SaveFailures writes every failure of a report into dir as
-// crash-000.json, crash-001.json, ... and returns the paths.
-func SaveFailures(dir string, rep *Report) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var paths []string
-	for i, fr := range rep.Failures {
-		p := filepath.Join(dir, fmt.Sprintf("crash-%03d.json", i))
-		if err := NewArtifact(rep.Program, fr).Save(p); err != nil {
-			return paths, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
 }

@@ -18,16 +18,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if !rep.FoundBug() {
 		t.Fatal("no failure to serialize")
 	}
-	dir := t.TempDir()
-	paths, err := core.SaveFailures(dir, rep)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "crash-000.json")
+	if err := core.NewArtifact(rep.Program, rep.Failures[0]).Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != len(rep.Failures) {
-		t.Fatalf("want %d artifacts, got %d", len(rep.Failures), len(paths))
-	}
 
-	a, err := core.LoadArtifact(paths[0])
+	a, err := core.LoadArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,21 +36,13 @@ type Options struct {
 	// InitialCorpus is Algorithm 1's S_init; when empty the corpus is
 	// seeded with the empty schedule ε.
 	InitialCorpus []Schedule
-	// TraceObserver, if non-nil, is invoked with every executed trace —
-	// the hook auxiliary analyses (e.g. the happens-before race
-	// detector) use to piggyback on the fuzzing campaign. A panicking
-	// observer is recovered per execution: the campaign and its corpus
-	// continue unharmed. The trace's backing arrays are recycled into the
-	// next execution, so observers must finish with the trace before
-	// returning and must not retain it (copy what they keep).
-	TraceObserver func(t *exec.Trace)
 	// ResultObserver, if non-nil, is invoked with every counted execution's
-	// full result (trace plus failure/truncation verdict) — the hook the
-	// conformance harness uses to compare observed behaviors against the
-	// systematically enumerated set. Unlike TraceObserver it is part of the
-	// verification machinery, so a panic propagates instead of being
-	// contained. The same retention rule applies: the result's trace is
-	// recycled after the observer returns, so copy anything kept.
+	// full result (trace plus failure/truncation verdict) before it is
+	// folded — the hook the conformance harness uses to compare observed
+	// behaviors against the systematically enumerated set, and auxiliary
+	// analyses (e.g. the happens-before race detector) use to piggyback
+	// on the campaign. A panic propagates. The result's trace is recycled
+	// after the observer returns, so copy anything kept.
 	ResultObserver func(res *exec.Result)
 	// Telemetry, if non-nil, receives the campaign's metrics (schedules
 	// executed, new reads-from pairs/combinations, corpus growth, power-
@@ -108,7 +100,6 @@ type Fuzzer struct {
 	// the campaign's executions (reset-don't-reallocate).
 	recycler *exec.Recycler
 
-	traceObs  func(*exec.Trace)
 	resultObs func(*exec.Result)
 }
 
@@ -122,7 +113,6 @@ func NewFuzzer(name string, prog exec.Program, opts Options) *Fuzzer {
 		sched:     NewProactive(),
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		recycler:  exec.NewRecycler(),
-		traceObs:  opts.TraceObserver,
 		resultObs: opts.ResultObserver,
 	}
 }
@@ -160,26 +150,9 @@ func (f *Fuzzer) fuzzOne(ctx context.Context, entry *Entry) bool {
 		// perturb the feedback state or count against the budget.
 		return false
 	}
-	if f.traceObs != nil {
-		f.observeTrace(res.Trace)
-	}
 	if f.resultObs != nil {
 		f.resultObs(res)
 	}
 	f.c.Fold(entry, &x)
 	return true
-}
-
-// observeTrace invokes the user's TraceObserver, containing any panic it
-// raises: a broken auxiliary analysis must not kill the campaign or
-// corrupt the corpus mid-update.
-func (f *Fuzzer) observeTrace(tr *exec.Trace) {
-	defer func() {
-		if r := recover(); r != nil {
-			if t := f.c.tel; t != nil {
-				t.Add(telemetry.MObserverPanics, 1, f.c.labels...)
-			}
-		}
-	}()
-	f.traceObs(tr)
 }

@@ -65,13 +65,13 @@ func TestMutatorDisabledOps(t *testing.T) {
 	}
 }
 
-func TestTraceObserverSeesEveryExecution(t *testing.T) {
+func TestResultObserverSeesEveryExecution(t *testing.T) {
 	var traces, events int
 	rep := core.NewFuzzer("wr", writerReader, core.Options{
 		Budget: 25, Seed: 3,
-		TraceObserver: func(tr *exec.Trace) {
+		ResultObserver: func(res *exec.Result) {
 			traces++
-			events += tr.Len()
+			events += res.Trace.Len()
 		},
 	}).Run()
 	if traces != rep.Executions {

@@ -109,41 +109,3 @@ func TestFuzzerNilTelemetryUnchanged(t *testing.T) {
 		t.Fatalf("telemetry changed campaign behaviour: %+v vs %+v", plain, wired)
 	}
 }
-
-func TestTraceObserverPanicDoesNotCorruptCorpus(t *testing.T) {
-	// An observer that panics on every trace must not kill the campaign:
-	// the fuzzer still runs to its budget, keeps feeding the corpus, and
-	// counts the recovered panics.
-	calls := 0
-	opts := core.Options{
-		Budget: 40, Seed: 9,
-		TraceObserver: func(tr *exec.Trace) {
-			calls++
-			panic("observer exploded")
-		},
-	}
-	rep, snap, _ := runWithHub(t, reorder(3), opts)
-	if rep.Executions != 40 {
-		t.Fatalf("campaign stopped early at %d/40 executions", rep.Executions)
-	}
-	if calls != rep.Executions {
-		t.Fatalf("observer fired %d times, want once per %d executions", calls, rep.Executions)
-	}
-	if rep.CorpusSize < 1 {
-		t.Fatalf("corpus corrupted: size %d", rep.CorpusSize)
-	}
-	if got := snap.Value(telemetry.MObserverPanics, telemetry.L("program", "prog")); got != int64(rep.Executions) {
-		t.Fatalf("observer_panics = %d, want %d", got, rep.Executions)
-	}
-
-	// The surviving campaign must match a panic-free observer run:
-	// recovery may not perturb feedback, mutation, or corpus state.
-	clean := core.NewFuzzer("prog", reorder(3), core.Options{
-		Budget: 40, Seed: 9,
-		TraceObserver: func(tr *exec.Trace) {},
-	}).Run()
-	if clean.CorpusSize != rep.CorpusSize || clean.UniquePairs != rep.UniquePairs ||
-		clean.FirstBug != rep.FirstBug {
-		t.Fatalf("panicking observer perturbed the campaign: %+v vs %+v", rep, clean)
-	}
-}

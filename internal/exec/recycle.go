@@ -65,7 +65,7 @@ func (r *Recycler) record(threads, objs, steps int, enabled []Pending, cands []*
 // stays valid — Reclaim detaches it from the trace rather than recycling
 // it — so a caller may keep the summary past the trace. Call Reclaim once
 // every consumer of the trace itself is done — the fuzzer does so at the
-// end of each iteration, after feedback, pool, and TraceObserver have run.
+// end of each iteration, after the observer, feedback and pool have run.
 // A nil trace is a no-op.
 func (r *Recycler) Reclaim(t *Trace) {
 	if t == nil {

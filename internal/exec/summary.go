@@ -6,7 +6,7 @@ import "sort"
 // deduplicated abstract reads-from pairs, the reads-from combination
 // signature, and the deduplicated abstract events — all derived in a
 // single traversal of the trace and memoized, so Feedback.Observe,
-// EventPool.AddTrace, and any TraceObserver share one computation instead
+// EventPool.AddTrace, and any ResultObserver share one computation instead
 // of re-deriving (and re-sorting) the same data per consumer.
 //
 // Pairs/PairIDs and Events/EventIDs are parallel slices: PairIDs[i] is

@@ -81,7 +81,7 @@ type CampaignRequest struct {
 	// budget allocator (internal/budget): the matrix's per-cell budgets
 	// become a shared pool reallocated across epochs by per-cell reward.
 	// Like Shards, the policy changes the computation (and its report),
-	// so it stays in the cache key. Mutually exclusive with Shards.
+	// so it stays in the cache key.
 	BudgetPolicy string `json:"budget_policy,omitempty"`
 	// BudgetEpochs is the allocation epoch count under BudgetPolicy
 	// (default budget.DefaultEpochs; must be 0 when BudgetPolicy is
@@ -164,9 +164,6 @@ func (r CampaignRequest) Canonicalize() (CampaignRequest, error) {
 			return c, fmt.Errorf("budget_epochs requires budget_policy")
 		}
 	} else {
-		if c.Shards >= 1 {
-			return c, fmt.Errorf("budget_policy and shards are mutually exclusive: the shard runner's observer sees only failures, so sharded cells earn no coverage reward")
-		}
 		if c.BudgetEpochs == 0 {
 			c.BudgetEpochs = budget.DefaultEpochs
 		}

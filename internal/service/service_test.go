@@ -863,11 +863,29 @@ func TestBudgetedCampaign(t *testing.T) {
 		t.Fatal("identical budgeted re-submission did not hit the cache")
 	}
 
+	// Budgeted and sharded: the shard barrier observes every execution,
+	// so sharded cells earn coverage reward like any other.
+	req3 := req
+	req3.Shards = 2
+	v3 := submit(t, ts, req3)
+	if v3.CacheHit {
+		t.Fatal("sharded budgeted campaign hit the unsharded cache entry")
+	}
+	if done3 := waitTerminal(t, ts, v3.ID); done3.State != JobDone {
+		t.Fatalf("sharded budgeted job state %q (error %q)", done3.State, done3.Error)
+	}
+	var res3 CampaignResult
+	if err := json.Unmarshal(getBody(t, ts, "/v1/jobs/"+v3.ID+"/report", 200), &res3); err != nil {
+		t.Fatal(err)
+	}
+	if res3.BudgetReport == nil || res3.BudgetReport.Cells[0].NewPairs == 0 {
+		t.Fatalf("sharded RFF cell earned no coverage reward: %+v", res3.BudgetReport)
+	}
+
 	// Invalid budget configurations are rejected at the API boundary.
 	bad := []string{
 		`{"program":"CS/account","budget_policy":"warp-drive"}`,               // unknown policy
 		`{"program":"CS/account","budget_epochs":4}`,                          // epochs without policy
-		`{"program":"CS/account","budget_policy":"ucb","shards":2}`,           // budgeted + sharded
 		`{"program":"CS/account","budget_policy":"ucb","budget_epochs":1000}`, // epochs over cap
 	}
 	for _, body := range bad {

@@ -43,13 +43,13 @@ type Options struct {
 	// epoch-merge events. The sink is called from W goroutines and must
 	// be safe for concurrent use (telemetry.Hub is).
 	Telemetry telemetry.Sink
-	// FailureObserver, if non-nil, is invoked at the merge barrier with a
-	// synthesized result for every counted failing execution, in counted
-	// order. Unlike core.Options.ResultObserver it sees only failures,
-	// and the result carries no live trace — only Program, Seed, Failure,
-	// and a Trace holding the replay Decisions — because the shard that
-	// ran the execution recycled its trace long before the barrier.
-	FailureObserver func(res *exec.Result)
+	// ResultObserver, if non-nil, is invoked at the merge barrier with
+	// every counted execution's full result, in counted order, with the
+	// contract of core.Options.ResultObserver: a panic propagates, and
+	// the trace is recycled after the observer returns, so copy anything
+	// kept. While it is set, each shard holds its epoch's traces until
+	// the barrier instead of recycling them at once.
+	ResultObserver func(res *exec.Result)
 
 	// Shards is the worker count W (values < 1 mean 1). Each shard runs
 	// on its own recycler and proactive scheduler, drawn warm from a
@@ -110,6 +110,11 @@ func mixSeed(seed int64, idx int) int64 {
 type digest struct {
 	done bool // false = execution abandoned (ctx cancelled)
 	core.Execution
+	// res is the execution's result, held for the ResultObserver (nil
+	// without one); its trace goes back to rec, the recycler of the
+	// shard that ran it, once the barrier is done with it.
+	res *exec.Result
+	rec *exec.Recycler
 }
 
 // execState is what one shard executes on: a trace recycler, a
@@ -274,12 +279,18 @@ func (r *runner) runEpoch(ctx context.Context, plan []*core.Entry, epochStart in
 // execOne runs one planned execution on shard s and records its digest.
 // The RNG is reseeded from (campaign seed, global index), so mutation
 // and execution seed are a pure function of the slot — not of the shard
-// or of what the shard ran before. Returns false when the execution was
-// abandoned to a cancelled ctx (the digest slot stays un-done).
+// or of what the shard ran before. Under a ResultObserver the digest
+// holds the result for the barrier; otherwise the trace recycles at
+// once. Returns false when the execution was abandoned to a cancelled
+// ctx (the digest slot stays un-done).
 func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, gidx int, d *digest) bool {
 	s.src.Seed(mixSeed(r.opts.Seed, gidx))
 	res, x := r.c.Execute(ctx, entry, s.sched, s.rng, s.rec)
-	s.rec.Reclaim(res.Trace)
+	if res.Cancelled || r.opts.ResultObserver == nil {
+		s.rec.Reclaim(res.Trace)
+	} else {
+		d.res, d.rec = res, s.rec
+	}
 	if res.Cancelled {
 		return false
 	}
@@ -288,14 +299,17 @@ func (r *runner) execOne(ctx context.Context, s *shardState, entry *core.Entry, 
 }
 
 // mergeEpoch is the barrier: fold the epoch's digests into the campaign
-// in global execution order (core.Campaign.Fold). The summaries' IDs
-// already come from the campaign table and are compared for equality
-// only, so the racy order the shards interned in never shows. The fold
-// runs on the coordinator, so it is single-threaded and its order is the
-// plan order. Under stop-at-first-bug it truncates at the first failing
-// execution: digests planned after it are discarded un-merged, whichever
-// shard ran them. Returns true when the epoch was interrupted (some
-// digest never executed); everything before the gap is already merged.
+// in global execution order (core.Campaign.Fold), each after the
+// ResultObserver has seen it, as the sequential loop does. The
+// summaries' IDs already come from the campaign table and are compared
+// for equality only, so the racy order the shards interned in never
+// shows. The fold runs on the coordinator, so it is single-threaded and
+// its order is the plan order. Under stop-at-first-bug it truncates at
+// the first failing execution: digests planned after it are discarded
+// unobserved and un-merged, whichever shard ran them. Every held trace
+// then goes back to its shard's recycler. Returns true when the epoch
+// was interrupted (some digest never executed); everything before the
+// gap is already merged.
 func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 	start := time.Now()
 	for i := range plan {
@@ -304,17 +318,17 @@ func (r *runner) mergeEpoch(plan []*core.Entry, epoch int) (interrupted bool) {
 			interrupted = true
 			break
 		}
-		stop := r.c.Fold(plan[i], &d.Execution)
-		if d.Failure != nil && r.opts.FailureObserver != nil {
-			r.opts.FailureObserver(&exec.Result{
-				Program: r.c.Name(),
-				Seed:    d.Seed,
-				Trace:   &exec.Trace{Decisions: d.Decisions},
-				Failure: d.Failure,
-			})
+		if d.res != nil {
+			r.opts.ResultObserver(d.res)
 		}
-		if stop {
+		if r.c.Fold(plan[i], &d.Execution) {
 			break
+		}
+	}
+	for i := range plan {
+		if d := &r.digests[i]; d.res != nil {
+			d.rec.Reclaim(d.res.Trace)
+			d.res, d.rec = nil, nil
 		}
 	}
 	if t, labels := r.c.Telemetry(); t != nil {

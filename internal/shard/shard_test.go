@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,34 +132,94 @@ func TestFailureDedupWithoutStop(t *testing.T) {
 	}
 }
 
-// TestFailureObserverDeterministic asserts that the merge barrier hands
-// the observer the same failing executions, in the same order, at every
-// shard count.
-func TestFailureObserverDeterministic(t *testing.T) {
-	type seen struct {
-		Seed      int64
-		Decisions []exec.ThreadID
-		Msg       string
-	}
-	collect := func(w int) []seen {
-		var out []seen
-		opts := shard.Options{Budget: 300, Seed: 3, Epoch: 64, Shards: w}
-		opts.FailureObserver = func(res *exec.Result) {
-			if res.Program != "prog" || res.Failure == nil {
-				t.Errorf("observer got malformed result: %+v", res)
-			}
-			out = append(out, seen{res.Seed, res.Trace.ThreadOrder(), res.Failure.Msg})
+// observed is what the tests compare of one observed execution.
+type observed struct {
+	Seed    int64
+	Order   []exec.ThreadID
+	Failure string
+}
+
+// observeStream runs a campaign and returns its report and the barrier's
+// observer stream, checking that every observed trace is valid and
+// non-empty, i.e. that no shard recycled it before the barrier.
+func observeStream(t *testing.T, ctx context.Context, prog exec.Program, opts shard.Options) (*core.Report, []observed) {
+	t.Helper()
+	var out []observed
+	opts.ResultObserver = func(res *exec.Result) {
+		if err := res.Trace.Validate(); err != nil || res.Trace.Len() == 0 {
+			t.Errorf("shards=%d: observed execution %d has a broken trace (%d events): %v",
+				opts.Shards, len(out)+1, res.Trace.Len(), err)
 		}
-		run(t, reorder(2), opts)
-		return out
+		out = append(out, observed{res.Seed, res.Trace.ThreadOrder(), fmt.Sprint(res.Failure)})
 	}
-	want := collect(1)
-	if len(want) == 0 {
-		t.Fatal("no failing executions observed")
+	return shard.FuzzContext(ctx, "prog", prog, opts), out
+}
+
+// engineCancelSink cancels the campaign when its after-th execution
+// finishes on a shard, in the middle of an epoch.
+type engineCancelSink struct {
+	after  int64
+	n      atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (s *engineCancelSink) Add(name string, _ int64, _ ...telemetry.Label) {
+	if name == telemetry.MEngineExecutions && s.n.Add(1) == s.after {
+		s.cancel()
 	}
-	for _, w := range []int{2, 4} {
-		if got := collect(w); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: observer stream diverged (%d vs %d failures)", w, len(got), len(want))
+}
+func (*engineCancelSink) Set(string, int64, ...telemetry.Label)     {}
+func (*engineCancelSink) Observe(string, int64, ...telemetry.Label) {}
+func (*engineCancelSink) Emit(string, telemetry.Fields)             {}
+
+// TestResultObserverStream pins the barrier's observer contract: it sees
+// every counted execution — the same seed, schedule and failure, in the
+// same order, at every shard count — with a live trace, and stops at the
+// execution that stops the campaign. A campaign cancelled mid-epoch
+// observes exactly the executions it merged.
+func TestResultObserverStream(t *testing.T) {
+	for _, stop := range []bool{false, true} {
+		// The first bug is execution 5, inside the epoch that plans
+		// executions 4 to 7, so the stop discards held digests.
+		base := shard.Options{Budget: 200, Seed: 3, Epoch: 8, StopAtFirstBug: stop}
+		var want []observed
+		for _, w := range []int{1, 2, 4, 7} {
+			opts := base
+			opts.Shards = w
+			rep, got := observeStream(t, context.Background(), reorder(3), opts)
+			if len(got) != rep.Executions {
+				t.Errorf("stop=%t shards=%d: observed %d executions, counted %d", stop, w, len(got), rep.Executions)
+			}
+			if rep.FirstBug == 0 {
+				t.Fatalf("stop=%t shards=%d: no failure, so the stream holds none", stop, w)
+			}
+			if first := rep.Failures[0]; stop {
+				last := got[len(got)-1]
+				if wantLast := (observed{first.Seed, first.Decisions, fmt.Sprint(first.Failure)}); !reflect.DeepEqual(last, wantLast) {
+					t.Errorf("stop=%t shards=%d: last observed execution %+v is not the first failure %+v", stop, w, last, wantLast)
+				}
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("stop=%t shards=%d: observer stream diverged from shards=1", stop, w)
+			}
+		}
+	}
+
+	twostage := bench.MustGet("CS/twostage_20")
+	opts := shard.Options{Budget: 300, Seed: 3, Epoch: 8}
+	_, full := observeStream(t, context.Background(), twostage.Body, opts)
+	for _, w := range []int{1, 2, 4, 7} {
+		ctx, cancel := context.WithCancel(context.Background())
+		opts.Shards, opts.Telemetry = w, &engineCancelSink{after: 45, cancel: cancel}
+		rep, got := observeStream(t, ctx, twostage.Body, opts)
+		cancel()
+		if rep.Executions >= opts.Budget || len(got) != rep.Executions {
+			t.Errorf("shards=%d: cancelled campaign observed %d executions, merged %d", w, len(got), rep.Executions)
+		}
+		if !reflect.DeepEqual(got, full[:len(got)]) {
+			t.Errorf("shards=%d: cancelled stream is not a prefix of the uncancelled one", w)
 		}
 	}
 }

@@ -106,7 +106,7 @@ type Config struct {
 	// every counted execution's result (before its trace is reclaimed),
 	// in every trial the tool runs. The benchmark's bughunt and panel
 	// workloads set it to count rf-pairs and keep failing schedules for
-	// replay. A matrix that needs one observer per trial uses
+	// replay, and `rff run -races` to run the race detector. A matrix that needs one observer per trial uses
 	// campaign.MatrixOptions.Observe instead.
 	Observer campaign.ResultObserver
 	// Trials per (tool, program) cell; deterministic tools run once.
@@ -139,9 +139,7 @@ type Config struct {
 	// reallocated across (tool, program) cells at epoch barriers by the
 	// named policy. Nil runs fixed per-trial budgets. Like Shards it
 	// changes results and participates in cache identity. RunMatrix
-	// validates it; the two are mutually exclusive (the sharded
-	// runner's observer sees only failures, which would starve the
-	// reward signal).
+	// validates it.
 	Budgeter *budget.Config
 }
 
@@ -335,9 +333,6 @@ func RunMatrix(ctx context.Context, specs []string, programs []bench.Program, cf
 	if cfg.Budgeter != nil {
 		if err := cfg.Budgeter.Validate(); err != nil {
 			return nil, err
-		}
-		if cfg.Shards >= 1 {
-			return nil, fmt.Errorf("budget policy %q cannot be combined with sharded trials: the shard runner's observer sees only failing executions, so budget cells would earn no coverage reward", cfg.Budgeter.Policy)
 		}
 	}
 	return campaign.RunMatrixContext(ctx, tools, programs, campaign.MatrixOptions{

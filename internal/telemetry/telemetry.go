@@ -67,8 +67,6 @@ const (
 	MConstraintSatisfied = "constraint_satisfied"
 	// MConstraintRejected counts negative constraints violated per {program}.
 	MConstraintRejected = "constraint_rejected"
-	// MObserverPanics counts recovered TraceObserver panics per {program}.
-	MObserverPanics = "observer_panics"
 	// MStepsPerSchedule is a histogram of events per execution (engine).
 	MStepsPerSchedule = "steps_per_schedule"
 	// MEngineExecutions counts engine executions (all tools).
