@@ -11,7 +11,6 @@
 //	        [-v] [-minimize] [-races] [-out DIR]
 //	        [-metrics out.json] [-events out.jsonl] [-progress 10s]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	rff explore -prog CS/account [-budget 100000]   # exhaustive enumeration
 //	rff replay -artifact crashes/crash-000.json [-trace]
 //	rff regress -corpus triage-corpus             # replay the regression corpus
 //
@@ -51,7 +50,6 @@ import (
 	"rff/internal/race"
 	"rff/internal/report"
 	"rff/internal/strategy"
-	"rff/internal/systematic"
 	"rff/internal/telemetry"
 	"rff/internal/triage"
 )
@@ -68,8 +66,6 @@ func main() {
 		cmdTools(os.Args[2:])
 	case "run":
 		os.Exit(cmdRun(os.Args[2:]))
-	case "explore":
-		cmdExplore(os.Args[2:])
 	case "replay":
 		cmdReplay(os.Args[2:])
 	case "regress":
@@ -81,11 +77,10 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rff <list|tools|run|explore|replay|regress> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: rff <list|tools|run|replay|regress> [flags]")
 	fmt.Fprintln(os.Stderr, "  rff list")
 	fmt.Fprintln(os.Stderr, "  rff tools [-q] [-json]")
 	fmt.Fprintln(os.Stderr, "  rff run -prog NAME [-tools SPEC[,SPEC...]] [-budget N] [-seed S] [-trials K] [-workers N] [-shards N] [-trial-timeout DUR] [-budget-policy POLICY] [-budget-epochs N] [-v] [-minimize] [-races] [-out DIR] [-metrics FILE] [-events FILE] [-progress DUR]")
-	fmt.Fprintln(os.Stderr, "  rff explore -prog NAME [-budget N]")
 	fmt.Fprintln(os.Stderr, "  rff replay -artifact FILE [-trace]")
 	fmt.Fprintln(os.Stderr, "  rff regress -corpus DIR [-maxsteps N]")
 	fmt.Fprintf(os.Stderr, "strategy specs: %s (see `rff tools`)\n", strings.Join(strategy.Names(), ", "))
@@ -464,28 +459,4 @@ func runReplay(artifactPath string, showTrace bool, stdout, stderr io.Writer) in
 		fmt.Fprint(stdout, report.Timeline(res.Trace))
 	}
 	return 0
-}
-
-func cmdExplore(args []string) {
-	fs := flag.NewFlagSet("explore", flag.ExitOnError)
-	prog := fs.String("prog", "", "benchmark program name")
-	budget := fs.Int("budget", 100000, "max schedules to enumerate")
-	fs.Parse(args)
-	p, err := bench.Resolve(*prog)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rff: %v\n", err)
-		os.Exit(1)
-	}
-	rep := systematic.Explore(p.Name, p.Body, systematic.ExploreOptions{MaxExecutions: *budget})
-	status := "INCOMPLETE (budget exhausted)"
-	if rep.Complete {
-		status = "complete"
-	}
-	fmt.Printf("%s: %d schedules enumerated (%s), %d reads-from classes\n",
-		p.Name, rep.Executions, status, rep.Classes)
-	if rep.FirstBug > 0 {
-		fmt.Printf("first bug at schedule %d: %v\n", rep.FirstBug, rep.FirstFailure)
-	} else {
-		fmt.Println("no bug found")
-	}
 }

@@ -372,6 +372,9 @@ func (r *Rand) Float64() float64 {
 // EpochSeed derives the trial seed for one epoch of a cell from the
 // cell's base trial seed. Epoch 0 is the identity, so a one-epoch
 // uniform campaign reproduces the classic fixed-budget matrix exactly.
+// campaign.SchedulerTool derives execution i's seed the same way from
+// its trial seed, with i >= 1; splitmix64-style mixing keeps the
+// streams independent.
 func EpochSeed(seed int64, epoch int) int64 {
 	if epoch == 0 {
 		return seed

@@ -136,15 +136,6 @@ func chainObservers(a, b ResultObserver) ResultObserver {
 	}
 }
 
-// subSeed derives a per-execution seed from a trial seed; splitmix64-style
-// mixing keeps streams independent across executions.
-func subSeed(seed int64, i int) int64 {
-	z := uint64(seed) + uint64(i)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // splitmix is one splitmix64 scrambling round.
 func splitmix(z uint64) uint64 {
 	z += 0x9E3779B97F4A7C15
@@ -251,24 +242,40 @@ func (t RFFTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int,
 
 // --- scheduler-based tools ------------------------------------------------------
 
-// SchedulerTool evaluates a per-execution scheduler (POS, PCT, Random,
-// Q-Learning): the program is run repeatedly under fresh seeds until a bug
-// or the budget. The factory is invoked once per trial so cross-execution
-// state (PCT length estimates, Q-tables) accumulates within a trial.
+// SchedulerTool evaluates a per-execution scheduler: the program is run
+// repeatedly until a bug or the budget. The factory is invoked once per
+// trial, so cross-execution state accumulates within a trial: PCT's
+// length estimates, Q-Learning's Q-tables, and the position of the
+// systematic explorers (GenMC*, PERIOD*) in their schedule trees.
 type SchedulerTool struct {
 	ToolName string
 	Factory  func() exec.Scheduler
+	// Systematic marks a deterministic enumeration (GenMC*, PERIOD*):
+	// Deterministic reports it, so the matrix runs the tool as one
+	// trial, and every execution runs at seed 0 — the trial seed is
+	// ignored and the exploration is a pure function of the program
+	// and budget.
+	Systematic bool
 	// Telemetry, if non-nil, is threaded into every execution's engine.
 	Telemetry telemetry.Sink
 	// Observer, if non-nil, sees every counted execution's result.
 	Observer ResultObserver
 }
 
+// Exhaustible is implemented by schedulers that enumerate a finite tree
+// of schedules (the explorers of internal/systematic): each execution's
+// End advances them to their next leaf, and Exhausted reports that none
+// is left. SchedulerTool checks it after each execution and ends the
+// trial, short of its budget, once the tree is used up.
+type Exhaustible interface {
+	Exhausted() bool
+}
+
 // Name implements Tool.
 func (t SchedulerTool) Name() string { return t.ToolName }
 
 // Deterministic implements Tool.
-func (t SchedulerTool) Deterministic() bool { return false }
+func (t SchedulerTool) Deterministic() bool { return t.Systematic }
 
 // WithObserver implements ObservableTool.
 func (t SchedulerTool) WithObserver(obs ResultObserver) Tool {
@@ -276,31 +283,40 @@ func (t SchedulerTool) WithObserver(obs ResultObserver) Tool {
 	return t
 }
 
-// Run implements Tool. ctx is threaded into every execution's engine
-// (stopping a cancelled execution within one scheduling step) and
-// checked between executions; the interrupted trial records how far it
-// got and an Err, counting as a censored no-bug outcome.
-func (t SchedulerTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int, seed int64) Outcome {
+// Run implements Tool. Execution i of a randomized tool runs at seed
+// budget.EpochSeed(seed, i). ctx is threaded into every execution's
+// engine (stopping a cancelled execution within one scheduling step)
+// and checked between executions; the interrupted trial records how far
+// it got and an Err, counting as a censored no-bug outcome.
+func (t SchedulerTool) Run(ctx context.Context, p bench.Program, limit, maxSteps int, seed int64) Outcome {
 	s := t.Factory()
-	out := Outcome{Budget: budget}
+	tree, _ := s.(Exhaustible)
+	out := Outcome{Budget: limit}
 	var labels []telemetry.Label
 	if t.Telemetry != nil {
 		labels = []telemetry.Label{telemetry.L("tool", t.ToolName), telemetry.L("program", p.Name)}
 	}
-	// The trial never inspects traces after the crash check, so their
+	// Every summary of the trial resolves through one intern table. The
+	// trial never inspects traces after the crash check, so their
 	// backing arrays recycle straight into the next execution.
+	intern := exec.NewInternTable()
 	recycler := exec.NewRecycler()
-	for i := 1; i <= budget; i++ {
+	for i := 1; i <= limit; i++ {
 		if err := ctx.Err(); err != nil {
 			out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", out.Executions, err)
 			break
 		}
+		var execSeed int64
+		if !t.Systematic {
+			execSeed = budget.EpochSeed(seed, i)
+		}
 		res := exec.Run(p.Name, p.Body, exec.Config{
 			Scheduler: s,
-			Seed:      subSeed(seed, i),
+			Seed:      execSeed,
 			Ctx:       ctx,
 			MaxSteps:  maxSteps,
 			Telemetry: t.Telemetry,
+			Intern:    intern,
 			Recycle:   recycler,
 		})
 		if res.Cancelled {
@@ -327,43 +343,11 @@ func (t SchedulerTool) Run(ctx context.Context, p bench.Program, budget, maxStep
 			break
 		}
 		recycler.Reclaim(res.Trace)
+		if tree != nil && tree.Exhausted() {
+			break
+		}
 	}
 	return out
-}
-
-// --- systematic tools ------------------------------------------------------------
-
-// SystematicTool adapts a deterministic enumerative explorer (the GenMC
-// and PERIOD stand-ins built by internal/strategy on top of
-// internal/systematic) to the Tool interface. The trial seed is ignored:
-// the exploration is a pure function of the program and budget.
-type SystematicTool struct {
-	ToolName string
-	// Observer, if non-nil, sees every counted execution's result; Run
-	// hands it to Explore so WithObserver composition reaches the
-	// enumeration loop.
-	Observer ResultObserver
-	// Explore runs the enumeration under ctx — cancellation must stop it
-	// within one scheduling step — and returns the trial outcome. obs
-	// (possibly nil) must see every counted execution.
-	Explore func(ctx context.Context, p bench.Program, budget, maxSteps int, obs ResultObserver) Outcome
-}
-
-// Name implements Tool.
-func (t SystematicTool) Name() string { return t.ToolName }
-
-// Deterministic implements Tool.
-func (t SystematicTool) Deterministic() bool { return true }
-
-// WithObserver implements ObservableTool.
-func (t SystematicTool) WithObserver(obs ResultObserver) Tool {
-	t.Observer = chainObservers(t.Observer, obs)
-	return t
-}
-
-// Run implements Tool.
-func (t SystematicTool) Run(ctx context.Context, p bench.Program, budget, maxSteps int, _ int64) Outcome {
-	return t.Explore(ctx, p, budget, maxSteps, t.Observer)
 }
 
 // --- matrix runner ----------------------------------------------------------------
@@ -383,11 +367,10 @@ type MatrixOptions struct {
 	// Workers caps concurrent trials (0 = GOMAXPROCS).
 	Workers int
 	// TrialTimeout, if positive, arms a wall-clock deadline on every
-	// trial. Scheduler-based tools (POS, PCT, Random, Q-Learning) stop
-	// at the deadline mid-trial and record an errored outcome; other
-	// tools only observe it between trials. Note that a timeout makes
-	// outcomes wall-clock-dependent — leave it 0 for reproducible
-	// matrices.
+	// trial. Every built-in tool stops at the deadline within one
+	// scheduling step and records an errored outcome. Note that a
+	// timeout makes outcomes wall-clock-dependent — leave it 0 for
+	// reproducible matrices.
 	TrialTimeout time.Duration
 	// Progress, if non-nil, is called after each completed cell of an
 	// epoch wave with the wave's (done, total) count. A fixed-budget

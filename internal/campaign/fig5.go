@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"rff/internal/bench"
+	"rff/internal/budget"
 	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/sched"
@@ -49,7 +50,7 @@ func RFDistributionPOS(p bench.Program, n int, seed int64, maxSteps int) *Distri
 	for i := 1; i <= n; i++ {
 		res := exec.Run(p.Name, p.Body, exec.Config{
 			Scheduler: s,
-			Seed:      subSeed(seed, i),
+			Seed:      budget.EpochSeed(seed, i),
 			MaxSteps:  maxSteps,
 			Intern:    intern,
 			Recycle:   recycler,

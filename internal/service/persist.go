@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"rff/internal/store"
 )
 
 // queueFile is the persisted form of the not-yet-run queue: the
@@ -50,12 +52,7 @@ func (s *Server) persistQueue() error {
 	if err != nil {
 		return fmt.Errorf("service: marshaling queue: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := store.WriteFileAtomic(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	s.logf("persisted %d queued job(s) to %s", len(qf.Jobs), path)

@@ -147,12 +147,7 @@ func (idx *Index) flushLocked() error {
 	if err != nil {
 		return fmt.Errorf("store index: %w", err)
 	}
-	tmp := idx.path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("store index: %w", err)
-	}
-	if err := os.Rename(tmp, idx.path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(idx.path, append(data, '\n')); err != nil {
 		return fmt.Errorf("store index: %w", err)
 	}
 	return nil

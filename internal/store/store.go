@@ -5,8 +5,9 @@
 // Blobs are keyed by the SHA-256 of their content ("sha256:<hex>"), so
 // identical artifacts written by different campaigns deduplicate to one
 // file and a fetched blob can always be verified against its own name.
-// Writes are atomic (temp file + rename into place) and idempotent:
-// re-putting existing content is a no-op that returns the same ID.
+// Writes are atomic (WriteFileAtomic: temp file + rename into place) and
+// idempotent: re-putting existing content is a no-op that returns the
+// same ID.
 //
 // The index (see Index) is what makes campaigns resumable: a campaign
 // request canonicalizes to a cache key, and a completed run records its
@@ -22,7 +23,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // ID is a content address: "sha256:" followed by 64 lowercase hex
@@ -58,23 +58,17 @@ func (id ID) hexPart() string { return string(id)[len(idPrefix):] }
 // Store is a content-addressed blob store rooted at a directory:
 //
 //	<root>/objects/<aa>/<sha256-hex>   (aa = first two hex digits)
-//	<root>/tmp/                        (staging for atomic writes)
 //
 // All methods are safe for concurrent use; cross-process writers are
 // also safe because visibility is a single rename of complete content.
 type Store struct {
 	root string
-
-	mu sync.Mutex // serializes temp-file naming only
-	n  int        // temp-file counter
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"objects", "tmp"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &Store{root: dir}, nil
 }
@@ -100,18 +94,42 @@ func (s *Store) Put(data []byte) (ID, error) {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return "", fmt.Errorf("store: %w", err)
 	}
-	s.mu.Lock()
-	s.n++
-	tmp := filepath.Join(s.root, "tmp", fmt.Sprintf("put-%d-%d", os.Getpid(), s.n))
-	s.mu.Unlock()
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(dst, data); err != nil {
 		return "", fmt.Errorf("store: %w", err)
 	}
 	return id, nil
+}
+
+// rename is os.Rename; the fault tests swap it to fail the last step of
+// WriteFileAtomic.
+var rename = os.Rename
+
+// WriteFileAtomic writes data to path through a uniquely named temp file
+// in the same directory and a rename into place, so readers see the old
+// content or the new, never a torn file, and concurrent writers of one
+// path never share a temp file. A failed write or rename removes the
+// temp file and leaves path as it was. The error is returned bare for
+// the caller to prefix.
+func WriteFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Get reads a blob back, verifying its content against the address; a

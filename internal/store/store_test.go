@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -223,8 +224,8 @@ func TestIndexWriteIsAtomic(t *testing.T) {
 		}
 	}
 	// No temp file left behind and the index parses.
-	if _, err := os.Stat(filepath.Join(dir, "index.json.tmp")); !os.IsNotExist(err) {
-		t.Fatal("index temp file left behind")
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Fatalf("index temp files left behind: %v", tmps)
 	}
 	idx2, err := OpenIndex(s)
 	if err != nil {
@@ -232,6 +233,37 @@ func TestIndexWriteIsAtomic(t *testing.T) {
 	}
 	if idx2.Len() != 5 {
 		t.Fatalf("expected 5 entries, got %d", idx2.Len())
+	}
+}
+
+// TestFailedRenameKeepsOldContent: when the rename into place fails,
+// WriteFileAtomic returns the error, removes its temp file and leaves
+// the old file untouched — for the index and for any other caller.
+func TestFailedRenameKeepsOldContent(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.json")
+	if err := WriteFileAtomic(path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	fault := errors.New("injected rename fault")
+	rename = func(string, string) error { return fault }
+	defer func() { rename = os.Rename }()
+	if err := WriteFileAtomic(path, []byte("new")); !errors.Is(err, fault) {
+		t.Fatalf("WriteFileAtomic error = %v, want the rename fault", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "index.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only index.json", names)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("content after a failed rename = %q, want the old %q", got, "old")
 	}
 }
 

@@ -1,14 +1,11 @@
 package strategy
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"rff/internal/bench"
 	"rff/internal/campaign"
-	"rff/internal/core"
 	"rff/internal/exec"
 	"rff/internal/qlearn"
 	"rff/internal/sched"
@@ -153,18 +150,11 @@ func init() {
 				bound, _ = strconv.Atoi(sp.Args[0])
 				name = fmt.Sprintf("PERIOD*(b=%d)", bound)
 			}
-			return campaign.SystematicTool{
-				ToolName: name,
-				Explore: func(ctx context.Context, p bench.Program, budget, maxSteps int, obs campaign.ResultObserver) campaign.Outcome {
-					rep := systematic.ICBContext(ctx, p.Name, p.Body, systematic.ICBOptions{
-						MaxExecutions:  budget,
-						MaxSteps:       maxSteps,
-						MaxBound:       bound,
-						StopAtFirstBug: true,
-						OnExecution:    obs,
-					})
-					return systematicOutcome(ctx, rep.FirstBug, rep.Executions, budget, rep.FirstFailure, rep.FirstDecisions)
-				},
+			return campaign.SchedulerTool{
+				ToolName:   name,
+				Factory:    func() exec.Scheduler { return systematic.NewICB(bound) },
+				Systematic: true,
+				Telemetry:  cfg.Telemetry,
 			}, nil
 		},
 	})
@@ -174,37 +164,17 @@ func init() {
 		Usage:   "genmc",
 		Summary: "exhaustive-enumeration stand-in for the GenMC model checker",
 		Factory: func(_ Spec, cfg Config) (campaign.Tool, error) {
-			return campaign.SystematicTool{
-				ToolName: "GenMC*",
-				Explore: func(ctx context.Context, p bench.Program, budget, maxSteps int, obs campaign.ResultObserver) campaign.Outcome {
-					rep := systematic.ExploreContext(ctx, p.Name, p.Body, systematic.ExploreOptions{
-						MaxExecutions:  budget,
-						MaxSteps:       maxSteps,
-						StopAtFirstBug: true,
-						OnExecution:    obs,
-					})
-					return systematicOutcome(ctx, rep.FirstBug, rep.Executions, budget, rep.FirstFailure, rep.FirstDecisions)
-				},
+			return campaign.SchedulerTool{
+				ToolName:   "GenMC*",
+				Factory:    systematic.NewDFS,
+				Systematic: true,
+				Telemetry:  cfg.Telemetry,
 			}, nil
 		},
 	})
 
 	// "rff-nofb" is the documented hyphenated form of "rff:nofb".
 	RegisterAlias("rff-nofb", "rff:nofb")
-}
-
-// systematicOutcome maps an enumeration report to a trial outcome,
-// carrying its first failure (an enumeration has no execution seeds),
-// and records a censored error when the trial was cut short by ctx.
-func systematicOutcome(ctx context.Context, firstBug, executions, budget int, f *exec.Failure, decisions []exec.ThreadID) campaign.Outcome {
-	out := campaign.Outcome{FirstBug: firstBug, Executions: executions, Budget: budget}
-	if firstBug > 0 {
-		out.Failure = &core.FailureRecord{Failure: f, Decisions: decisions}
-	}
-	if err := ctx.Err(); err != nil && firstBug == 0 {
-		out.Err = fmt.Sprintf("trial aborted after %d schedules: %v", executions, err)
-	}
-	return out
 }
 
 // qlearnKeys is the canonical hyperparameter order of the qlearn spec.

@@ -8,6 +8,7 @@ import (
 
 	"rff/internal/bench"
 	"rff/internal/strategy"
+	"rff/internal/telemetry"
 )
 
 // TestCanonicalRoundTrip: parsing a spec, canonicalizing it, and
@@ -228,5 +229,25 @@ func TestMidTrialCancellationStopsPromptly(t *testing.T) {
 				t.Fatalf("trial ran its full %d budget despite cancellation", out.Executions)
 			}
 		})
+	}
+}
+
+// TestSystematicToolsCountTelemetry: GenMC* and PERIOD* run through the
+// same trial loop as every scheduler, so their executions reach the
+// schedules_executed and engine_executions counters.
+func TestSystematicToolsCountTelemetry(t *testing.T) {
+	for _, spec := range []string{"genmc", "period"} {
+		hub := telemetry.NewHub()
+		tool := strategy.MustResolve(spec, strategy.Config{Telemetry: hub})
+		out := tool.Run(context.Background(), bench.MustGet("CS/reorder_3"), 40, 0, 1)
+		if out.Executions == 0 {
+			t.Fatalf("%s ran no executions", spec)
+		}
+		snap := hub.Snapshot()
+		for _, m := range []string{telemetry.MSchedulesExecuted, telemetry.MEngineExecutions} {
+			if got := snap.Total(m); got != int64(out.Executions) {
+				t.Errorf("%s: %s = %d, want Outcome.Executions = %d", spec, m, got, out.Executions)
+			}
+		}
 	}
 }

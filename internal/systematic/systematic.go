@@ -1,17 +1,23 @@
 // Package systematic provides the two enumerative baselines of the
-// evaluation:
+// evaluation, each a stateful exec.Scheduler that walks a finite tree
+// of schedules one execution at a time:
 //
-//   - Explore — an exhaustive depth-first enumeration of the scheduling
-//     decision tree with reads-from class accounting: the stand-in for the
-//     GenMC stateless model checker. Precise and complete on small
-//     programs, hopeless on wide ones, exactly as in the paper's table
-//     (where GenMC errors out or is omitted on most subjects).
+//   - NewDFS — an exhaustive depth-first enumeration of the scheduling
+//     decision tree: the stand-in for the GenMC stateless model checker.
+//     Precise and complete on small programs, hopeless on wide ones,
+//     exactly as in the paper's table (where GenMC errors out or is
+//     omitted on most subjects).
 //
-//   - ICB — deterministic iterative preemption bounding over a
+//   - NewICB — deterministic iterative preemption bounding over a
 //     non-preemptive baseline schedule, preferring recently spawned
 //     threads as preemption targets: the stand-in for PERIOD's systematic
 //     periodical exploration (strong on shallow bugs, paying a large
 //     schedule cost on wide programs).
+//
+// Each execution's End advances the scheduler to its next leaf, and
+// Exhausted reports when the tree is used up. campaign.SchedulerTool
+// runs both like any other scheduler; Explore drives the DFS scheduler
+// to count reads-from classes and to collect conformance ground truth.
 package systematic
 
 import (
@@ -26,8 +32,6 @@ type ExploreOptions struct {
 	MaxExecutions int
 	// MaxSteps bounds each execution (0 = engine default).
 	MaxSteps int
-	// StopAtFirstBug ends the exploration at the first failing schedule.
-	StopAtFirstBug bool
 	// OnExecution, if non-nil, is invoked with every counted execution's
 	// result before its trace is reclaimed — the visitor the conformance
 	// harness uses to collect the full enumerated behavior set. The
@@ -41,13 +45,6 @@ type ExploreOptions struct {
 type ExploreReport struct {
 	// Executions is the number of schedules run.
 	Executions int
-	// FirstBug is the 1-based execution index of the first failure
-	// (0 = none found).
-	FirstBug int
-	// FirstFailure describes the first failure, and FirstDecisions
-	// replays it.
-	FirstFailure   *exec.Failure
-	FirstDecisions []exec.ThreadID
 	// Classes counts the distinct reads-from equivalence classes
 	// observed — the quantity partial-order and reads-from reduction
 	// techniques exploit (exponentially fewer classes than schedules).
@@ -58,13 +55,20 @@ type ExploreReport struct {
 }
 
 // forced replays a fixed prefix of decision indices, then always picks the
-// first enabled event, recording the branching width at every step so the
-// driver can advance to the next unexplored leaf.
+// first enabled event, recording the branching width at every step; End
+// advances the prefix to the next unexplored leaf in depth-first
+// lexicographic order.
 type forced struct {
-	prefix []int
-	pos    int
-	widths []int
+	prefix    []int
+	pos       int
+	widths    []int
+	exhausted bool
 }
+
+// NewDFS returns the depth-first enumerator behind GenMC*: its first
+// execution takes the leftmost leaf, each later one the next leaf in
+// lexicographic order, until Exhausted. The seed is ignored.
+func NewDFS() exec.Scheduler { return &forced{} }
 
 func (f *forced) Name() string     { return "DFS" }
 func (f *forced) Begin(seed int64) { f.pos = 0; f.widths = f.widths[:0] }
@@ -83,7 +87,32 @@ func (f *forced) Pick(v *exec.View) int {
 	return choice
 }
 func (f *forced) Executed(exec.Event) {}
-func (f *forced) End(*exec.Trace)     {}
+
+// End advances to the next leaf: the deepest step with an untried
+// sibling takes that sibling, and everything below it starts over from
+// the first choice.
+func (f *forced) End(*exec.Trace) {
+	n := len(f.widths)
+	if len(f.prefix) > n {
+		f.prefix = f.prefix[:n]
+	}
+	for len(f.prefix) < n {
+		f.prefix = append(f.prefix, 0)
+	}
+	i := n - 1
+	for i >= 0 && f.prefix[i]+1 >= f.widths[i] {
+		i--
+	}
+	if i < 0 {
+		f.exhausted = true
+		return
+	}
+	f.prefix = f.prefix[:i+1]
+	f.prefix[i]++
+}
+
+// Exhausted reports that every leaf has been executed.
+func (f *forced) Exhausted() bool { return f.exhausted }
 
 // Explore exhaustively enumerates the scheduling tree of the program in
 // depth-first lexicographic order.
@@ -106,8 +135,7 @@ func ExploreContext(ctx context.Context, name string, prog exec.Program, opts Ex
 	// trace arrays recycle between executions.
 	intern := exec.NewInternTable()
 	recycler := exec.NewRecycler()
-
-	for rep.Executions < opts.MaxExecutions {
+	for rep.Executions < opts.MaxExecutions && !sched.exhausted {
 		res := exec.Run(name, prog, exec.Config{
 			Scheduler: sched,
 			Ctx:       ctx,
@@ -116,70 +144,23 @@ func ExploreContext(ctx context.Context, name string, prog exec.Program, opts Ex
 			Recycle:   recycler,
 		})
 		if res.Cancelled {
-			// The abandoned run recorded a bogus widths/prefix state;
-			// stop here rather than advance the tree from it.
+			// The abandoned run advanced the tree from a partial
+			// execution, so neither its leaf nor the tree's exhaustion
+			// counts; report the state reached before it.
 			recycler.Reclaim(res.Trace)
-			break
+			rep.Classes = len(classes)
+			return rep
 		}
 		rep.Executions++
 		classes[res.Trace.RFSignature()] = struct{}{}
 		if opts.OnExecution != nil {
 			opts.OnExecution(res)
 		}
-		first := res.Buggy() && rep.FirstBug == 0
-		if first {
-			rep.FirstBug = rep.Executions
-			rep.FirstFailure = res.Failure
-			rep.FirstDecisions = res.Trace.ThreadOrder()
-		}
 		recycler.Reclaim(res.Trace)
-		if first && opts.StopAtFirstBug {
-			break
-		}
-
-		// Advance to the next leaf: deepest step with an untried sibling.
-		full := make([]int, len(sched.widths))
-		copy(full, sched.prefix)
-		i := len(full) - 1
-		for i >= 0 && full[i]+1 >= sched.widths[i] {
-			i--
-		}
-		if i < 0 {
-			rep.Complete = true
-			break
-		}
-		next := make([]int, i+1)
-		copy(next, full[:i+1])
-		next[i]++
-		sched.prefix = next
 	}
+	rep.Complete = sched.exhausted
 	rep.Classes = len(classes)
 	return rep
-}
-
-// ICBOptions bounds the preemption-bounded exploration.
-type ICBOptions struct {
-	// MaxExecutions caps the number of schedules. Required.
-	MaxExecutions int
-	// MaxSteps bounds each execution (0 = engine default).
-	MaxSteps int
-	// MaxBound caps the preemption bound (default 2).
-	MaxBound int
-	// StopAtFirstBug ends the exploration at the first failing schedule.
-	StopAtFirstBug bool
-	// OnExecution, if non-nil, is invoked with every counted execution's
-	// result (see ExploreOptions.OnExecution for the retention rules).
-	OnExecution func(res *exec.Result)
-}
-
-// ICBReport summarizes a preemption-bounded exploration.
-type ICBReport struct {
-	Executions     int
-	FirstBug       int
-	FirstFailure   *exec.Failure
-	FirstDecisions []exec.ThreadID
-	// BoundReached is the largest preemption bound fully enumerated.
-	BoundReached int
 }
 
 // preemption forces a switch to a target thread at (or as soon as possible
@@ -190,19 +171,38 @@ type preemption struct {
 }
 
 // icbScheduler runs non-preemptively (current thread keeps running while
-// enabled), applying the configured preemptions in order. A preemption
+// enabled), applying the current preemption list in order. A preemption
 // whose target is not yet enabled stays armed until it is.
+//
+// Its first execution is the bound-0 baseline, which fixes the thread
+// universe and the schedule length (both deterministic). Bound k+1 then
+// extends every bound-k schedule with one more forced switch: End steps
+// an odometer through every list of k preemptions at strictly
+// increasing steps in [0, baseLen], each position trying targets in
+// reverse spawn order (most recently created threads first, mirroring
+// PERIOD's bias toward exercising late-spawned checker threads early)
+// and, per target, steps in ascending order.
 type icbScheduler struct {
+	maxBound int
+
+	// Per-execution state.
 	preemptions []preemption
 	nextP       int
 	step        int
 	current     exec.ThreadID
-	// maxThread records the highest thread ID seen, so the driver learns
-	// the (deterministic) thread universe from the baseline run.
-	maxThread exec.ThreadID
-	// steps records the baseline length for the driver.
-	steps int
+	maxThread   exec.ThreadID
+	steps       int
+
+	// Enumeration state, fixed by the baseline.
+	started   bool
+	nThreads  exec.ThreadID
+	baseLen   int
+	exhausted bool
 }
+
+// NewICB returns the preemption-bounding enumerator behind PERIOD*,
+// exploring bounds 0 through maxBound. The seed is ignored.
+func NewICB(maxBound int) exec.Scheduler { return &icbScheduler{maxBound: maxBound} }
 
 func (s *icbScheduler) Name() string { return "ICB" }
 func (s *icbScheduler) Begin(seed int64) {
@@ -242,89 +242,65 @@ func (s *icbScheduler) Pick(v *exec.View) int {
 	return 0
 }
 func (s *icbScheduler) Executed(exec.Event) { s.steps++ }
-func (s *icbScheduler) End(*exec.Trace)     {}
 
-// ICB explores the program with iterative preemption bounding: bound 0 is
-// the non-preemptive baseline; bound k+1 extends every bound-k schedule
-// with one more forced switch. Preemption targets are tried in reverse
-// spawn order (most recently created threads first), which mirrors
-// PERIOD's bias toward exercising late-spawned checker threads early.
-func ICB(name string, prog exec.Program, opts ICBOptions) *ICBReport {
-	return ICBContext(context.Background(), name, prog, opts)
+// End moves to the next preemption list: the first list of bound 1
+// after the baseline, the successor within the current bound, or the
+// first list of the next bound once the current one is used up.
+func (s *icbScheduler) End(*exec.Trace) {
+	if !s.started {
+		s.started = true
+		s.nThreads = s.maxThread
+		s.baseLen = s.steps
+	} else if s.advance() {
+		return
+	}
+	s.exhausted = !s.first(len(s.preemptions) + 1)
 }
 
-// ICBContext is ICB under a context: cancellation stops the in-flight
-// execution within one scheduling step and ends the exploration,
-// discarding the cancelled partial execution.
-func ICBContext(ctx context.Context, name string, prog exec.Program, opts ICBOptions) *ICBReport {
-	if opts.MaxExecutions <= 0 {
-		panic("systematic.ICB: MaxExecutions must be positive")
-	}
-	if opts.MaxBound <= 0 {
-		opts.MaxBound = 2
-	}
-	rep := &ICBReport{}
-	sched := &icbScheduler{}
-
-	runOne := func(ps []preemption) (stop bool) {
-		sched.preemptions = ps
-		res := exec.Run(name, prog, exec.Config{Scheduler: sched, Ctx: ctx, MaxSteps: opts.MaxSteps})
-		if res.Cancelled {
-			return true
-		}
-		rep.Executions++
-		if opts.OnExecution != nil {
-			opts.OnExecution(res)
-		}
-		if res.Buggy() && rep.FirstBug == 0 {
-			rep.FirstBug = rep.Executions
-			rep.FirstFailure = res.Failure
-			rep.FirstDecisions = res.Trace.ThreadOrder()
-			if opts.StopAtFirstBug {
-				return true
-			}
-		}
-		return rep.Executions >= opts.MaxExecutions
-	}
-
-	// Bound 0: baseline, which also discovers the thread universe and
-	// schedule length (both deterministic).
-	if runOne(nil) {
-		return rep
-	}
-	nThreads := int(sched.maxThread)
-	baseLen := sched.steps
-	rep.BoundReached = 0
-
-	// targets in reverse spawn order.
-	targets := make([]exec.ThreadID, 0, nThreads)
-	for id := nThreads; id >= 1; id-- {
-		targets = append(targets, exec.ThreadID(id))
-	}
-
-	// enumerate extends a preemption list by one switch in all ways.
-	var enumerate func(prefix []preemption, fromStep, depth int) bool
-	enumerate = func(prefix []preemption, fromStep, depth int) bool {
-		for _, tgt := range targets {
-			for s := fromStep; s <= baseLen; s++ {
-				ps := append(append([]preemption(nil), prefix...), preemption{step: s, target: tgt})
-				if depth == 1 {
-					if runOne(ps) {
-						return true
-					}
-				} else if enumerate(ps, s+1, depth-1) {
-					return true
-				}
-			}
-		}
+// first sets the first preemption list of bound k — the most recent
+// thread at steps 0..k-1 — and reports false when bound k has no list.
+// A bound with no list leaves every higher bound empty too.
+func (s *icbScheduler) first(k int) bool {
+	if k > s.maxBound || k > s.baseLen+1 || s.nThreads == 0 {
 		return false
 	}
-
-	for bound := 1; bound <= opts.MaxBound; bound++ {
-		if enumerate(nil, 0, bound) {
-			return rep
-		}
-		rep.BoundReached = bound
+	s.preemptions = s.preemptions[:0]
+	for i := 0; i < k; i++ {
+		s.preemptions = append(s.preemptions, preemption{step: i, target: s.nThreads})
 	}
-	return rep
+	return true
 }
+
+// advance steps the odometer to the next list of the same bound and
+// reports false when the bound is used up. The last position turns
+// fastest; a position that can turn no further carries into the one
+// before it, and every position after a turned one restarts at its
+// first target and lowest step.
+func (s *icbScheduler) advance() bool {
+	ps := s.preemptions
+	k := len(ps)
+	for i := k - 1; i >= 0; i-- {
+		// The k-1-i positions after i each need a later step.
+		switch {
+		case ps[i].step < s.baseLen-(k-1-i):
+			ps[i].step++
+		case ps[i].target > 1:
+			ps[i].target--
+			ps[i].step = 0
+			if i > 0 {
+				ps[i].step = ps[i-1].step + 1
+			}
+		default:
+			continue
+		}
+		for j := i + 1; j < k; j++ {
+			ps[j] = preemption{step: ps[j-1].step + 1, target: s.nThreads}
+		}
+		return true
+	}
+	return false
+}
+
+// Exhausted reports that every preemption list up to the bound has been
+// executed.
+func (s *icbScheduler) Exhausted() bool { return s.exhausted }

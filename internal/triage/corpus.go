@@ -41,15 +41,18 @@ func SaveCorpus(t *Triager, dir string) error {
 			return fmt.Errorf("triage corpus: cluster %s has no canonical artifact", c.ID)
 		}
 		path := filepath.Join(artDir, c.ID+".json")
-		if err := writeFileAtomic(path, c.canonicalBytes); err != nil {
-			return err
+		if err := store.WriteFileAtomic(path, c.canonicalBytes); err != nil {
+			return fmt.Errorf("triage corpus: %w", err)
 		}
 	}
 	data, err := json.MarshalIndent(corpusFile{Version: corpusVersion, Clusters: clusters}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("triage corpus: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(dir, "corpus.json"), append(data, '\n'))
+	if err := store.WriteFileAtomic(filepath.Join(dir, "corpus.json"), append(data, '\n')); err != nil {
+		return fmt.Errorf("triage corpus: %w", err)
+	}
+	return nil
 }
 
 // LoadCorpus reads a regression corpus back into a triager, restoring
@@ -107,18 +110,4 @@ func LoadCorpus(dir string, cfg Config) (*Triager, error) {
 	}
 	sort.Slice(f.Clusters, func(i, j int) bool { return f.Clusters[i].ID < f.Clusters[j].ID })
 	return t, nil
-}
-
-// writeFileAtomic writes data via a temp file + rename so readers never
-// observe a torn file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("triage corpus: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("triage corpus: %w", err)
-	}
-	return nil
 }
