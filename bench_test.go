@@ -105,7 +105,7 @@ func BenchmarkFig4(b *testing.B) {
 		b.Run(tool.Name(), func(b *testing.B) {
 			totalBugs, totalSched := 0.0, 0.0
 			for i := 0; i < b.N; i++ {
-				m := campaign.RunMatrix([]campaign.Tool{tool}, programs, campaign.MatrixOptions{
+				m := campaign.RunMatrix([]campaign.Tool{tool}, programs, campaign.Config{
 					Trials: 2, Budget: 600, MaxSteps: 5000, BaseSeed: int64(i) + 1,
 				})
 				curve := m.CumulativeCurve(tool.Name())
@@ -161,7 +161,7 @@ func BenchmarkRQ2_Ablation(b *testing.B) {
 		m := campaign.RunMatrix(
 			mustTools("rff", "pos"),
 			programs,
-			campaign.MatrixOptions{Trials: 3, Budget: 800, MaxSteps: 5000, BaseSeed: int64(i) + 1},
+			campaign.Config{Trials: 3, Budget: 800, MaxSteps: 5000, BaseSeed: int64(i) + 1},
 		)
 		rffWins, posWins := m.SignificantWins("RFF", "POS", 0.05)
 		b.ReportMetric(float64(rffWins), "rff-sig-wins")
@@ -184,7 +184,7 @@ func BenchmarkRQ4_QLearning(b *testing.B) {
 		m := campaign.RunMatrix(
 			mustTools("rff", "qlearn"),
 			programs,
-			campaign.MatrixOptions{Trials: 3, Budget: 800, MaxSteps: 5000, BaseSeed: int64(i) + 1},
+			campaign.Config{Trials: 3, Budget: 800, MaxSteps: 5000, BaseSeed: int64(i) + 1},
 		)
 		b.ReportMetric(stats.Mean(m.BugsFoundPerTrial("RFF")), "rff-bugs")
 		b.ReportMetric(stats.Mean(m.BugsFoundPerTrial("QLearning-RF")), "qlearn-bugs")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -8,7 +9,6 @@ import (
 	"strings"
 
 	"rff/internal/bench"
-	"rff/internal/campaign"
 	"rff/internal/core"
 	"rff/internal/progen"
 	"rff/internal/store"
@@ -109,22 +109,20 @@ func triageStore(tr *triage.Triager, dir string) ([]string, error) {
 // campaign matrix and feeds every trial's failure through the triager,
 // in a deterministic (tool, program, content) order.
 func triageCampaign(tr *triage.Triager, s *shared, progenSeed int64, count int, feats progen.Features, budget, trials int) ([]string, error) {
-	gen := progen.NewGenerator(progenSeed, progen.Options{Features: feats})
+	gen := progen.NewGenerator(progenSeed, feats)
 	var programs []bench.Program
 	for i := 0; i < count; i++ {
 		programs = append(programs, gen.Next().Bench())
 	}
-	tools, err := strategy.ResolveAll(s.specs, strategy.Config{})
-	if err != nil {
-		return nil, err
-	}
-
-	m := campaign.RunMatrix(tools, programs, campaign.MatrixOptions{
+	m, err := strategy.RunMatrix(context.Background(), s.specs, programs, strategy.Config{
 		Trials:   trials,
 		Budget:   budget,
 		MaxSteps: s.maxSteps,
 		BaseSeed: s.seed,
 	})
+	if err != nil {
+		return nil, err
+	}
 	if errs := m.TrialErrors(); len(errs) > 0 {
 		return nil, fmt.Errorf("%d campaign trials aborted:\n  %s", len(errs), strings.Join(errs, "\n  "))
 	}

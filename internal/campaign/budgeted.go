@@ -121,22 +121,22 @@ type budgetedPair struct {
 	done     bool
 }
 
-func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts MatrixOptions, workers int) *MatrixResult {
-	budgeted := opts.Budgeter != nil
+func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, cfg Config, workers int) *MatrixResult {
+	budgeted := cfg.Budgeter != nil
 	bcfg := budget.Config{Policy: "uniform", Epochs: 1}
 	if budgeted {
-		bcfg = *opts.Budgeter
+		bcfg = *cfg.Budgeter
 	}
 	maxTrials := 1
 	var pairs []*budgetedPair
 	res := &MatrixResult{
-		Budget:   opts.Budget,
+		Budget:   cfg.Budget,
 		Outcomes: make(map[string]map[string][]Outcome),
 	}
 	for _, tl := range tools {
 		res.Tools = append(res.Tools, tl.Name())
 		res.Outcomes[tl.Name()] = make(map[string][]Outcome)
-		trials := opts.Trials
+		trials := cfg.Trials
 		if tl.Deterministic() {
 			// Deterministic tools run a single trial that absorbs the
 			// whole per-pair entitlement (the paper gives every tool
@@ -169,7 +169,7 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 	if bcfg.MinShare < maxTrials {
 		bcfg.MinShare = maxTrials
 	}
-	allocSeed := int64(splitmix(uint64(opts.BaseSeed) ^ hashString("budget-allocator")))
+	allocSeed := int64(splitmix(uint64(cfg.BaseSeed) ^ hashString("budget-allocator")))
 	alloc, err := budget.New(len(pairs), allocSeed, bcfg)
 	if err != nil {
 		// Every entry point validates the config before reaching the
@@ -178,15 +178,15 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 		panic(fmt.Sprintf("campaign: invalid budget config: %v", err))
 	}
 	bcfg = alloc.Config()
-	totalPool := int64(opts.Budget) * int64(opts.Trials) * int64(len(pairs))
-	tel := opts.Telemetry
+	totalPool := int64(cfg.Budget) * int64(cfg.Trials) * int64(len(pairs))
+	tel := cfg.Telemetry
 
 	if tel != nil {
 		tel.Emit(telemetry.EvCampaignStart, telemetry.Fields{
 			"tools":         res.Tools,
 			"programs":      len(res.Programs),
-			"trials":        opts.Trials,
-			"budget":        opts.Budget,
+			"trials":        cfg.Trials,
+			"budget":        cfg.Budget,
 			"budget_policy": bcfg.Policy,
 			"epochs":        bcfg.Epochs,
 			"pool":          totalPool,
@@ -204,7 +204,7 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 			trial int
 			share int
 			col   *pairCollector // nil without a Budgeter
-			obs   ResultObserver // col's, then opts.Observe's; nil for neither
+			obs   ResultObserver // col's, then cfg.Observe's; nil for neither
 		}
 		var jobs []epochJob
 		for pi, share := range shares {
@@ -230,8 +230,8 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 						j.col = newPairCollector()
 						j.obs = j.col.observe
 					}
-					if opts.Observe != nil {
-						j.obs = chainObservers(j.obs, opts.Observe(ps.toolName, ps.program.Name, ti))
+					if cfg.Observe != nil {
+						j.obs = chainObservers(j.obs, cfg.Observe(ps.toolName, ps.program.Name, ti))
 					}
 					jobs = append(jobs, j)
 				}
@@ -251,15 +251,15 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 					if ot, ok := tool.(ObservableTool); ok && j.obs != nil {
 						tool = ot.WithObserver(j.obs)
 					}
-					seed := budget.EpochSeed(TrialSeed(opts.BaseSeed, ps.toolName, ps.program.Name, j.trial), e)
-					return tool.Run(cctx, ps.program, j.share, opts.MaxSteps, seed), nil
+					seed := budget.EpochSeed(TrialSeed(cfg.BaseSeed, ps.toolName, ps.program.Name, j.trial), e)
+					return tool.Run(cctx, ps.program, j.share, cfg.MaxSteps, seed), nil
 				},
 			}
 		}
 		results := fleet.Run(ctx, cells, fleet.Options{
 			Workers:     workers,
-			CellTimeout: opts.TrialTimeout,
-			OnDone:      opts.Progress,
+			CellTimeout: cfg.TrialTimeout,
+			OnDone:      cfg.Progress,
 			Telemetry:   tel,
 		})
 
@@ -371,9 +371,9 @@ func runMatrix(ctx context.Context, tools []Tool, programs []bench.Program, opts
 			}
 			if !budgeted {
 				// A fixed trial is censored at its entitlement.
-				out.Budget = opts.Budget
+				out.Budget = cfg.Budget
 				if ps.tool.Deterministic() {
-					out.Budget *= opts.Trials
+					out.Budget *= cfg.Trials
 				}
 			}
 			res.Outcomes[ps.toolName][ps.program.Name][ti] = out

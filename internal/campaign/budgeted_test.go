@@ -10,8 +10,8 @@ import (
 )
 
 // budgetedOpts is the small budgeted matrix the determinism tests run.
-func budgetedOpts(policy string, workers int) campaign.MatrixOptions {
-	return campaign.MatrixOptions{
+func budgetedOpts(policy string, workers int) campaign.Config {
+	return campaign.Config{
 		Trials:   2,
 		Budget:   200,
 		BaseSeed: 99,
@@ -123,10 +123,10 @@ func TestBudgetedMatrixConservation(t *testing.T) {
 func TestBudgetedUniformOneEpochMatchesFixed(t *testing.T) {
 	tools := mustTools(t, "rff", "pos", "genmc")
 	progs := miniPrograms(t, "CS/account", "CS/lazy01")
-	fixed := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{
+	fixed := campaign.RunMatrix(tools, progs, campaign.Config{
 		Trials: 2, Budget: 200, BaseSeed: 7, Workers: 2,
 	})
-	budgeted := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{
+	budgeted := campaign.RunMatrix(tools, progs, campaign.Config{
 		Trials: 2, Budget: 200, BaseSeed: 7, Workers: 2,
 		Budgeter: &budget.Config{Policy: "uniform", Epochs: 1},
 	})
@@ -153,7 +153,7 @@ func TestBudgetedMatrixFindsBugs(t *testing.T) {
 	m := campaign.RunMatrix(
 		mustTools(t, "rff"),
 		miniPrograms(t, "CS/account"),
-		campaign.MatrixOptions{
+		campaign.Config{
 			Trials: 2, Budget: 400, BaseSeed: 3, Workers: 2,
 			Budgeter: &budget.Config{Policy: "eps-greedy", Epochs: 4},
 		},

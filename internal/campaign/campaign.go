@@ -104,15 +104,15 @@ type Tool interface {
 }
 
 // ResultObserver receives every counted execution's result during a trial
-// (MatrixOptions.Observe hands one to each matrix cell). Observers run
+// (Config.Observe hands one to each matrix cell). Observers run
 // before the trace is reclaimed and must not retain it. A trial's
 // failure needs no observer: it travels in Outcome.Failure.
 type ResultObserver func(res *exec.Result)
 
 // ObservableTool is the optional Tool extension the matrix runner uses
 // to watch the executions of the trials it schedules (the Budgeter's
-// coverage collector and MatrixOptions.Observe), and strategy.Resolve
-// to attach strategy.Config.Observer: WithObserver returns a copy of
+// coverage collector and Config.Observe), and strategy.Resolve to
+// attach Config.Observer: WithObserver returns a copy of
 // the tool whose runs additionally invoke obs, chained after any
 // observer the tool already carries. Every built-in tool implements
 // it; in a matrix a tool that does not simply runs unobserved (its
@@ -352,8 +352,43 @@ func (t SchedulerTool) Run(ctx context.Context, p bench.Program, limit, maxSteps
 
 // --- matrix runner ----------------------------------------------------------------
 
-// MatrixOptions configures a full evaluation run.
-type MatrixOptions struct {
+// Config is the one configuration of an evaluation matrix: every
+// strategy spec x program x trial under one schedule budget.
+// strategy.Config is an alias of it, and strategy.RunMatrix passes it
+// through unchanged.
+//
+// Three fields configure the resolved tools and are read by
+// strategy.Resolve when it builds them: Telemetry (also read by the
+// runner), Observer and Shards. The runner never reads Observer or
+// Shards, so each is attached exactly once, and a matrix run on tools
+// built elsewhere ignores them. Every other field configures the
+// runner.
+type Config struct {
+	// Telemetry, if non-nil, is threaded once into every resolved tool
+	// that supports per-execution instrumentation. The runner sends it
+	// matrix-level metrics (completed trials per tool/program,
+	// recovered trial panics, fleet worker metrics) and the campaign
+	// event stream: campaign-start, then trial-done or trial_error per
+	// trial at the final barrier in matrix order, then campaign-done.
+	// The budget series (budget-epoch events, budget_epochs,
+	// budget_share_pct, budget_reallocations) are emitted only under a
+	// Budgeter.
+	Telemetry telemetry.Sink
+	// Observer, if non-nil, is attached once to every resolved tool, by
+	// strategy.Resolve through ObservableTool.WithObserver, and sees
+	// every counted execution's result (before its trace is reclaimed),
+	// in every trial the tool runs. The benchmark's bughunt and panel
+	// workloads set it to count rf-pairs and keep failing schedules for
+	// replay, and `rff run -races` to run the race detector. A matrix
+	// that needs one observer per trial sets Observe instead.
+	Observer ResultObserver
+	// Shards, when >= 1, runs RFF trials on the sharded runner with
+	// that many worker shards (RFFTool.Shards). Unlike Workers this is
+	// not an execution hint: the sharded runner is a distinct
+	// deterministic algorithm, so Shards changes results and
+	// participates in cache identity. Other strategies ignore it.
+	Shards int
+
 	// Trials per (tool, program); deterministic tools always run once.
 	Trials int
 	// Budget is the schedule budget per trial.
@@ -377,22 +412,15 @@ type MatrixOptions struct {
 	// matrix is a single wave of one cell per trial, so it reports per
 	// trial; a budgeted matrix restarts the count every epoch.
 	Progress func(done, total int)
-	// Telemetry, if non-nil, receives matrix-level metrics (completed
-	// trials per tool/program, recovered trial panics, fleet worker
-	// metrics) and the campaign event stream: campaign-start, then
-	// trial-done or trial_error per trial at the final barrier in matrix
-	// order, then campaign-done. The budget series (budget-epoch events,
-	// budget_epochs, budget_share_pct, budget_reallocations) are emitted
-	// only under a Budgeter.
-	Telemetry telemetry.Sink
 	// Budgeter, when non-nil, switches the matrix to adaptive budget
 	// scheduling: the total execution pool (Budget x Trials x cells) is
 	// spent in epochs, reallocated across (tool, program) cells by the
 	// named policy from their rf-pair coverage, and the result carries
-	// a BudgetReport. Callers must validate the config first
-	// (budget.Config.Validate); an invalid policy panics here.
-	// TrialTimeout applies per epoch cell rather than per trial in this
-	// mode. Nil runs fixed budgets: one uniform epoch.
+	// a BudgetReport. Like Shards it changes results and participates
+	// in cache identity. strategy.RunMatrix validates it; an invalid
+	// policy that reaches the runner panics. TrialTimeout applies per
+	// epoch cell rather than per trial in this mode. Nil runs fixed
+	// budgets: one uniform epoch.
 	Budgeter *budget.Config
 	// Observe, if non-nil, is asked once per epoch cell, on the
 	// coordinator while it builds the wave, for an observer of that
@@ -420,8 +448,8 @@ type MatrixResult struct {
 
 // RunMatrix executes the evaluation matrix, parallelizing across trials
 // on a fleet worker pool. See RunMatrixContext for the guarantees.
-func RunMatrix(tools []Tool, programs []bench.Program, opts MatrixOptions) *MatrixResult {
-	return RunMatrixContext(context.Background(), tools, programs, opts)
+func RunMatrix(tools []Tool, programs []bench.Program, cfg Config) *MatrixResult {
+	return RunMatrixContext(context.Background(), tools, programs, cfg)
 }
 
 // RunMatrixContext executes the evaluation matrix under ctx. The
@@ -429,7 +457,7 @@ func RunMatrix(tools []Tool, programs []bench.Program, opts MatrixOptions) *Matr
 // every matrix is spent by one epoch runner (budgeted.go): without a
 // Budgeter the pool runs as one uniform epoch, which hands every cell
 // exactly its fixed budget. Each epoch is one fleet wave
-// (MatrixOptions.Workers bounds the pool) whose barrier folds the
+// (Config.Workers bounds the pool) whose barrier folds the
 // completed cells back in matrix order. Every cell draws its seed from
 // TrialSeed, no mutable state is shared across workers, and aggregate
 // telemetry is merged at the barriers in cell order — so the returned
@@ -440,18 +468,22 @@ func RunMatrix(tools []Tool, programs []bench.Program, opts MatrixOptions) *Matr
 // Cancelling ctx aborts unstarted cells, whose outcomes read "trial
 // aborted after N schedules"; cells already inside a non-interruptible
 // tool finish first.
-func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Program, opts MatrixOptions) *MatrixResult {
-	if opts.Trials <= 0 {
-		opts.Trials = 1
+//
+// The tools are run as given: Config's tool fields (Observer, Shards)
+// are not attached here. Outside internal/strategy, matrices run
+// through strategy.RunMatrix, which resolves the tools from cfg.
+func RunMatrixContext(ctx context.Context, tools []Tool, programs []bench.Program, cfg Config) *MatrixResult {
+	if cfg.Trials <= 0 {
+		cfg.Trials = 1
 	}
-	if opts.Budget <= 0 {
-		opts.Budget = 2000
+	if cfg.Budget <= 0 {
+		cfg.Budget = 2000
 	}
-	workers := opts.Workers
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return runMatrix(ctx, tools, programs, opts, workers)
+	return runMatrix(ctx, tools, programs, cfg, workers)
 }
 
 // TrialErrors lists the trials that aborted with an infrastructure

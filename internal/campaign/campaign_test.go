@@ -37,7 +37,7 @@ func miniPrograms(t *testing.T, names ...string) []bench.Program {
 func TestMatrixShapeAndDeterminism(t *testing.T) {
 	tools := mustTools(t, "rff", "pos", "genmc")
 	progs := miniPrograms(t, "CS/account", "CS/lazy01")
-	opts := campaign.MatrixOptions{Trials: 3, Budget: 200, BaseSeed: 7, Workers: 2}
+	opts := campaign.Config{Trials: 3, Budget: 200, BaseSeed: 7, Workers: 2}
 	m1 := campaign.RunMatrix(tools, progs, opts)
 	m2 := campaign.RunMatrix(tools, progs, opts)
 
@@ -67,7 +67,7 @@ func TestMatrixShapeAndDeterminism(t *testing.T) {
 func TestEasyBugsFoundByAllTools(t *testing.T) {
 	tools := mustTools(t, "rff", "pos", "pct:3", "period", "qlearn")
 	progs := miniPrograms(t, "CS/account")
-	m := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{Trials: 2, Budget: 500, BaseSeed: 1})
+	m := campaign.RunMatrix(tools, progs, campaign.Config{Trials: 2, Budget: 500, BaseSeed: 1})
 	for _, tool := range m.Tools {
 		for _, o := range m.Outcomes[tool]["CS/account"] {
 			if !o.Found() {
@@ -80,7 +80,7 @@ func TestEasyBugsFoundByAllTools(t *testing.T) {
 func TestCumulativeCurveMonotone(t *testing.T) {
 	tools := []campaign.Tool{campaign.RFFTool{}}
 	progs := miniPrograms(t, "CS/account", "CS/lazy01", "CS/reorder_3")
-	m := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{Trials: 3, Budget: 300, BaseSeed: 2})
+	m := campaign.RunMatrix(tools, progs, campaign.Config{Trials: 3, Budget: 300, BaseSeed: 2})
 	curve := m.CumulativeCurve("RFF")
 	if len(curve) == 0 {
 		t.Fatal("empty curve")
@@ -98,7 +98,7 @@ func TestCumulativeCurveMonotone(t *testing.T) {
 func TestBugsFoundPerTrialAndWins(t *testing.T) {
 	tools := mustTools(t, "rff", "pos")
 	progs := miniPrograms(t, "CS/reorder_20", "CS/account")
-	m := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{Trials: 3, Budget: 400, BaseSeed: 3})
+	m := campaign.RunMatrix(tools, progs, campaign.Config{Trials: 3, Budget: 400, BaseSeed: 3})
 	rff := m.BugsFoundPerTrial("RFF")
 	if len(rff) != 3 {
 		t.Fatalf("want 3 trial counts, got %v", rff)
@@ -166,7 +166,7 @@ func (panicTool) Run(context.Context, bench.Program, int, int, int64) campaign.O
 func TestMatrixRecoversTrialPanics(t *testing.T) {
 	tools := append([]campaign.Tool{panicTool{}}, mustTools(t, "pos")...)
 	progs := miniPrograms(t, "CS/account")
-	m := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{Trials: 2, Budget: 300, BaseSeed: 3})
+	m := campaign.RunMatrix(tools, progs, campaign.Config{Trials: 2, Budget: 300, BaseSeed: 3})
 
 	// Every panicking trial is recorded as a failed outcome, not a crash.
 	for tr, o := range m.Outcomes["Panicker"]["CS/account"] {
@@ -216,7 +216,7 @@ func TestMatrixTelemetry(t *testing.T) {
 
 	tools := []campaign.Tool{campaign.RFFTool{Telemetry: hub}, panicTool{}}
 	progs := miniPrograms(t, "CS/account", "CS/lazy01")
-	m := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{
+	m := campaign.RunMatrix(tools, progs, campaign.Config{
 		Trials: 2, Budget: 200, BaseSeed: 5, Telemetry: hub,
 	})
 	hub.Flush()
@@ -311,7 +311,7 @@ func TestCancelledMatrixAbortsTrials(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := campaign.RunMatrixContext(ctx, mustTools(t, "pos", "genmc"), miniPrograms(t, "CS/account"),
-		campaign.MatrixOptions{Trials: 2, Budget: 100, BaseSeed: 1})
+		campaign.Config{Trials: 2, Budget: 100, BaseSeed: 1})
 	for tool, want := range map[string]int{"POS": 100, "GenMC*": 200} {
 		for tr, o := range m.Outcomes[tool]["CS/account"] {
 			if o.Err != "trial aborted after 0 schedules: context canceled" || o.Budget != want {

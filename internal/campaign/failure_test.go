@@ -32,7 +32,7 @@ func TestOutcomeFailureReplays(t *testing.T) {
 		{"ucb", mustTools(t, strategy.DefaultSpecs()...), &budget.Config{Policy: "ucb", Epochs: 4}},
 		{"shards=2", sharded, nil},
 	} {
-		m := campaign.RunMatrix(run.tools, progs, campaign.MatrixOptions{
+		m := campaign.RunMatrix(run.tools, progs, campaign.Config{
 			Trials: 2, Budget: 60, MaxSteps: 5000, BaseSeed: 1, Workers: 2, Budgeter: run.bc,
 		})
 		found := 0

@@ -23,7 +23,7 @@ func TestMatrixBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		m := campaign.RunMatrix(
 			mustTools(t, "rff", "pos"),
 			miniPrograms(t, "CS/account", "CS/lazy01", "CS/reorder_3"),
-			campaign.MatrixOptions{Trials: 3, Budget: 300, BaseSeed: 99, Workers: workers},
+			campaign.Config{Trials: 3, Budget: 300, BaseSeed: 99, Workers: workers},
 		)
 		// MatrixResult marshals deterministically field by field: the
 		// Tools/Programs slices pin iteration order and encoding/json

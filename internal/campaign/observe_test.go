@@ -29,7 +29,7 @@ func TestMatrixObserveSeesEachTrial(t *testing.T) {
 		if bc != nil {
 			name = bc.Policy
 		}
-		opts := campaign.MatrixOptions{Trials: 2, Budget: 60, MaxSteps: 5000, BaseSeed: 1, Workers: 2, Budgeter: bc}
+		opts := campaign.Config{Trials: 2, Budget: 60, MaxSteps: 5000, BaseSeed: 1, Workers: 2, Budgeter: bc}
 		plain, err := json.Marshal(campaign.RunMatrix(tools, progs, opts))
 		if err != nil {
 			t.Fatal(err)

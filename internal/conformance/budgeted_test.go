@@ -7,7 +7,6 @@ import (
 
 	"rff/internal/bench"
 	"rff/internal/budget"
-	"rff/internal/progen"
 	"rff/internal/strategy"
 )
 
@@ -141,13 +140,10 @@ func TestDeterministicToolsGetTrialsEntitlement(t *testing.T) {
 		// The run's one program: the generator's first candidate that
 		// enumerates completely.
 		opts.fill()
-		gen := progen.NewGenerator(seed, opts.Gen)
-		bp := gen.Next().Bench()
-		for {
-			if _, ok := EnumeratePairs(context.Background(), bp.Name, bp.Body, opts.GTBudget, opts.MaxSteps); ok {
-				break
-			}
-			bp = gen.Next().Bench()
+		var bp bench.Program
+		if _, _, err := Workload(context.Background(), seed, 0, 1, opts.GTBudget, opts.MaxSteps, nil,
+			func(p bench.Program, _ *GroundTruth) { bp = p }); err != nil {
+			t.Fatal(err)
 		}
 		m, err := strategy.RunMatrix(context.Background(), specs, []bench.Program{bp}, strategy.Config{
 			Trials: 2, Budget: 20, MaxSteps: opts.MaxSteps, BaseSeed: seed,

@@ -22,13 +22,15 @@
 //
 // Candidate programs whose decision tree does not enumerate within the
 // ground-truth budget are skipped deterministically (the generator
-// stream continues), so a run checks exactly Options.Programs programs
-// and remains a pure function of (seed, options).
+// stream continues; see Workload), so a run checks exactly
+// Options.Programs programs and remains a pure function of (seed,
+// options).
 package conformance
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -72,17 +74,11 @@ type Options struct {
 	// program's (spec, trial) cells (default 1; results are identical at
 	// any worker count).
 	Workers int
-	// MaxCandidates caps generator candidates consumed, guarding against
-	// a pathological skip rate (default 6x Programs).
-	MaxCandidates int
-	// Gen bounds the program grammar (see progen.Options).
-	Gen progen.Options
 	// Grammar names the progen grammar to draw from ("core", "chan",
-	// "sync", "all"; default "core"). A non-empty value overrides
-	// Gen.Features.
+	// "sync", "all"; default "core").
 	Grammar string
 	// BudgetPolicy, when non-empty, runs each program's matrix under the
-	// named adaptive allocation policy (campaign.MatrixOptions.Budgeter):
+	// named adaptive allocation policy (campaign.Config.Budgeter):
 	// the pool of Budget x Trials executions per spec is reallocated
 	// across the (spec, program) cells every epoch, and a cell's share
 	// splits across its live trials. Results stay a pure function of
@@ -119,16 +115,14 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 6 * o.Programs
+	if o.Grammar == "" {
+		o.Grammar = "core"
 	}
-	if o.Grammar != "" {
-		f, err := progen.ParseGrammar(o.Grammar)
-		if err != nil {
-			panic(fmt.Sprintf("conformance: %v", err))
-		}
-		o.Gen.Features = f
+	f, err := progen.ParseGrammar(o.Grammar)
+	if err != nil {
+		panic(fmt.Sprintf("conformance: %v", err))
 	}
+	o.Grammar = progen.GrammarName(f)
 	if o.BudgetPolicy == "" {
 		o.BudgetEpochs = 0
 	} else {
@@ -142,8 +136,8 @@ func (o *Options) fill() {
 	}
 }
 
-// behaviorSet is one program's enumerated ground truth.
-type behaviorSet struct {
+// GroundTruth is one program's enumerated behavior set.
+type GroundTruth struct {
 	pairs     map[string]struct{} // RFPair strings
 	failures  map[string]struct{} // failureKey strings
 	finals    map[string]struct{} // finalKey strings
@@ -151,8 +145,8 @@ type behaviorSet struct {
 	truncated bool
 }
 
-func newBehaviorSet() *behaviorSet {
-	return &behaviorSet{
+func newGroundTruth() *GroundTruth {
+	return &GroundTruth{
 		pairs:    make(map[string]struct{}),
 		failures: make(map[string]struct{}),
 		finals:   make(map[string]struct{}),
@@ -160,7 +154,7 @@ func newBehaviorSet() *behaviorSet {
 }
 
 // add folds one enumerated execution into the set.
-func (b *behaviorSet) add(res *exec.Result) {
+func (b *GroundTruth) add(res *exec.Result) {
 	b.execs++
 	for _, p := range res.Trace.RFPairs() {
 		b.pairs[p.String()] = struct{}{}
@@ -174,6 +168,9 @@ func (b *behaviorSet) add(res *exec.Result) {
 		b.finals[finalKey(res.Trace)] = struct{}{}
 	}
 }
+
+// Pairs returns the program's reachable rf-pairs, as RFPair strings.
+func (b *GroundTruth) Pairs() map[string]struct{} { return b.pairs }
 
 // failureKey canonicalizes a failure for set membership. Every component
 // is deterministic for a fixed schedule: kinds and locations trivially,
@@ -220,7 +217,7 @@ func (v Violation) String() string {
 // collector is the per-(program, spec, trial) result observer: it
 // checks soundness online and records coverage.
 type collector struct {
-	gt         *behaviorSet
+	gt         *GroundTruth
 	execs      int
 	seen       map[string]struct{} // all distinct pairs observed
 	coverTimes []int               // first-cover execution index, GT pairs only
@@ -229,7 +226,7 @@ type collector struct {
 	tool       string
 }
 
-func newCollector(gt *behaviorSet, program, tool string) *collector {
+func newCollector(gt *GroundTruth, program, tool string) *collector {
 	return &collector{gt: gt, seen: make(map[string]struct{}), program: program, tool: tool}
 }
 
@@ -343,21 +340,52 @@ func CoverageAt(cp []int, coverTimes []int, gtPairs int) []float64 {
 	return out
 }
 
-// EnumeratePairs enumerates a program's complete rf-pair ground truth
-// with the systematic explorer. ok is false when the decision tree did
-// not enumerate completely within gtBudget (or an execution truncated
-// at maxSteps) — such programs must be skipped, not compared against.
-func EnumeratePairs(ctx context.Context, name string, body exec.Program, gtBudget, maxSteps int) (pairs map[string]struct{}, ok bool) {
-	gt := newBehaviorSet()
-	gtRep := systematic.ExploreContext(ctx, name, body, systematic.ExploreOptions{
-		MaxExecutions: gtBudget,
-		MaxSteps:      maxSteps,
-		OnExecution:   gt.add,
-	})
-	if !gtRep.Complete || gt.truncated {
-		return nil, false
+// candidatesPerProgram caps the generator candidates a Workload draws
+// at this many per requested program, guarding against a pathological
+// skip rate.
+const candidatesPerProgram = 6
+
+// ErrGaveUp is Workload's error when it draws its candidate cap before
+// enough programs enumerate.
+var ErrGaveUp = errors.New("candidate cap reached")
+
+// Workload draws programs from the generator stream of (seed,
+// features) and enumerates each candidate's complete behavior set with
+// the systematic explorer. It calls check on every candidate whose
+// decision tree enumerates completely within gtBudget executions,
+// without truncating at maxSteps, and that keep (if non-nil) accepts,
+// until n programs were checked. Every other candidate is skipped —
+// it must not be compared against — and the stream continues, so the
+// checked programs are a pure function of the arguments.
+//
+// A cancelled ctx stops Workload between candidates with ctx's error.
+// After 6 x n candidates it stops with ErrGaveUp. checked and skipped
+// count the candidates consumed so far.
+func Workload(ctx context.Context, seed int64, features progen.Features, n, gtBudget, maxSteps int,
+	keep func(*GroundTruth) bool, check func(bench.Program, *GroundTruth)) (checked, skipped int, err error) {
+	gen := progen.NewGenerator(seed, features)
+	for checked < n {
+		if err := ctx.Err(); err != nil {
+			return checked, skipped, err
+		}
+		if checked+skipped >= candidatesPerProgram*n {
+			return checked, skipped, ErrGaveUp
+		}
+		bp := gen.Next().Bench()
+		gt := newGroundTruth()
+		gtRep := systematic.ExploreContext(ctx, bp.Name, bp.Body, systematic.ExploreOptions{
+			MaxExecutions: gtBudget,
+			MaxSteps:      maxSteps,
+			OnExecution:   gt.add,
+		})
+		if !gtRep.Complete || gt.truncated || (keep != nil && !keep(gt)) {
+			skipped++
+			continue
+		}
+		check(bp, gt)
+		checked++
 	}
-	return gt.pairs, true
+	return checked, skipped, nil
 }
 
 // Run executes a conformance run to completion.
@@ -370,22 +398,16 @@ func Run(opts Options) *Report { return RunContext(context.Background(), opts) }
 // worker counts.
 func RunContext(ctx context.Context, opts Options) *Report {
 	opts.fill()
-	// Resolve every spec once up front: validates them, fixes the
-	// canonical tool-name order of the report, and fails fast on an
-	// unknown spec. Every program's matrix runs these same tools.
-	tools, err := strategy.ResolveAll(opts.Specs, strategy.Config{})
-	if err != nil {
-		rep := newReport(opts)
-		rep.Err = err.Error()
-		return rep
-	}
-	return run(ctx, opts, tools)
+	return run(ctx, opts, strategy.Config{})
 }
 
-func newReport(opts Options) *Report {
-	return &Report{
+// run checks the filled opts. Every program's matrix runs opts.Specs
+// through strategy.RunMatrix on a copy of base, which configures the
+// resolved tools (a test passes Shards to check sharded RFF).
+func run(ctx context.Context, opts Options, base strategy.Config) *Report {
+	rep := &Report{
 		Seed:         opts.Seed,
-		Grammar:      progen.GrammarName(opts.Gen.Features),
+		Grammar:      opts.Grammar,
 		Budget:       opts.Budget,
 		GTBudget:     opts.GTBudget,
 		Trials:       opts.Trials,
@@ -393,12 +415,14 @@ func newReport(opts Options) *Report {
 		BudgetEpochs: opts.BudgetEpochs,
 		Checkpoints:  Checkpoints(opts.Budget),
 	}
-}
-
-// run checks the filled opts against tools, resolved from opts.Specs in
-// order.
-func run(ctx context.Context, opts Options, tools []campaign.Tool) *Report {
-	rep := newReport(opts)
+	// Resolve every spec once up front: validates them, fixes the
+	// canonical tool-name order of the report, and fails fast on an
+	// unknown spec. Every program's matrix resolves these same tools.
+	tools, err := strategy.ResolveAll(opts.Specs, base)
+	if err != nil {
+		rep.Err = err.Error()
+		return rep
+	}
 	for i, t := range tools {
 		rep.Tools = append(rep.Tools, ToolReport{
 			Tool:     t.Name(),
@@ -406,69 +430,50 @@ func run(ctx context.Context, opts Options, tools []campaign.Tool) *Report {
 			Coverage: make([]float64, len(rep.Checkpoints)),
 		})
 	}
-	mopts := campaign.MatrixOptions{
-		Trials:   opts.Trials,
-		Budget:   opts.Budget,
-		MaxSteps: opts.MaxSteps,
-		BaseSeed: opts.Seed,
-		Workers:  opts.Workers,
-	}
+	cfg := base
+	cfg.Trials = opts.Trials
+	cfg.Budget = opts.Budget
+	cfg.MaxSteps = opts.MaxSteps
+	cfg.BaseSeed = opts.Seed
+	cfg.Workers = opts.Workers
 	if opts.BudgetPolicy != "" {
-		mopts.Budgeter = &budget.Config{Policy: opts.BudgetPolicy, Epochs: opts.BudgetEpochs}
+		cfg.Budgeter = &budget.Config{Policy: opts.BudgetPolicy, Epochs: opts.BudgetEpochs}
 	}
+	features, _ := progen.ParseGrammar(opts.Grammar) // validated by fill
+	// ttfbTimes holds each tool's first-bug execution indexes.
+	ttfbTimes := make([][]float64, len(tools))
 
-	gen := progen.NewGenerator(opts.Seed, opts.Gen)
-	ttfbTimes := make([][]float64, len(tools)) // per-tool first-bug execution indexes
-
-	for rep.Programs < opts.Programs {
-		if ctx.Err() != nil {
-			rep.Err = fmt.Sprintf("aborted after %d programs: %v", rep.Programs, ctx.Err())
-			break
-		}
-		if rep.Programs+rep.Skipped >= opts.MaxCandidates {
-			rep.Err = fmt.Sprintf("gave up after %d candidates (%d checked, %d skipped): decision trees too wide for the ground-truth budget %d",
-				opts.MaxCandidates, rep.Programs, rep.Skipped, opts.GTBudget)
-			break
-		}
-		p := gen.Next()
-		bp := p.Bench()
-
-		// Ground truth: enumerate the complete behavior set.
-		gt := newBehaviorSet()
-		gtRep := systematic.ExploreContext(ctx, bp.Name, bp.Body, systematic.ExploreOptions{
-			MaxExecutions: opts.GTBudget,
-			MaxSteps:      opts.MaxSteps,
-			OnExecution:   gt.add,
-		})
-		if !gtRep.Complete || gt.truncated {
-			rep.Skipped++
-			if t := opts.Telemetry; t != nil {
-				t.Add(telemetry.MConformanceSkipped, 1)
-			}
-			continue
-		}
+	_, skipped, err := Workload(ctx, opts.Seed, features, opts.Programs, opts.GTBudget, opts.MaxSteps, nil, func(bp bench.Program, gt *GroundTruth) {
 		rep.GTExecutions += int64(gt.execs)
 		rep.GTPairs += int64(len(gt.pairs))
 		rep.GTFailures += int64(len(gt.failures))
 		rep.GTFinals += int64(len(gt.finals))
 
 		// One matrix over the program: every (tool, trial) cell runs
-		// under its own collector, which persists across epochs so its
-		// first-cover indexes stay cumulative per trial.
-		cols := make(map[string][]*collector, len(tools))
-		for _, t := range tools {
-			trials := opts.Trials
-			if t.Deterministic() {
-				trials = 1
-			}
-			for range trials {
-				cols[t.Name()] = append(cols[t.Name()], newCollector(gt, bp.Name, t.Name()))
-			}
+		// under its own collector, created the first time the matrix
+		// asks for it, which persists across epochs so its first-cover
+		// indexes stay cumulative per trial.
+		type cell struct {
+			tool  string
+			trial int
 		}
-		mopts.Observe = func(tool, _ string, trial int) campaign.ResultObserver {
-			return cols[tool][trial].observe
+		cols := make(map[cell]*collector)
+		collectorOf := func(tool string, trial int) *collector {
+			c := cols[cell{tool, trial}]
+			if c == nil {
+				c = newCollector(gt, bp.Name, tool)
+				cols[cell{tool, trial}] = c
+			}
+			return c
 		}
-		m := campaign.RunMatrixContext(ctx, tools, []bench.Program{bp}, mopts)
+		cfg.Observe = func(tool, _ string, trial int) campaign.ResultObserver {
+			return collectorOf(tool, trial).observe
+		}
+		m, err := strategy.RunMatrix(ctx, opts.Specs, []bench.Program{bp}, cfg)
+		if err != nil {
+			// The specs resolved above and fill validated the policy.
+			panic(fmt.Sprintf("conformance: %v", err))
+		}
 
 		// Merge barrier: fold trials into the report in matrix order.
 		for si, tl := range tools {
@@ -477,7 +482,7 @@ func run(ctx context.Context, opts Options, tools []campaign.Tool) *Report {
 				tr.Allocated += br.Cells[si].Allocated
 			}
 			for ti, out := range m.Outcomes[tl.Name()][bp.Name] {
-				col := cols[tl.Name()][ti]
+				col := collectorOf(tl.Name(), ti)
 				if out.Errored() {
 					col.violations = append(col.violations, Violation{
 						Program: bp.Name, Tool: col.tool, Kind: "trial-error", Detail: out.Err,
@@ -518,7 +523,7 @@ func run(ctx context.Context, opts Options, tools []campaign.Tool) *Report {
 			t.Add(telemetry.MConformancePrograms, 1)
 			t.Emit(telemetry.EvConformanceProgram, telemetry.Fields{
 				"program":     bp.Name,
-				"threads":     len(p.Threads),
+				"threads":     bp.Threads,
 				"gt_execs":    gt.execs,
 				"gt_pairs":    len(gt.pairs),
 				"gt_failures": len(gt.failures),
@@ -528,6 +533,17 @@ func run(ctx context.Context, opts Options, tools []campaign.Tool) *Report {
 		if opts.Progress != nil {
 			opts.Progress(rep.Programs, opts.Programs)
 		}
+	})
+	rep.Skipped = skipped
+	if t := opts.Telemetry; t != nil && skipped > 0 {
+		t.Add(telemetry.MConformanceSkipped, int64(skipped))
+	}
+	switch {
+	case errors.Is(err, ErrGaveUp):
+		rep.Err = fmt.Sprintf("gave up after %d candidates (%d checked, %d skipped): decision trees too wide for the ground-truth budget %d",
+			rep.Programs+skipped, rep.Programs, skipped, opts.GTBudget)
+	case err != nil:
+		rep.Err = fmt.Sprintf("aborted after %d programs: %v", rep.Programs, err)
 	}
 
 	// Normalize coverage sums into means, and fold first-bug times into

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"rff/internal/campaign"
 	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
@@ -140,13 +139,12 @@ func TestShardedRFFConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance matrix is slow under -short")
 	}
-	sharded := []campaign.Tool{strategy.MustResolve("rff", strategy.Config{Shards: 2})}
 	replays := 0
 	for _, grammar := range []string{"core", "chan"} {
 		for _, seed := range []int64{1, 2} {
 			opts := Options{Programs: 6, Seed: seed, Budget: 150, Workers: 2, Grammar: grammar, Specs: []string{"rff"}}
 			opts.fill()
-			rep := run(context.Background(), opts, sharded)
+			rep := run(context.Background(), opts, strategy.Config{Shards: 2})
 			if rep.Err != "" || rep.Programs != 6 {
 				t.Fatalf("%s seed=%d: checked %d programs: %s", grammar, seed, rep.Programs, rep.Err)
 			}

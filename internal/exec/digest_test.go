@@ -59,7 +59,7 @@ func digestPrograms() []bench.Program {
 			panic(err)
 		}
 		for _, seed := range digestSeeds {
-			gen := progen.NewGenerator(seed, progen.Options{Features: feats})
+			gen := progen.NewGenerator(seed, feats)
 			for i := 0; i < digestProgenCount; i++ {
 				progs = append(progs, gen.Next().Bench())
 			}

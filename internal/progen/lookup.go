@@ -54,22 +54,17 @@ func hasSeedPrefix(rest string) bool {
 }
 
 // FromName regenerates a program from its name alone by replaying the
-// generator stream — under default Options plus the features the name's
-// grammar segment encodes — up to the named index. This is what lets an
-// artifact mentioning "gen/chan/s42/0007" be replayed months later with
-// no corpus on disk: equal names imply equal programs, so the
-// regenerated body is the one the artifact was recorded against.
-//
-// Only programs generated with default size Options are reachable this
-// way (the name encodes the grammar but not the size bounds); that
-// covers every campaign surface that persists artifacts — the service
-// and the conformance harness both generate with default sizes.
+// generator stream — under the features the name's grammar segment
+// encodes — up to the named index. This is what lets an artifact
+// mentioning "gen/chan/s42/0007" be replayed months later with no
+// corpus on disk: equal names imply equal programs, so the regenerated
+// body is the one the artifact was recorded against.
 func FromName(name string) (*Program, bool) {
 	feats, seed, index, ok := ParseName(name)
 	if !ok {
 		return nil, false
 	}
-	g := NewGenerator(seed, Options{Features: feats})
+	g := NewGenerator(seed, feats)
 	var p *Program
 	for i := 0; i <= index; i++ {
 		p = g.Next()

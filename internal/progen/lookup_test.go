@@ -41,7 +41,7 @@ func TestFromNameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := NewGenerator(42, Options{Features: feats})
+		g := NewGenerator(42, feats)
 		for i := 0; i < 10; i++ {
 			want := g.Next()
 			got, ok := FromName(want.Name)

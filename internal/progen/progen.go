@@ -29,57 +29,25 @@ import (
 	"rff/internal/exec"
 )
 
-// Options bounds the generated grammar. The zero value selects the
-// defaults noted on each field.
-type Options struct {
-	// MinThreads and MaxThreads bound the worker thread count
-	// (defaults 2 and 4).
-	MinThreads, MaxThreads int
-	// MaxVars bounds the shared-variable count (default 3, min 1).
-	MaxVars int
-	// MaxMutexes bounds the mutex count (default 2; 0 is a valid draw).
-	MaxMutexes int
-	// OpBudget overrides the per-thread scheduling-point budget
-	// (0 = derived from the drawn thread count: 5 for 2 threads,
-	// 3 for 3, 2 for 4).
-	OpBudget int
-	// MaxSteps bounds the validation execution (0 = 4096); generated
-	// programs are two orders of magnitude shorter.
-	MaxSteps int
-	// Features enables optional grammar productions (channels,
-	// WaitGroups, condition variables, reader/writer locks). The zero
-	// value keeps the historical core grammar, whose draw stream — and
-	// therefore every "gen/s<seed>/<idx>" program — is unchanged.
-	Features Features
-}
-
-func (o *Options) fill() {
-	if o.MinThreads <= 0 {
-		o.MinThreads = 2
-	}
-	if o.MaxThreads <= 0 {
-		o.MaxThreads = 4
-	}
-	if o.MaxThreads < o.MinThreads {
-		o.MaxThreads = o.MinThreads
-	}
-	if o.MaxVars <= 0 {
-		o.MaxVars = 3
-	}
-	if o.MaxMutexes < 0 {
-		o.MaxMutexes = 0
-	} else if o.MaxMutexes == 0 {
-		o.MaxMutexes = 2
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 4096
-	}
-}
+// The grammar's size bounds. The per-thread op budget (opBudget)
+// shrinks with the drawn thread count.
+const (
+	// minThreads and maxThreads bound the worker thread count.
+	minThreads, maxThreads = 2, 4
+	// maxVars bounds the shared-variable count (at least one is drawn).
+	maxVars = 3
+	// maxMutexes bounds the mutex count (0 is a valid draw).
+	maxMutexes = 2
+	// maxSteps bounds the validation execution; generated programs are
+	// two orders of magnitude shorter.
+	maxSteps = 4096
+)
 
 // opBudget is the per-thread scheduling-point budget by thread count:
-// the decision-tree width grows roughly multinomially in these (the
-// spawn sequence interleaves too), so more threads get fewer operations
-// each. Empirically, these keep most trees under ~30k leaves.
+// 5 for 2 threads, 2 for 3, 1 for 4. The decision-tree width grows
+// roughly multinomially in these (the spawn sequence interleaves too),
+// so more threads get fewer operations each. Empirically, these keep
+// most trees under ~30k leaves.
 func opBudget(threads int) int {
 	switch threads {
 	case 2:
@@ -117,7 +85,7 @@ const (
 	// distinct mutexes are the grammar's deadlock source.
 	StLocked
 
-	// The remaining kinds are feature-gated (Options.Features); the core
+	// The remaining kinds are feature-gated (Features); the core
 	// grammar never draws them.
 
 	// StSend is a blocking channel send of Const on channel Chan.
@@ -277,17 +245,20 @@ func (p *Program) Bench() bench.Program {
 
 // Generator emits a deterministic stream of validated programs.
 type Generator struct {
-	seed int64
-	opts Options
-	rng  *rand.Rand
-	idx  int
+	seed     int64
+	features Features
+	rng      *rand.Rand
+	idx      int
 }
 
-// NewGenerator builds a generator. The stream it emits is a pure
-// function of (seed, opts).
-func NewGenerator(seed int64, opts Options) *Generator {
-	opts.fill()
-	return &Generator{seed: seed, opts: opts, rng: rand.New(rand.NewSource(seed))}
+// NewGenerator builds a generator over the grammar that features
+// selects: optional productions (channels, WaitGroups, condition
+// variables, reader/writer locks) on top of the core grammar, which is
+// the zero value and whose draw stream — and therefore every
+// "gen/s<seed>/<idx>" program — is unchanged. The stream it emits is a
+// pure function of (seed, features).
+func NewGenerator(seed int64, features Features) *Generator {
+	return &Generator{seed: seed, features: features, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Next generates, validates, and returns the stream's next program. The
@@ -298,10 +269,10 @@ func (g *Generator) Next() *Program {
 	p := g.gen()
 	res := exec.Run(p.Name, p.Body(), exec.Config{
 		Scheduler: firstEnabled{},
-		MaxSteps:  g.opts.MaxSteps,
+		MaxSteps:  maxSteps,
 	})
 	if res.Truncated {
-		panic(fmt.Sprintf("progen: %s exceeded %d steps — generator op budget broken", p.Name, g.opts.MaxSteps))
+		panic(fmt.Sprintf("progen: %s exceeded %d steps — generator op budget broken", p.Name, maxSteps))
 	}
 	if err := res.Trace.Validate(); err != nil {
 		panic(fmt.Sprintf("progen: %s produced an invalid trace: %v", p.Name, err))
@@ -320,7 +291,7 @@ func (firstEnabled) Executed(exec.Event) {}
 func (firstEnabled) End(*exec.Trace)     {}
 
 // gen draws one candidate program from the grammar. Every feature draw
-// is gated behind Options.Features != 0, keeping the core grammar's rng
+// is gated behind a non-zero feature set, keeping the core grammar's rng
 // stream — and therefore its emitted programs — byte-identical to the
 // pre-feature generator.
 func (g *Generator) gen() *Program {
@@ -328,23 +299,23 @@ func (g *Generator) gen() *Program {
 	p := &Program{
 		Seed:     g.seed,
 		Index:    g.idx,
-		Features: g.opts.Features,
+		Features: g.features,
 		Name:     fmt.Sprintf("gen/s%d/%04d", g.seed, g.idx),
 	}
-	if g.opts.Features != 0 {
-		p.Name = fmt.Sprintf("gen/%s/s%d/%04d", GrammarName(g.opts.Features), g.seed, g.idx)
+	if g.features != 0 {
+		p.Name = fmt.Sprintf("gen/%s/s%d/%04d", GrammarName(g.features), g.seed, g.idx)
 	}
 	g.idx++
 
-	threads := g.opts.MinThreads + r.Intn(g.opts.MaxThreads-g.opts.MinThreads+1)
-	p.NVars = 1 + r.Intn(g.opts.MaxVars)
-	p.NMutexes = r.Intn(g.opts.MaxMutexes + 1)
+	threads := minThreads + r.Intn(maxThreads-minThreads+1)
+	p.NVars = 1 + r.Intn(maxVars)
+	p.NMutexes = r.Intn(maxMutexes + 1)
 	p.Inits = make([]int64, p.NVars)
 	for i := range p.Inits {
 		p.Inits[i] = int64(r.Intn(3))
 	}
 
-	if f := g.opts.Features; f != 0 {
+	if f := g.features; f != 0 {
 		if f&FeatChan != 0 {
 			p.NChans = 1 + r.Intn(2)
 			p.ChanCaps = make([]int, p.NChans)
@@ -382,10 +353,7 @@ func (g *Generator) gen() *Program {
 		}
 	}
 
-	budget := g.opts.OpBudget
-	if budget <= 0 {
-		budget = opBudget(threads)
-	}
+	budget := opBudget(threads)
 	p.Threads = make([][]Stmt, threads)
 	for t := 0; t < threads; t++ {
 		counter := 0
@@ -431,7 +399,7 @@ func (g *Generator) stmts(p *Program, budget, depth, held, heldRW, tid int, coun
 		// loop always terminates. Core draws from [0,20); feature
 		// grammars widen the range, with the added kinds in [20,30).
 		kmax := 20
-		if g.opts.Features != 0 {
+		if g.features != 0 {
 			kmax = 30
 		}
 		k := r.Intn(kmax)

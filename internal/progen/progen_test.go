@@ -10,8 +10,8 @@ import (
 // TestDeterministicStream: two generators with the same seed emit
 // byte-identical program streams; a different seed diverges quickly.
 func TestDeterministicStream(t *testing.T) {
-	a := NewGenerator(42, Options{})
-	b := NewGenerator(42, Options{})
+	a := NewGenerator(42, 0)
+	b := NewGenerator(42, 0)
 	same := true
 	for i := 0; i < 30; i++ {
 		pa, pb := a.Next(), b.Next()
@@ -22,8 +22,8 @@ func TestDeterministicStream(t *testing.T) {
 			t.Fatalf("program %d names diverged: %q vs %q", i, pa.Name, pb.Name)
 		}
 	}
-	c := NewGenerator(43, Options{})
-	a2 := NewGenerator(42, Options{})
+	c := NewGenerator(43, 0)
+	a2 := NewGenerator(42, 0)
 	for i := 0; i < 10; i++ {
 		if a2.Next().Source() != c.Next().Source() {
 			same = false
@@ -38,7 +38,7 @@ func TestDeterministicStream(t *testing.T) {
 // satisfying the engine invariants under both a fixed and a randomized
 // scheduler, and never comes near the step bound.
 func TestGeneratedProgramsValidate(t *testing.T) {
-	g := NewGenerator(7, Options{})
+	g := NewGenerator(7, 0)
 	for i := 0; i < 40; i++ {
 		p := g.Next() // Next panics on an invalid trace already
 		body := p.Body()
@@ -61,24 +61,31 @@ func TestGeneratedProgramsValidate(t *testing.T) {
 	}
 }
 
-// TestGrammarBounds: thread counts, per-thread statement shapes, and
-// final asserts stay inside the documented grammar bounds.
+// TestGrammarBounds: thread counts, variable and mutex counts, and
+// per-thread statement lists stay inside the documented grammar bounds
+// in every named grammar.
 func TestGrammarBounds(t *testing.T) {
-	g := NewGenerator(11, Options{})
-	for i := 0; i < 60; i++ {
-		p := g.Next()
-		if n := len(p.Threads); n < 2 || n > 4 {
-			t.Fatalf("%s has %d threads, want 2..4", p.Name, n)
+	for _, grammar := range Grammars() {
+		feats, err := ParseGrammar(grammar)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.NVars < 1 || p.NVars > 3 {
-			t.Fatalf("%s has %d vars, want 1..3", p.Name, p.NVars)
-		}
-		if p.NMutexes > 2 {
-			t.Fatalf("%s has %d mutexes, want <=2", p.Name, p.NMutexes)
-		}
-		for ti, body := range p.Threads {
-			if len(body) == 0 {
-				t.Fatalf("%s thread %d is empty", p.Name, ti)
+		g := NewGenerator(11, feats)
+		for i := 0; i < 60; i++ {
+			p := g.Next()
+			if n := len(p.Threads); n < 2 || n > 4 {
+				t.Fatalf("%s has %d threads, want 2..4", p.Name, n)
+			}
+			if p.NVars < 1 || p.NVars > 3 {
+				t.Fatalf("%s has %d vars, want 1..3", p.Name, p.NVars)
+			}
+			if p.NMutexes > 2 {
+				t.Fatalf("%s has %d mutexes, want <=2", p.Name, p.NMutexes)
+			}
+			for ti, body := range p.Threads {
+				if len(body) == 0 {
+					t.Fatalf("%s thread %d is empty", p.Name, ti)
+				}
 			}
 		}
 	}
@@ -93,7 +100,7 @@ func TestEnumerable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enumeration is slow under -short")
 	}
-	g := NewGenerator(3, Options{})
+	g := NewGenerator(3, 0)
 	const n = 25
 	complete := 0
 	for i := 0; i < n; i++ {

@@ -45,7 +45,7 @@ func TestEndToEndRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	progs := []bench.Program{bench.MustGet("CS/account"), bench.MustGet("CS/lazy01")}
-	m := campaign.RunMatrix(tools, progs, campaign.MatrixOptions{Trials: 2, Budget: 200, BaseSeed: 5})
+	m := campaign.RunMatrix(tools, progs, campaign.Config{Trials: 2, Budget: 200, BaseSeed: 5})
 
 	tab := report.AppendixB(m)
 	for _, want := range []string{"CS/account", "CS/lazy01", "RFF", "POS", "bugs found"} {

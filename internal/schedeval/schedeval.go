@@ -25,6 +25,7 @@ package schedeval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -44,7 +45,7 @@ type Options struct {
 	// Programs is the number of checked programs per seed (default 12).
 	// Candidates whose ground truth does not enumerate (or enumerates
 	// zero rf-pairs) are skipped deterministically, exactly like the
-	// conformance harness.
+	// conformance harness, and at most 6x Programs are drawn per seed.
 	Programs int
 	// Seeds are the workload seeds; each seed generates its own program
 	// set and campaign seed stream (default [1]).
@@ -72,9 +73,6 @@ type Options struct {
 	// Workers bounds each campaign's fleet pool (default 1; results are
 	// identical at any worker count).
 	Workers int
-	// MaxCandidates caps generator candidates per seed (default 6x
-	// Programs).
-	MaxCandidates int
 	// Grammar names the progen grammar (default "core").
 	Grammar string
 	// Alpha is the significance level for the Mann-Whitney verdicts
@@ -135,9 +133,6 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 6 * o.Programs
-	}
 	if o.Grammar == "" {
 		o.Grammar = "core"
 	}
@@ -153,33 +148,30 @@ type workload struct {
 	skipped  int
 }
 
-// buildWorkload generates one seed's program set, enumerating each
-// candidate's ground truth and skipping — deterministically — the ones
-// that do not enumerate completely or expose zero rf-pairs.
+// buildWorkload generates one seed's program set with
+// conformance.Workload, skipping — deterministically — the candidates
+// whose ground truth does not enumerate completely or exposes zero
+// rf-pairs.
 func buildWorkload(ctx context.Context, opts Options, seed int64) (*workload, error) {
 	features, err := progen.ParseGrammar(opts.Grammar)
 	if err != nil {
 		return nil, fmt.Errorf("schedeval: %w", err)
 	}
-	gen := progen.NewGenerator(seed, progen.Options{Features: features})
 	w := &workload{gt: make(map[string]map[string]struct{})}
-	for len(w.programs) < opts.Programs {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("schedeval: workload aborted: %w", ctx.Err())
-		}
-		if len(w.programs)+w.skipped >= opts.MaxCandidates {
-			return nil, fmt.Errorf("schedeval: seed %d gave up after %d candidates (%d checked, %d skipped)",
-				seed, opts.MaxCandidates, len(w.programs), w.skipped)
-		}
-		bp := gen.Next().Bench()
-		pairs, ok := conformance.EnumeratePairs(ctx, bp.Name, bp.Body, opts.GTBudget, opts.MaxSteps)
-		if !ok || len(pairs) == 0 {
-			w.skipped++
-			continue
-		}
-		w.programs = append(w.programs, bp)
-		w.gt[bp.Name] = pairs
+	hasPairs := func(gt *conformance.GroundTruth) bool { return len(gt.Pairs()) > 0 }
+	checked, skipped, err := conformance.Workload(ctx, seed, features, opts.Programs, opts.GTBudget, opts.MaxSteps, hasPairs,
+		func(bp bench.Program, gt *conformance.GroundTruth) {
+			w.programs = append(w.programs, bp)
+			w.gt[bp.Name] = gt.Pairs()
+		})
+	switch {
+	case errors.Is(err, conformance.ErrGaveUp):
+		return nil, fmt.Errorf("schedeval: seed %d gave up after %d candidates (%d checked, %d skipped)",
+			seed, checked+skipped, checked, skipped)
+	case err != nil:
+		return nil, fmt.Errorf("schedeval: workload aborted: %w", err)
 	}
+	w.skipped = skipped
 	return w, nil
 }
 

@@ -204,7 +204,7 @@ func (r CampaignRequest) Programs() ([]bench.Program, error) {
 		}
 		return []bench.Program{p}, nil
 	}
-	g := progen.NewGenerator(r.ProgenSeed, progen.Options{})
+	g := progen.NewGenerator(r.ProgenSeed, 0)
 	out := make([]bench.Program, 0, r.ProgenCount)
 	for i := 0; i < r.ProgenCount; i++ {
 		out = append(out, g.Next().Bench())

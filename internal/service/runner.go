@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rff/internal/budget"
-	"rff/internal/campaign"
 	"rff/internal/store"
 	"rff/internal/strategy"
 	"rff/internal/telemetry"
@@ -29,22 +28,22 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*store.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	tools, err := strategy.ResolveAll(req.Tools, strategy.Config{Telemetry: sink, Shards: req.Shards})
-	if err != nil {
-		return nil, err
-	}
-	opts := campaign.MatrixOptions{
+	cfg := strategy.Config{
+		Telemetry: sink,
+		Shards:    req.Shards,
 		Trials:    req.Trials,
 		Budget:    req.Budget,
 		MaxSteps:  req.MaxSteps,
 		BaseSeed:  req.Seed,
 		Workers:   req.Workers,
-		Telemetry: sink,
 	}
 	if req.BudgetPolicy != "" {
-		opts.Budgeter = &budget.Config{Policy: req.BudgetPolicy, Epochs: req.BudgetEpochs}
+		cfg.Budgeter = &budget.Config{Policy: req.BudgetPolicy, Epochs: req.BudgetEpochs}
 	}
-	m := campaign.RunMatrixContext(ctx, tools, programs, opts)
+	m, err := strategy.RunMatrix(ctx, req.Tools, programs, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		// A cancelled matrix is a checkpoint, not a result: don't cache
 		// partial outcomes under the campaign's key.

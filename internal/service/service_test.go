@@ -360,6 +360,7 @@ func TestValidation(t *testing.T) {
 		`{"program":"CS/account","tools":["warp-drive"]}`,  // unknown tool
 		`{"program":"CS/account","tools":["pct","pct:3"]}`, // duplicate after canonicalization
 		`{"program":"CS/account","tools":["pct3"]}`,        // retired alias of pct:3
+		`{"program":"CS/account","tools":["rff-nofb"]}`,    // retired alias of rff:nofb
 		`{"program":"CS/account","budget":-1}`,             // bad budget
 		`{"progen_seed":1,"progen_count":1000}`,            // progen_count over cap
 		`{"program":"CS/account","unknown_field":true}`,    // unknown field
@@ -552,7 +553,7 @@ func TestRequestLog(t *testing.T) {
 }
 
 // TestCanonicalizeDefaults pins the canonical form: defaults filled and
-// alias specs rewritten, so equivalent submissions share a cache key.
+// specs canonicalized, so equivalent submissions share a cache key.
 func TestCanonicalizeDefaults(t *testing.T) {
 	c, err := CampaignRequest{Program: "CS/account", Tools: []string{"pct"}}.Canonicalize()
 	if err != nil {

@@ -439,7 +439,7 @@ func chanProgram(t *testing.T) (string, exec.Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := progen.NewGenerator(11, progen.Options{Features: feats})
+	gen := progen.NewGenerator(11, feats)
 	for i := 0; i < 40; i++ {
 		p := gen.Next()
 		chanOps := strings.Count(p.Source(), "ch0") + strings.Count(p.Source(), "ch1")

@@ -172,9 +172,6 @@ func init() {
 			}, nil
 		},
 	})
-
-	// "rff-nofb" is the documented hyphenated form of "rff:nofb".
-	RegisterAlias("rff-nofb", "rff:nofb")
 }
 
 // qlearnKeys is the canonical hyperparameter order of the qlearn spec.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Info is the machine-readable description of one registered strategy —
@@ -22,9 +21,6 @@ type Info struct {
 	Tool string `json:"tool"`
 	// Canonical is the canonical form of the bare spec ("pct:3").
 	Canonical string `json:"canonical"`
-	// Aliases lists alternative spellings that resolve to this strategy,
-	// sorted.
-	Aliases []string `json:"aliases,omitempty"`
 	// Deterministic reports whether the tool runs a single trial.
 	Deterministic bool `json:"deterministic"`
 }
@@ -32,14 +28,6 @@ type Info struct {
 // Describe builds the registry's Info list, sorted by name. Resolution
 // uses an empty Config, which every registered factory accepts.
 func Describe() ([]Info, error) {
-	aliasesOf := make(map[string][]string)
-	for name, target := range aliases {
-		sp, err := ParseSpec(target)
-		if err != nil {
-			return nil, fmt.Errorf("alias %q has malformed target %q: %w", name, target, err)
-		}
-		aliasesOf[sp.Name] = append(aliasesOf[sp.Name], name)
-	}
 	var out []Info
 	for _, e := range Entries() {
 		tl, err := Resolve(e.Name, Config{})
@@ -50,15 +38,12 @@ func Describe() ([]Info, error) {
 		if err != nil {
 			return nil, fmt.Errorf("canonicalizing %q: %w", e.Name, err)
 		}
-		als := aliasesOf[e.Name]
-		sort.Strings(als)
 		out = append(out, Info{
 			Name:          e.Name,
 			Usage:         e.Usage,
 			Summary:       e.Summary,
 			Tool:          tl.Name(),
 			Canonical:     canon,
-			Aliases:       als,
 			Deterministic: tl.Deterministic(),
 		})
 	}

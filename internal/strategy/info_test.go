@@ -34,8 +34,7 @@ func TestDescribeCoversRegistry(t *testing.T) {
 		byName[in.Name] = in
 	}
 	// Known shape checks: pct canonicalizes its default depth, genmc is
-	// deterministic, rff has its nofb alias attached via rff-nofb? (the
-	// rff-nofb alias targets rff:nofb, so it lands on "rff").
+	// deterministic.
 	if in := byName["pct"]; in.Canonical != "pct:3" {
 		t.Errorf("pct canonical = %q, want pct:3", in.Canonical)
 	}

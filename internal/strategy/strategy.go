@@ -28,12 +28,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"rff/internal/bench"
-	"rff/internal/budget"
 	"rff/internal/campaign"
-	"rff/internal/telemetry"
 )
 
 // Spec is a parsed strategy spec: a registry name plus raw arguments.
@@ -92,56 +89,11 @@ func ParseSpecs(s string) ([]string, error) {
 }
 
 // Config is the uniform construction context handed to every strategy
-// factory, and — via RunMatrix — the campaign-level settings of a
-// matrix run. Factories consume what they need (today: the telemetry
-// sink); the budget/deadline fields parameterize the trials every
-// resolved tool runs under, so they live here rather than on any
-// individual strategy.
-type Config struct {
-	// Telemetry, if non-nil, is threaded exactly once into every
-	// resolved tool that supports per-execution instrumentation.
-	Telemetry telemetry.Sink
-	// Observer, if non-nil, is threaded into every resolved tool once,
-	// by Resolve through campaign.ObservableTool.WithObserver, and sees
-	// every counted execution's result (before its trace is reclaimed),
-	// in every trial the tool runs. The benchmark's bughunt and panel
-	// workloads set it to count rf-pairs and keep failing schedules for
-	// replay, and `rff run -races` to run the race detector. A matrix that needs one observer per trial uses
-	// campaign.MatrixOptions.Observe instead.
-	Observer campaign.ResultObserver
-	// Trials per (tool, program) cell; deterministic tools run once.
-	Trials int
-	// Budget is the schedule budget per trial.
-	Budget int
-	// MaxSteps bounds each execution (0 = engine default).
-	MaxSteps int
-	// BaseSeed seeds the campaign's per-cell seed stream
-	// (campaign.TrialSeed).
-	BaseSeed int64
-	// Workers bounds concurrent trials (0 = GOMAXPROCS).
-	Workers int
-	// TrialTimeout, if positive, arms a per-trial wall-clock deadline;
-	// every strategy stops a timed-out trial within one scheduling step
-	// and records a censored, errored outcome.
-	TrialTimeout time.Duration
-	// Progress, if non-nil, is called after each completed cell of an
-	// epoch wave (campaign.MatrixOptions.Progress): per trial under
-	// fixed budgets, restarting every epoch under a Budgeter.
-	Progress func(done, total int)
-	// Shards, when >= 1, runs RFF trials on the sharded runner with
-	// that many worker shards (campaign.RFFTool.Shards).
-	// Unlike Workers this is not an execution hint: the sharded runner
-	// is a distinct deterministic algorithm, so Shards changes results
-	// and participates in cache identity. Other strategies ignore it.
-	Shards int
-	// Budgeter, when non-nil, runs the matrix under adaptive budget
-	// scheduling (internal/budget): the total execution pool is
-	// reallocated across (tool, program) cells at epoch barriers by the
-	// named policy. Nil runs fixed per-trial budgets. Like Shards it
-	// changes results and participates in cache identity. RunMatrix
-	// validates it.
-	Budgeter *budget.Config
-}
+// factory, and the configuration of a RunMatrix run: one type,
+// campaign.Config, whose doc says which fields configure the resolved
+// tools (Telemetry, Observer, Shards, read here by Resolve) and which
+// configure the matrix runner.
+type Config = campaign.Config
 
 // Factory builds a configured tool from a normalized spec.
 type Factory func(spec Spec, cfg Config) (campaign.Tool, error)
@@ -162,11 +114,7 @@ type Entry struct {
 	Factory Factory
 }
 
-var (
-	registry = map[string]Entry{}
-	// aliases maps an alternative spelling to its canonical spec string.
-	aliases = map[string]string{}
-)
+var registry = map[string]Entry{}
 
 // Register adds a strategy to the registry. It panics on a duplicate or
 // invalid name — registration is an init-time programming error, not a
@@ -181,26 +129,10 @@ func Register(e Entry) {
 	if _, dup := registry[e.Name]; dup {
 		panic(fmt.Sprintf("strategy.Register: duplicate name %q", e.Name))
 	}
-	if _, dup := aliases[e.Name]; dup {
-		panic(fmt.Sprintf("strategy.Register: name %q shadows an alias", e.Name))
-	}
 	registry[e.Name] = e
 }
 
-// RegisterAlias maps an alternative spelling ("rff-nofb") to a
-// canonical spec ("rff:nofb").
-func RegisterAlias(name, target string) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("strategy.RegisterAlias: alias %q shadows a registered name", name))
-	}
-	if _, dup := aliases[name]; dup {
-		panic(fmt.Sprintf("strategy.RegisterAlias: duplicate alias %q", name))
-	}
-	aliases[name] = target
-}
-
-// Names returns the registered strategy names, sorted. Aliases are not
-// included — they resolve to these.
+// Names returns the registered strategy names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))
 	for n := range registry {
@@ -220,21 +152,12 @@ func Entries() []Entry {
 	return out
 }
 
-// normalize parses a spec string, resolves aliases, and validates +
-// canonicalizes the arguments.
+// normalize parses a spec string and validates + canonicalizes the
+// arguments.
 func normalize(specStr string) (Spec, error) {
 	sp, err := ParseSpec(specStr)
 	if err != nil {
 		return Spec{}, err
-	}
-	if target, ok := aliases[sp.Name]; ok {
-		if len(sp.Args) > 0 {
-			return Spec{}, fmt.Errorf("strategy spec %q: alias %q takes no arguments (use %q)",
-				specStr, sp.Name, target)
-		}
-		if sp, err = ParseSpec(target); err != nil {
-			return Spec{}, fmt.Errorf("alias %q has malformed target: %w", specStr, err)
-		}
 	}
 	e, ok := registry[sp.Name]
 	if !ok {
@@ -254,10 +177,10 @@ func normalize(specStr string) (Spec, error) {
 	return nsp, nil
 }
 
-// Canonical returns the canonical form of a spec string: aliases
-// resolved, arguments validated, defaults made explicit or stripped per
-// strategy. Canonical is idempotent, and two specs resolving to the
-// same configured tool share one canonical form.
+// Canonical returns the canonical form of a spec string: arguments
+// validated, defaults made explicit or stripped per strategy.
+// Canonical is idempotent, and two specs resolving to the same
+// configured tool share one canonical form.
 func Canonical(specStr string) (string, error) {
 	sp, err := normalize(specStr)
 	if err != nil {
@@ -320,10 +243,10 @@ func DefaultSpecs() []string {
 	return []string{"pct:3", "period", "rff", "pos", "qlearn", "genmc"}
 }
 
-// RunMatrix resolves the specs and executes the evaluation matrix under
-// ctx on campaign.RunMatrixContext, mapping Config onto the matrix
-// options. It is the one construction path from spec strings to matrix
-// results: the sink, seeds, and deadlines are threaded identically for
+// RunMatrix resolves the specs with cfg and executes the evaluation
+// matrix under ctx on campaign.RunMatrixContext with the same cfg. It
+// is the one construction path from spec strings to matrix results:
+// the sink, observer, seeds, and deadlines are threaded identically for
 // every strategy.
 func RunMatrix(ctx context.Context, specs []string, programs []bench.Program, cfg Config) (*campaign.MatrixResult, error) {
 	tools, err := ResolveAll(specs, cfg)
@@ -335,15 +258,5 @@ func RunMatrix(ctx context.Context, specs []string, programs []bench.Program, cf
 			return nil, err
 		}
 	}
-	return campaign.RunMatrixContext(ctx, tools, programs, campaign.MatrixOptions{
-		Trials:       cfg.Trials,
-		Budget:       cfg.Budget,
-		MaxSteps:     cfg.MaxSteps,
-		BaseSeed:     cfg.BaseSeed,
-		Workers:      cfg.Workers,
-		TrialTimeout: cfg.TrialTimeout,
-		Progress:     cfg.Progress,
-		Telemetry:    cfg.Telemetry,
-		Budgeter:     cfg.Budgeter,
-	}), nil
+	return campaign.RunMatrixContext(ctx, tools, programs, cfg), nil
 }

@@ -3,10 +3,13 @@ package strategy_test
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rff/internal/bench"
+	"rff/internal/budget"
+	"rff/internal/exec"
 	"rff/internal/strategy"
 	"rff/internal/telemetry"
 )
@@ -50,7 +53,6 @@ func TestSpecToToolName(t *testing.T) {
 	want := map[string]string{
 		"rff":              "RFF",
 		"rff:nofb":         "RFF-nofb",
-		"rff-nofb":         "RFF-nofb",
 		"pos":              "POS",
 		"pct":              "PCT3",
 		"pct:3":            "PCT3",
@@ -119,14 +121,13 @@ func TestUnknownSpecErrorListsRegistered(t *testing.T) {
 	}
 }
 
-// TestRemovedAliasRejected: the retired "pct3" spelling is an unknown
-// strategy, while the documented "rff-nofb" alias still resolves.
+// TestRemovedAliasRejected: the retired "pct3" and "rff-nofb"
+// spellings are unknown strategies; "pct:3" and "rff:nofb" name them.
 func TestRemovedAliasRejected(t *testing.T) {
-	if c, err := strategy.Canonical("pct3"); err == nil {
-		t.Fatalf("Canonical(pct3) = %q, want an unknown-strategy error", c)
-	}
-	if c, err := strategy.Canonical("rff-nofb"); err != nil || c != "rff:nofb" {
-		t.Fatalf("Canonical(rff-nofb) = %q, %v; want rff:nofb", c, err)
+	for _, spec := range []string{"pct3", "rff-nofb"} {
+		if c, err := strategy.Canonical(spec); err == nil {
+			t.Errorf("Canonical(%s) = %q, want an unknown-strategy error", spec, c)
+		}
 	}
 }
 
@@ -247,6 +248,42 @@ func TestSystematicToolsCountTelemetry(t *testing.T) {
 		for _, m := range []string{telemetry.MSchedulesExecuted, telemetry.MEngineExecutions} {
 			if got := snap.Total(m); got != int64(out.Executions) {
 				t.Errorf("%s: %s = %d, want Outcome.Executions = %d", spec, m, got, out.Executions)
+			}
+		}
+	}
+}
+
+// TestRunMatrixObservesEachExecutionOnce: RunMatrix hands one Config to
+// both Resolve and the campaign runner, and only Resolve attaches
+// Config.Observer, so the observer sees every counted execution exactly
+// once — fixed or budgeted, sequential or sharded.
+func TestRunMatrixObservesEachExecutionOnce(t *testing.T) {
+	progs := []bench.Program{bench.MustGet("CS/account"), bench.MustGet("CS/reorder_3")}
+	for _, bc := range []*budget.Config{nil, {Policy: "ucb", Epochs: 3}} {
+		for _, shards := range []int{0, 2} {
+			var seen atomic.Int64
+			m, err := strategy.RunMatrix(context.Background(), []string{"rff", "pos", "genmc"}, progs, strategy.Config{
+				Observer: func(*exec.Result) { seen.Add(1) },
+				Shards:   shards,
+				Trials:   2,
+				Budget:   40,
+				BaseSeed: 3,
+				Workers:  2,
+				Budgeter: bc,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			for _, tool := range m.Tools {
+				for _, p := range m.Programs {
+					for _, o := range m.Outcomes[tool][p] {
+						want += int64(o.Executions)
+					}
+				}
+			}
+			if want == 0 || seen.Load() != want {
+				t.Errorf("budgeter %v, shards %d: observer saw %d executions, outcomes count %d", bc, shards, seen.Load(), want)
 			}
 		}
 	}

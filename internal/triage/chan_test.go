@@ -21,7 +21,7 @@ func chanArtifact(t *testing.T, want exec.FailureKind) (*core.Artifact, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := progen.NewGenerator(5, progen.Options{Features: feats})
+	gen := progen.NewGenerator(5, feats)
 	for i := 0; i < 80; i++ {
 		p := gen.Next()
 		rep := core.NewFuzzer(p.Name, p.Body(), core.Options{

@@ -66,7 +66,7 @@ func TestClusterSignatureStability(t *testing.T) {
 	}
 	specs := []string{"rff", "pos", "pct:3"}
 	seeds := []int64{101, 202, 303}
-	gen := progen.NewGenerator(5, progen.Options{})
+	gen := progen.NewGenerator(5, 0)
 	tr := triage.New(triage.Config{})
 	checked := 0
 	for scanned := 0; checked < 10 && scanned < 120; scanned++ {
