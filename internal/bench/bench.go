@@ -8,7 +8,12 @@
 //
 // Programs register themselves in a global registry; the campaign runner,
 // CLI and benchmarks look them up by name.
+//
+// Every event call carries a static site from sites_gen.go, written by
+// cmd/rffsite; rerun go generate after editing a program.
 package bench
+
+//go:generate go run ../../cmd/rffsite
 
 import (
 	"fmt"

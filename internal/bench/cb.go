@@ -27,76 +27,76 @@ func init() {
 
 // agetBug2Program: unsynchronized progress counter updates.
 func agetBug2Program(t *exec.Thread) {
-	bwritten := t.NewVar("bwritten", 0)
-	lock := t.NewMutex("bwritten_mutex")
+	bwritten := t.NewVarAt(site_cb_30, "bwritten", 0)
+	lock := t.NewMutexAt(site_cb_31, "bwritten_mutex")
 	dl := func(chunk int64) exec.Program {
 		return func(w *exec.Thread) {
 			// The original takes the lock for the history array but
 			// updates bwritten outside it.
-			w.Lock(lock)
-			w.Unlock(lock)
-			b := w.Read(bwritten)
-			w.Write(bwritten, b+chunk)
+			w.LockAt(site_cb_36, lock)
+			w.UnlockAt(site_cb_37, lock)
+			b := w.ReadAt(site_cb_38, bwritten)
+			w.WriteAt(site_cb_39, bwritten, b+chunk)
 		}
 	}
-	a := t.Go("http_get_0", dl(100))
-	b := t.Go("http_get_1", dl(50))
-	t.JoinAll(a, b)
-	t.Assertf(t.Read(bwritten) == 150, "progress lost: %d/150 bytes accounted", t.Read(bwritten))
+	a := t.GoAt(site_cb_42, "http_get_0", dl(100))
+	b := t.GoAt(site_cb_43, "http_get_1", dl(50))
+	t.JoinAllAt(site_cb_44, a, b)
+	t.AssertfAt(site_cb_45, t.ReadAt(site_cb_45, bwritten) == 150, "progress lost: %d/150 bytes accounted", t.ReadAt(site_cb_45, bwritten))
 }
 
 // pbzip2Program: lost-wakeup pipeline shutdown.
 func pbzip2Program(t *exec.Thread) {
-	m := t.NewMutex("fifo_mut")
-	notEmpty := t.NewCond("notEmpty", m)
-	empty := t.NewVar("fifo_empty", 1)
-	blocks := t.NewVar("blocks", 0)
+	m := t.NewMutexAt(site_cb_50, "fifo_mut")
+	notEmpty := t.NewCondAt(site_cb_51, "notEmpty", m)
+	empty := t.NewVarAt(site_cb_52, "fifo_empty", 1)
+	blocks := t.NewVarAt(site_cb_53, "blocks", 0)
 
-	consumer := t.Go("consumer", func(w *exec.Thread) {
+	consumer := t.GoAt(site_cb_55, "consumer", func(w *exec.Thread) {
 		// BUG: the emptiness check happens without holding fifo_mut.
-		if w.Read(empty) == 1 {
-			w.Lock(m)
-			w.Wait(notEmpty) // the producer's signal may already be gone
-			w.Unlock(m)
+		if w.ReadAt(site_cb_57, empty) == 1 {
+			w.LockAt(site_cb_58, m)
+			w.WaitAt(site_cb_59, notEmpty) // the producer's signal may already be gone
+			w.UnlockAt(site_cb_60, m)
 		}
-		w.Lock(m)
-		b := w.Read(blocks)
-		w.Write(blocks, b-1)
-		w.Unlock(m)
+		w.LockAt(site_cb_62, m)
+		b := w.ReadAt(site_cb_63, blocks)
+		w.WriteAt(site_cb_64, blocks, b-1)
+		w.UnlockAt(site_cb_65, m)
 	})
-	producer := t.Go("producer", func(w *exec.Thread) {
-		w.Lock(m)
-		b := w.Read(blocks)
-		w.Write(blocks, b+1)
-		w.Write(empty, 0)
-		w.Signal(notEmpty) // fires exactly once
-		w.Unlock(m)
+	producer := t.GoAt(site_cb_67, "producer", func(w *exec.Thread) {
+		w.LockAt(site_cb_68, m)
+		b := w.ReadAt(site_cb_69, blocks)
+		w.WriteAt(site_cb_70, blocks, b+1)
+		w.WriteAt(site_cb_71, empty, 0)
+		w.SignalAt(site_cb_72, notEmpty) // fires exactly once
+		w.UnlockAt(site_cb_73, m)
 	})
-	t.JoinAll(consumer, producer)
+	t.JoinAllAt(site_cb_75, consumer, producer)
 }
 
 // stringBufferProgram: length sampled before a racing delete.
 func stringBufferProgram(t *exec.Thread) {
-	length := t.NewVar("sb.count", 4)
-	lock := t.NewMutex("sb.lock")
+	length := t.NewVarAt(site_cb_80, "sb.count", 4)
+	lock := t.NewMutexAt(site_cb_81, "sb.lock")
 
-	getChars := t.Go("getChars", func(w *exec.Thread) {
+	getChars := t.GoAt(site_cb_83, "getChars", func(w *exec.Thread) {
 		// getChars is NOT synchronized in JDK 1.4: it samples count...
-		n := w.Read(length)
+		n := w.ReadAt(site_cb_85, length)
 		// ... prepares the destination ...
-		w.Yield()
+		w.YieldAt(site_cb_87)
 		// ... and copies; by now a synchronized delete may have shrunk
 		// the buffer, making the copy read out of bounds.
-		cur := w.Read(length)
-		w.Assertf(n <= cur, "ArrayIndexOutOfBounds: copying %d chars from a %d-char buffer", n, cur)
+		cur := w.ReadAt(site_cb_90, length)
+		w.AssertfAt(site_cb_91, n <= cur, "ArrayIndexOutOfBounds: copying %d chars from a %d-char buffer", n, cur)
 	})
-	deleter := t.Go("delete", func(w *exec.Thread) {
-		w.Lock(lock)
-		n := w.Read(length)
+	deleter := t.GoAt(site_cb_93, "delete", func(w *exec.Thread) {
+		w.LockAt(site_cb_94, lock)
+		n := w.ReadAt(site_cb_95, length)
 		if n >= 4 {
-			w.Write(length, n-4)
+			w.WriteAt(site_cb_97, length, n-4)
 		}
-		w.Unlock(lock)
+		w.UnlockAt(site_cb_99, lock)
 	})
-	t.JoinAll(getChars, deleter)
+	t.JoinAllAt(site_cb_101, getChars, deleter)
 }

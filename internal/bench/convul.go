@@ -65,38 +65,38 @@ func init() {
 // cve20093547: check-then-dereference against a concurrent NULLing close.
 func cve20093547(t *exec.Thread) {
 	pipe := NewObj(t, "i_pipe")
-	reader := t.Go("pipe_read_open", func(w *exec.Thread) {
+	reader := t.GoAt(site_convul_68, "pipe_read_open", func(w *exec.Thread) {
 		if !pipe.Alive(w) {
 			return // already closed
 		}
 		// ... lock-free fast path continues with the cached pointer ...
 		pipe.Use(w) // crashes if the closer won the race
 	})
-	closer := t.Go("pipe_release", func(w *exec.Thread) {
-		w.Write(pipe.state, objNull) // inode->i_pipe = NULL
+	closer := t.GoAt(site_convul_75, "pipe_release", func(w *exec.Thread) {
+		w.WriteAt(site_convul_76, pipe.state, objNull) // inode->i_pipe = NULL
 	})
-	t.JoinAll(reader, closer)
+	t.JoinAllAt(site_convul_78, reader, closer)
 }
 
 // cve20112183: liveness check under lock, use after dropping it.
 func cve20112183(t *exec.Thread) {
 	mm := NewObj(t, "mm_struct")
-	lock := t.NewMutex("ksm_lock")
-	scanner := t.Go("ksm_scan", func(w *exec.Thread) {
-		w.Lock(lock)
+	lock := t.NewMutexAt(site_convul_84, "ksm_lock")
+	scanner := t.GoAt(site_convul_85, "ksm_scan", func(w *exec.Thread) {
+		w.LockAt(site_convul_86, lock)
 		alive := mm.Alive(w)
-		w.Unlock(lock)
+		w.UnlockAt(site_convul_88, lock)
 		if !alive {
 			return
 		}
 		mm.Use(w) // the exiting task may free between unlock and here
 	})
-	exiter := t.Go("exit_mm", func(w *exec.Thread) {
-		w.Lock(lock)
-		w.Unlock(lock)
+	exiter := t.GoAt(site_convul_94, "exit_mm", func(w *exec.Thread) {
+		w.LockAt(site_convul_95, lock)
+		w.UnlockAt(site_convul_96, lock)
 		mm.Free(w)
 	})
-	t.JoinAll(scanner, exiter)
+	t.JoinAllAt(site_convul_99, scanner, exiter)
 }
 
 // cve20131792: refcount sample → drop-to-zero free → resurrecting get →
@@ -105,45 +105,45 @@ func cve20112183(t *exec.Thread) {
 func cve20131792(t *exec.Thread) {
 	cred := NewObj(t, "cred")
 	rc := NewRefcount(t, "cred", 1, cred)
-	installed := t.NewVar("installed", 0)
+	installed := t.NewVarAt(site_convul_108, "installed", 0)
 
-	reader := t.Go("key_read", func(w *exec.Thread) {
+	reader := t.GoAt(site_convul_110, "key_read", func(w *exec.Thread) {
 		if rc.Count(w) <= 0 {
 			return // creds already gone
 		}
-		if w.Read(installed) == 0 {
-			w.Yield() // wait for installation to settle (racy)
+		if w.ReadAt(site_convul_114, installed) == 0 {
+			w.YieldAt(site_convul_115) // wait for installation to settle (racy)
 		}
 		rc.Get(w) // resurrection after free: the bug's first half
 		cred.Use(w)
 		rc.Put(w)
 	})
-	exiter := t.Go("task_exit", func(w *exec.Thread) {
-		w.Write(installed, 1)
+	exiter := t.GoAt(site_convul_121, "task_exit", func(w *exec.Thread) {
+		w.WriteAt(site_convul_122, installed, 1)
 		rc.Put(w) // drops the last legitimate reference
 	})
-	t.JoinAll(reader, exiter)
+	t.JoinAllAt(site_convul_125, reader, exiter)
 }
 
 // cve20157550: locked check, unlocked payload read vs. revoke.
 func cve20157550(t *exec.Thread) {
 	key := NewObj(t, "key")
-	sem := t.NewMutex("key_sem")
-	reader := t.Go("keyctl_read", func(w *exec.Thread) {
-		w.Lock(sem)
+	sem := t.NewMutexAt(site_convul_131, "key_sem")
+	reader := t.GoAt(site_convul_132, "keyctl_read", func(w *exec.Thread) {
+		w.LockAt(site_convul_133, sem)
 		alive := key.Alive(w)
-		w.Unlock(sem)
+		w.UnlockAt(site_convul_135, sem)
 		if !alive {
 			return
 		}
 		key.Use(w) // payload read outside the semaphore
 	})
-	revoker := t.Go("keyctl_revoke", func(w *exec.Thread) {
-		w.Lock(sem)
+	revoker := t.GoAt(site_convul_141, "keyctl_revoke", func(w *exec.Thread) {
+		w.LockAt(site_convul_142, sem)
 		key.Free(w)
-		w.Unlock(sem)
+		w.UnlockAt(site_convul_144, sem)
 	})
-	t.JoinAll(reader, revoker)
+	t.JoinAllAt(site_convul_146, reader, revoker)
 }
 
 // cve20161972: three threads; the reader must resolve the index before the
@@ -152,52 +152,52 @@ func cve20157550(t *exec.Thread) {
 func cve20161972(t *exec.Thread) {
 	bufA := NewObj(t, "bufA")
 	bufB := NewObj(t, "bufB")
-	current := t.NewVar("current", 0) // 0 -> bufA, 1 -> bufB
-	retired := t.NewVar("retired", 0)
+	current := t.NewVarAt(site_convul_155, "current", 0) // 0 -> bufA, 1 -> bufB
+	retired := t.NewVarAt(site_convul_156, "retired", 0)
 
-	reader := t.Go("reader", func(w *exec.Thread) {
-		idx := w.Read(current)
+	reader := t.GoAt(site_convul_158, "reader", func(w *exec.Thread) {
+		idx := w.ReadAt(site_convul_159, current)
 		buf := bufA
 		if idx == 1 {
 			buf = bufB
 		}
-		if w.Read(retired) != 0 && !buf.Alive(w) {
+		if w.ReadAt(site_convul_164, retired) != 0 && !buf.Alive(w) {
 			return // noticed the rotation in time
 		}
 		buf.Use(w)
 	})
-	rotator := t.Go("rotator", func(w *exec.Thread) {
-		w.Write(current, 1)
-		w.Write(retired, 1)
+	rotator := t.GoAt(site_convul_169, "rotator", func(w *exec.Thread) {
+		w.WriteAt(site_convul_170, current, 1)
+		w.WriteAt(site_convul_171, retired, 1)
 	})
-	retirer := t.Go("retirer", func(w *exec.Thread) {
-		if w.Read(retired) != 0 {
+	retirer := t.GoAt(site_convul_173, "retirer", func(w *exec.Thread) {
+		if w.ReadAt(site_convul_174, retired) != 0 {
 			bufA.Free(w)
 		}
 	})
-	t.JoinAll(reader, rotator, retirer)
+	t.JoinAllAt(site_convul_178, reader, rotator, retirer)
 }
 
 // cve20161973: straightforward free-under-use between two threads.
 func cve20161973(t *exec.Thread) {
 	tex := NewObj(t, "texture")
-	painter := t.Go("painter", func(w *exec.Thread) {
+	painter := t.GoAt(site_convul_184, "painter", func(w *exec.Thread) {
 		if !tex.Alive(w) {
 			return
 		}
 		tex.Store(w, 7)
 	})
-	compositor := t.Go("compositor", func(w *exec.Thread) {
+	compositor := t.GoAt(site_convul_190, "compositor", func(w *exec.Thread) {
 		tex.Free(w)
 	})
-	t.JoinAll(painter, compositor)
+	t.JoinAllAt(site_convul_193, painter, compositor)
 }
 
 // cve20167911: non-atomic get/put refcount race.
 func cve20167911(t *exec.Thread) {
 	ioc := NewObj(t, "io_context")
 	rc := NewRefcount(t, "ioc", 1, ioc)
-	getter := t.Go("get_task_ioprio", func(w *exec.Thread) {
+	getter := t.GoAt(site_convul_200, "get_task_ioprio", func(w *exec.Thread) {
 		if rc.Count(w) <= 0 {
 			return
 		}
@@ -205,65 +205,65 @@ func cve20167911(t *exec.Thread) {
 		ioc.Use(w)
 		rc.Put(w)
 	})
-	putter := t.Go("put_io_context", func(w *exec.Thread) {
+	putter := t.GoAt(site_convul_208, "put_io_context", func(w *exec.Thread) {
 		rc.Put(w)
 	})
-	t.JoinAll(getter, putter)
+	t.JoinAllAt(site_convul_211, getter, putter)
 }
 
 // cve20169806: both threads pass the "unbound" guard, both free.
 func cve20169806(t *exec.Thread) {
 	groups := NewObj(t, "groups")
-	bound := t.NewVar("bound", 0)
+	bound := t.NewVarAt(site_convul_217, "bound", 0)
 	bind := func(w *exec.Thread) {
-		if w.Read(bound) != 0 {
+		if w.ReadAt(site_convul_219, bound) != 0 {
 			return // someone already rebound; nothing to free
 		}
-		w.Write(bound, 1)
+		w.WriteAt(site_convul_222, bound, 1)
 		groups.Free(w) // double free when both saw bound==0
 	}
-	a := t.Go("netlink_bind", bind)
-	b := t.Go("netlink_setsockopt", bind)
-	t.JoinAll(a, b)
+	a := t.GoAt(site_convul_225, "netlink_bind", bind)
+	b := t.GoAt(site_convul_226, "netlink_setsockopt", bind)
+	t.JoinAllAt(site_convul_227, a, b)
 }
 
 // cve201715265: publish-before-init plus a racing deleter; three threads.
 func cve201715265(t *exec.Thread) {
 	port := NewNullObj(t, "port")
-	table := t.NewVar("client_table", 0)
+	table := t.NewVarAt(site_convul_233, "client_table", 0)
 
-	creator := t.Go("create_port", func(w *exec.Thread) {
-		w.Write(table, 1) // publish to the client table (too early)
-		port.Alloc(w)     // initialization completes after publication
+	creator := t.GoAt(site_convul_235, "create_port", func(w *exec.Thread) {
+		w.WriteAt(site_convul_236, table, 1) // publish to the client table (too early)
+		port.Alloc(w)                        // initialization completes after publication
 	})
-	user := t.Go("use_port", func(w *exec.Thread) {
-		if w.Read(table) == 0 {
+	user := t.GoAt(site_convul_239, "use_port", func(w *exec.Thread) {
+		if w.ReadAt(site_convul_240, table) == 0 {
 			return // not visible yet
 		}
 		port.Use(w) // crashes if still null or already deleted
 	})
-	deleter := t.Go("delete_port", func(w *exec.Thread) {
-		if w.Read(table) != 0 {
+	deleter := t.GoAt(site_convul_245, "delete_port", func(w *exec.Thread) {
+		if w.ReadAt(site_convul_246, table) != 0 {
 			port.FreeUnchecked(w)
 		}
 	})
-	t.JoinAll(creator, user, deleter)
+	t.JoinAllAt(site_convul_250, creator, user, deleter)
 }
 
 // cve20176346: teardown frees the ring under an in-flight sender.
 func cve20176346(t *exec.Thread) {
 	ring := NewObj(t, "fanout_ring")
-	active := t.NewVar("active", 1)
-	sender := t.Go("packet_send", func(w *exec.Thread) {
-		if w.Read(active) == 0 {
+	active := t.NewVarAt(site_convul_256, "active", 1)
+	sender := t.GoAt(site_convul_257, "packet_send", func(w *exec.Thread) {
+		if w.ReadAt(site_convul_258, active) == 0 {
 			return
 		}
 		ring.Use(w)
 		ring.Store(w, 1)
 	})
-	teardown := t.Go("fanout_release", func(w *exec.Thread) {
-		w.Write(active, 0)
+	teardown := t.GoAt(site_convul_264, "fanout_release", func(w *exec.Thread) {
+		w.WriteAt(site_convul_265, active, 0)
 		ring.Free(w)
 	})
-	t.JoinAll(sender, teardown)
+	t.JoinAllAt(site_convul_268, sender, teardown)
 }

@@ -27,32 +27,32 @@ func init() {
 
 // radBug4Program: check-insert-sweep chain across three threads.
 func radBug4Program(t *exec.Thread) {
-	table := t.NewVar("atom_table", 0) // 0 empty, 1 inserted
-	pinned := t.NewVar("pinned", 0)
+	table := t.NewVarAt(site_radbench_30, "atom_table", 0) // 0 empty, 1 inserted
+	pinned := t.NewVarAt(site_radbench_31, "pinned", 0)
 	atom := NewObj(t, "atom")
 
-	atomizeA := t.Go("atomizeA", func(w *exec.Thread) {
-		if w.Read(table) == 0 {
-			w.Write(table, 1) // insert the atom
-			w.Write(pinned, 1)
+	atomizeA := t.GoAt(site_radbench_34, "atomizeA", func(w *exec.Thread) {
+		if w.ReadAt(site_radbench_35, table) == 0 {
+			w.WriteAt(site_radbench_36, table, 1) // insert the atom
+			w.WriteAt(site_radbench_37, pinned, 1)
 		}
 		atom.Use(w)
 	})
-	atomizeB := t.Go("atomizeB", func(w *exec.Thread) {
-		if w.Read(table) == 0 {
+	atomizeB := t.GoAt(site_radbench_41, "atomizeB", func(w *exec.Thread) {
+		if w.ReadAt(site_radbench_42, table) == 0 {
 			// Double insert: both threads saw the table empty. The
 			// second insert unpins the first thread's atom.
-			w.Write(table, 1)
-			w.Write(pinned, 0)
+			w.WriteAt(site_radbench_45, table, 1)
+			w.WriteAt(site_radbench_46, pinned, 0)
 		}
 		atom.Use(w)
 	})
-	gc := t.Go("gc_sweep", func(w *exec.Thread) {
-		if w.Read(table) == 1 && w.Read(pinned) == 0 {
+	gc := t.GoAt(site_radbench_50, "gc_sweep", func(w *exec.Thread) {
+		if w.ReadAt(site_radbench_51, table) == 1 && w.ReadAt(site_radbench_51, pinned) == 0 {
 			atom.FreeUnchecked(w) // sweep the unpinned atom
 		}
 	})
-	t.JoinAll(atomizeA, atomizeB, gc)
+	t.JoinAllAt(site_radbench_55, atomizeA, atomizeB, gc)
 }
 
 // radBug5Program: the failure requires a perfect 16-step request/GC
@@ -64,61 +64,61 @@ func radBug4Program(t *exec.Thread) {
 // no evaluated tool exposes in any trial.
 func radBug5Program(t *exec.Thread) {
 	const rounds = 8
-	depth := t.NewVar("request_depth", 0)
-	done := t.NewVar("gc_done", 0)
+	depth := t.NewVarAt(site_radbench_67, "request_depth", 0)
+	done := t.NewVarAt(site_radbench_68, "gc_done", 0)
 
-	requester := t.Go("requester", func(w *exec.Thread) {
+	requester := t.GoAt(site_radbench_70, "requester", func(w *exec.Thread) {
 		for i := int64(0); i < rounds; i++ {
-			if w.Read(depth) != 2*i {
+			if w.ReadAt(site_radbench_72, depth) != 2*i {
 				return // GC fell behind or raced ahead: normal path
 			}
-			w.Write(depth, 2*i+1)
+			w.WriteAt(site_radbench_75, depth, 2*i+1)
 		}
 		// Perfect alternation survived: the request outran every GC
 		// acknowledgement. If the GC has not finished either, the
 		// original deadlocks on the request depth — modelled as the
 		// assertion below.
-		w.Assert(w.Read(done) != 0, "request depth corrupted after full alternation")
+		w.AssertAt(site_radbench_81, w.ReadAt(site_radbench_81, done) != 0, "request depth corrupted after full alternation")
 	})
-	gc := t.Go("gc", func(w *exec.Thread) {
+	gc := t.GoAt(site_radbench_83, "gc", func(w *exec.Thread) {
 		for i := int64(0); i < rounds; i++ {
-			if w.Read(depth) != 2*i+1 {
+			if w.ReadAt(site_radbench_85, depth) != 2*i+1 {
 				return
 			}
-			w.Write(depth, 2*i+2)
+			w.WriteAt(site_radbench_88, depth, 2*i+2)
 		}
-		w.Write(done, 1)
+		w.WriteAt(site_radbench_90, done, 1)
 	})
-	helper := t.Go("helper", func(w *exec.Thread) {
+	helper := t.GoAt(site_radbench_92, "helper", func(w *exec.Thread) {
 		// The helper only observes; its reads enrich the reads-from
 		// space without participating in the failure.
-		w.Read(depth)
-		w.Read(done)
-		w.Read(depth)
+		w.ReadAt(site_radbench_95, depth)
+		w.ReadAt(site_radbench_96, done)
+		w.ReadAt(site_radbench_97, depth)
 	})
-	t.JoinAll(requester, gc, helper)
+	t.JoinAllAt(site_radbench_99, requester, gc, helper)
 }
 
 // radBug6Program: watchdog disarm signal lost between check and wait.
 func radBug6Program(t *exec.Thread) {
-	m := t.NewMutex("watchdog_lock")
-	cv := t.NewCond("watchdog_cv", m)
-	armed := t.NewVar("armed", 1)
+	m := t.NewMutexAt(site_radbench_104, "watchdog_lock")
+	cv := t.NewCondAt(site_radbench_105, "watchdog_cv", m)
+	armed := t.NewVarAt(site_radbench_106, "armed", 1)
 
-	watcher := t.Go("watcher", func(w *exec.Thread) {
+	watcher := t.GoAt(site_radbench_108, "watcher", func(w *exec.Thread) {
 		// BUG: the armed check happens before taking the lock, so the
 		// disarm signal can fire in the gap.
-		if w.Read(armed) == 1 {
-			w.Lock(m)
-			w.Wait(cv)
-			w.Unlock(m)
+		if w.ReadAt(site_radbench_111, armed) == 1 {
+			w.LockAt(site_radbench_112, m)
+			w.WaitAt(site_radbench_113, cv)
+			w.UnlockAt(site_radbench_114, m)
 		}
 	})
-	disarmer := t.Go("disarmer", func(w *exec.Thread) {
-		w.Write(armed, 0)
-		w.Lock(m)
-		w.Signal(cv)
-		w.Unlock(m)
+	disarmer := t.GoAt(site_radbench_117, "disarmer", func(w *exec.Thread) {
+		w.WriteAt(site_radbench_118, armed, 0)
+		w.LockAt(site_radbench_119, m)
+		w.SignalAt(site_radbench_120, cv)
+		w.UnlockAt(site_radbench_121, m)
 	})
-	t.JoinAll(watcher, disarmer)
+	t.JoinAllAt(site_radbench_123, watcher, disarmer)
 }

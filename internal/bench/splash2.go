@@ -27,21 +27,21 @@ func init() {
 
 // barnesProgram: late lock acquisition around a tree-cell update.
 func barnesProgram(t *exec.Thread) {
-	cellBodies := t.NewVar("cell.bodies", 0)
-	cellLock := t.NewMutex("cell.lock")
+	cellBodies := t.NewVarAt(site_splash2_30, "cell.bodies", 0)
+	cellLock := t.NewMutexAt(site_splash2_31, "cell.lock")
 	builder := func(w *exec.Thread) {
 		// The original reads the cell state before deciding whether to
 		// lock, so the read races with other builders' updates.
-		n := w.Read(cellBodies)
-		w.Lock(cellLock)
-		w.Write(cellBodies, n+1)
-		w.Unlock(cellLock)
+		n := w.ReadAt(site_splash2_35, cellBodies)
+		w.LockAt(site_splash2_36, cellLock)
+		w.WriteAt(site_splash2_37, cellBodies, n+1)
+		w.UnlockAt(site_splash2_38, cellLock)
 	}
-	a := t.Go("builder0", builder)
-	b := t.Go("builder1", builder)
-	c := t.Go("builder2", builder)
-	t.JoinAll(a, b, c)
-	t.Assertf(t.Read(cellBodies) == 3, "bodies lost in tree build: %d/3", t.Read(cellBodies))
+	a := t.GoAt(site_splash2_40, "builder0", builder)
+	b := t.GoAt(site_splash2_41, "builder1", builder)
+	c := t.GoAt(site_splash2_42, "builder2", builder)
+	t.JoinAllAt(site_splash2_43, a, b, c)
+	t.AssertfAt(site_splash2_44, t.ReadAt(site_splash2_44, cellBodies) == 3, "bodies lost in tree build: %d/3", t.ReadAt(site_splash2_44, cellBodies))
 }
 
 // fftProgram: the transpose phase is barrier-separated, but worker 0
@@ -49,45 +49,45 @@ func barnesProgram(t *exec.Thread) {
 // code-motion bug) — under the wrong interleaving it folds a zero into
 // the checksum.
 func fftProgram(t *exec.Thread) {
-	bar := t.NewBarrier("transpose", 2)
-	partial := t.NewVars("partial", 2, 0)
+	bar := t.NewBarrierAt(site_splash2_52, "transpose", 2)
+	partial := t.NewVarsAt(site_splash2_53, "partial", 2, 0)
 	worker := func(self, other int, val int64) exec.Program {
 		return func(w *exec.Thread) {
-			w.Write(partial[self], val)
+			w.WriteAt(site_splash2_56, partial[self], val)
 			if self == 0 {
 				// BUG: reads the partner's partial before the barrier.
-				sum := w.Read(partial[0]) + w.Read(partial[other])
-				w.BarrierWait(bar)
-				w.Assertf(sum == 8, "transpose checksum mismatch: %d/8", sum)
+				sum := w.ReadAt(site_splash2_59, partial[0]) + w.ReadAt(site_splash2_59, partial[other])
+				w.BarrierWaitAt(site_splash2_60, bar)
+				w.AssertfAt(site_splash2_61, sum == 8, "transpose checksum mismatch: %d/8", sum)
 				return
 			}
-			w.BarrierWait(bar)
+			w.BarrierWaitAt(site_splash2_64, bar)
 		}
 	}
-	a := t.Go("fft0", worker(0, 1, 3))
-	b := t.Go("fft1", worker(1, 0, 5))
-	t.JoinAll(a, b)
+	a := t.GoAt(site_splash2_67, "fft0", worker(0, 1, 3))
+	b := t.GoAt(site_splash2_68, "fft1", worker(1, 0, 5))
+	t.JoinAllAt(site_splash2_69, a, b)
 }
 
 // luProgram: pivot counter raced between phases.
 func luProgram(t *exec.Thread) {
-	pivot := t.NewVar("pivot", 0)
-	done := t.NewVar("done", 0)
-	factor := t.Go("factor", func(w *exec.Thread) {
-		p := w.Read(pivot)
-		w.Write(pivot, p+1)
-		w.Write(done, 1)
+	pivot := t.NewVarAt(site_splash2_74, "pivot", 0)
+	done := t.NewVarAt(site_splash2_75, "done", 0)
+	factor := t.GoAt(site_splash2_76, "factor", func(w *exec.Thread) {
+		p := w.ReadAt(site_splash2_77, pivot)
+		w.WriteAt(site_splash2_78, pivot, p+1)
+		w.WriteAt(site_splash2_79, done, 1)
 	})
-	update := t.Go("update", func(w *exec.Thread) {
-		if w.Read(done) == 1 {
+	update := t.GoAt(site_splash2_81, "update", func(w *exec.Thread) {
+		if w.ReadAt(site_splash2_82, done) == 1 {
 			return // factorization finished; nothing to race with
 		}
 		// Race ahead of the factor phase and bump the pivot (the bug:
 		// the phases were meant to be barrier-separated).
-		p := w.Read(pivot)
-		w.Write(pivot, p+1)
-		w.Assertf(w.Read(pivot) == p+1, "factor phase raced the update: pivot %d, expected %d",
-			w.Read(pivot), p+1)
+		p := w.ReadAt(site_splash2_87, pivot)
+		w.WriteAt(site_splash2_88, pivot, p+1)
+		w.AssertfAt(site_splash2_89, w.ReadAt(site_splash2_89, pivot) == p+1, "factor phase raced the update: pivot %d, expected %d",
+			w.ReadAt(site_splash2_90, pivot), p+1)
 	})
-	t.JoinAll(factor, update)
+	t.JoinAllAt(site_splash2_92, factor, update)
 }

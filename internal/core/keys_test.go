@@ -20,20 +20,23 @@ import (
 // keyedReorder is a reorder program whose object names and explicit
 // locations all carry prefix, so a fresh prefix gets fresh keys.
 func keyedReorder(prefix string, n int) exec.Program {
+	setA, setB := exec.SiteAt(prefix+":set.a"), exec.SiteAt(prefix+":set.b")
+	checkA, checkB := exec.SiteAt(prefix+":check.a"), exec.SiteAt(prefix+":check.b")
+	assert := exec.SiteAt(prefix + ":assert")
 	return func(t *exec.Thread) {
 		a := t.NewVar(prefix+"a", 0)
 		b := t.NewVar(prefix+"b", 0)
 		threads := make([]*exec.Thread, 0, n+1)
 		for i := 0; i < n; i++ {
 			threads = append(threads, t.Go("set", func(w *exec.Thread) {
-				w.WriteAt(a, 1, prefix+":set.a")
-				w.WriteAt(b, -1, prefix+":set.b")
+				w.WriteAt(setA, a, 1)
+				w.WriteAt(setB, b, -1)
 			}))
 		}
 		threads = append(threads, t.Go("check", func(w *exec.Thread) {
-			av := w.ReadAt(a, prefix+":check.a")
-			bv := w.ReadAt(b, prefix+":check.b")
-			w.AssertAt((av == 0 && bv == 0) || (av == 1 && bv == -1), "reorder", prefix+":assert")
+			av := w.ReadAt(checkA, a)
+			bv := w.ReadAt(checkB, b)
+			w.AssertAt(assert, (av == 0 && bv == 0) || (av == 1 && bv == -1), "reorder")
 		}))
 		t.JoinAll(threads...)
 	}
@@ -69,7 +72,7 @@ func internJunk(t *testing.T, tag string, n int) {
 	res := exec.Run("junk", func(th *exec.Thread) {
 		for i := 0; i < n; i++ {
 			th.NewVar(fmt.Sprintf("%s-var-%d", tag, i), 0)
-			th.YieldAt(fmt.Sprintf("%s.go:%d", tag, i))
+			th.YieldAt(exec.SiteAt(fmt.Sprintf("%s.go:%d", tag, i)))
 		}
 	}, exec.Config{Scheduler: core.NewProactive(), Seed: 1})
 	if res.Failure != nil || res.Truncated {

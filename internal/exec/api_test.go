@@ -56,8 +56,8 @@ func TestWaitWithoutMutexIsCrash(t *testing.T) {
 func TestExplicitLocationAPIs(t *testing.T) {
 	res := exec.Run("loc", func(t *exec.Thread) {
 		v := t.NewVar("v", 0)
-		t.WriteAt(v, 1, "store@custom")
-		if t.ReadAt(v, "load@custom") != 1 {
+		t.WriteAt(exec.SiteAt("store@custom"), v, 1)
+		if t.ReadAt(exec.SiteAt("load@custom"), v) != 1 {
 			t.Fail(exec.FailAssert, "bad read")
 		}
 	}, exec.Config{Scheduler: sched.NewRoundRobin()})
@@ -75,6 +75,24 @@ func TestExplicitLocationAPIs(t *testing.T) {
 	}
 	if !sawStore || !sawLoad {
 		t.Fatalf("explicit locations missing:\n%s", res.Trace)
+	}
+}
+
+// TestZeroSiteRejected checks that an event at the zero Site, which would
+// stamp the "no event" location key 0, crashes the execution with a
+// message naming the misuse instead of recording the event.
+func TestZeroSiteRejected(t *testing.T) {
+	res := exec.Run("zero-site", func(t *exec.Thread) {
+		v := t.NewVar("v", 0)
+		t.WriteAt(exec.Site{}, v, 1)
+	}, exec.Config{Scheduler: sched.NewRoundRobin()})
+	if !res.Buggy() || res.Failure.Kind != exec.FailPanic || !strings.Contains(res.Failure.Msg, "zero Site") {
+		t.Fatalf("want a crash naming the zero Site, got %v", res.Failure)
+	}
+	for _, e := range res.Trace.Events {
+		if e.Op == exec.OpWrite {
+			t.Fatalf("the write at the zero Site was recorded: %v", e)
+		}
 	}
 }
 

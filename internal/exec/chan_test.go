@@ -364,8 +364,8 @@ func TestChanRFPairsFeedSummary(t *testing.T) {
 	// fuzzer's feedback distinguishes channel schedules.
 	prog := func(t *exec.Thread) {
 		ch := t.NewChan("ch", 0)
-		p := t.Go("p", func(w *exec.Thread) { w.SendAt(ch, 1, "send.loc") })
-		c := t.Go("c", func(w *exec.Thread) { w.RecvAt(ch, "recv.loc") })
+		p := t.Go("p", func(w *exec.Thread) { w.SendAt(exec.SiteAt("send.loc"), ch, 1) })
+		c := t.Go("c", func(w *exec.Thread) { w.RecvAt(exec.SiteAt("recv.loc"), ch) })
 		t.JoinAll(p, c)
 	}
 	res := exec.Run("rfpairs", prog, exec.Config{Scheduler: sched.NewRoundRobin()})

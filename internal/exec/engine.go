@@ -359,16 +359,6 @@ func (e *Engine) barrierArrivals(o *object) int {
 	return n
 }
 
-func (e *Engine) liveCount() int {
-	n := 0
-	for _, th := range e.threads {
-		if th.state != tExited {
-			n++
-		}
-	}
-	return n
-}
-
 // record appends an event to the trace, assigns its ID, and reports it to
 // the scheduler. Returns the event ID.
 func (e *Engine) record(ev Event) int {

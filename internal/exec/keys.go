@@ -65,9 +65,9 @@ func VarKeyOf(name string) VarKey {
 	return VarKey(varKeys.key(name))
 }
 
-// locKeyOf returns the key of a location string. The engine's own call
-// sites get theirs from callerLoc's PC cache; this string lookup serves
-// the explicit-location *At APIs and KeyOf.
+// locKeyOf returns the key of a location string. Events get theirs from
+// their Site, resolved once by SiteAt or cached by callerLoc; this string
+// lookup serves those two and KeyOf.
 func locKeyOf(loc string) locKey { return locKey(locKeys.key(loc)) }
 
 var (

@@ -30,7 +30,8 @@ var noinlineWriteAt = lineBelow(3)
 func noinlineWrite(t *Thread, v *Var) { t.Write(v, 4) }
 
 func TestEventLocMatchesRuntimeCaller(t *testing.T) {
-	want := map[int64]string{} // written value -> location of the Write
+	want := map[int64]string{}   // written value -> location of the Write
+	readAt := map[int64]string{} // written value -> location of the Read of y it wrote
 	var arrAt string
 	prog := func(t *Thread) {
 		x := t.NewVar("x", 0)
@@ -47,6 +48,22 @@ func TestEventLocMatchesRuntimeCaller(t *testing.T) {
 		w := t.Write
 		want[5] = lineBelow(1)
 		w(x, 5)
+		// A call spanning lines is at the line of its method name, the
+		// line cmd/rffsite names the call's static site after.
+		want[6] = lineBelow(1)
+		t.Write(x,
+			6)
+		want[7] = lineBelow(2)
+		t.
+			Write(x, 7)
+		// Two calls on one line share it, and an argument's call on the
+		// next line has its own.
+		y := t.NewVar("y", 8)
+		want[8] = lineBelow(1)
+		t.Write(x, t.Read(y))
+		want[9], readAt[9] = lineBelow(1), lineBelow(2)
+		t.Write(x,
+			t.Read(y)+1)
 		arrAt = lineBelow(1)
 		t.NewVars("arr", 3, 0)
 	}
@@ -56,14 +73,26 @@ func TestEventLocMatchesRuntimeCaller(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	arr := 0
+	var readY string
 	for _, ev := range res.Trace.Events {
 		switch {
+		case ev.Op == OpRead:
+			readY = ev.Loc
 		case ev.Op == OpWrite:
+			if ev.Val >= 8 {
+				wantRead := readAt[ev.Val]
+				if wantRead == "" {
+					wantRead = want[ev.Val]
+				}
+				if readY != wantRead {
+					t.Errorf("Read(y) feeding Write(x, %d) recorded at %q, want %q", ev.Val, readY, wantRead)
+				}
+			}
 			seen[ev.Val] = true
 			if ev.Loc != want[ev.Val] {
 				t.Errorf("Write(x, %d) recorded at %q, want %q", ev.Val, ev.Loc, want[ev.Val])
 			}
-		case ev.Op == OpVarInit && ev.VarStr != "x":
+		case ev.Op == OpVarInit && ev.VarStr != "x" && ev.VarStr != "y":
 			arr++
 			if ev.Loc != arrAt {
 				t.Errorf("NewVars init of %s recorded at %q, want %q", ev.VarStr, ev.Loc, arrAt)
@@ -97,7 +126,7 @@ func TestCallerLocMatchesRuntimeCaller(t *testing.T) {
 }
 
 func TestCallerLocWarmAllocatesNothing(t *testing.T) {
-	probe := func() site { return callerLoc(0) }
+	probe := func() Site { return callerLoc(0) }
 	probe() // resolve and cache the site
 	if allocs := testing.AllocsPerRun(100, func() { _ = probe() }); allocs != 0 {
 		t.Fatalf("warm callerLoc allocated %.1f objects/call, want 0", allocs)

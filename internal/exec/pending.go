@@ -148,10 +148,6 @@ func (v *View) LastWriteKey(x VarKey) EventKey {
 	return v.eng.trace.Events[id-1].Key
 }
 
-// LiveThreads returns the number of threads that have started and not yet
-// exited (parked, blocked, or pending — not necessarily enabled).
-func (v *View) LiveThreads() int { return v.eng.liveCount() }
-
 // Races reports whether two pending events conflict: both target the same
 // shared variable with at least one write half, from different threads —
 // or contend for the same mutex. This is the racing relation used by POS

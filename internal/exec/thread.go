@@ -24,7 +24,8 @@ type abortPanic struct{}
 // shared-state interaction. Every method that touches shared state parks
 // the thread's carrier coroutine until the engine's scheduler grants the
 // step, so each call is one scheduling point (one instrumented instruction
-// in the paper's terms).
+// in the paper's terms). Each event method X has a form XAt that takes the
+// event's Site first; X is XAt at its caller's location (see Site).
 type Thread struct {
 	id   ThreadID
 	name string
@@ -68,8 +69,12 @@ func (t *Thread) Name() string { return t.name }
 // at location l — and suspends the thread's carrier until the engine
 // grants the step (or aborts the execution). It stamps the pending's keys
 // from o's and l's, so parking hashes no string; only a select, whose
-// pending names all its channels, looks its name up.
-func (t *Thread) park(p Pending, o *object, l site) {
+// pending names all its channels, looks its name up. A zero l would stamp
+// location key 0, which stands for "no event", so it panics.
+func (t *Thread) park(p Pending, o *object, l Site) {
+	if l.key == 0 {
+		panic("exec: event at the zero Site; resolve sites with exec.SiteAt")
+	}
 	var vk VarKey
 	switch {
 	case o != nil:
@@ -132,7 +137,7 @@ func (t *Thread) run() {
 // scheduling point recording val as the object's initial value. The
 // object's key is looked up here, once per object, so that every later
 // operation on it parks without touching the name.
-func (t *Thread) create(o *object, l site, val int64) {
+func (t *Thread) create(o *object, l Site, val int64) {
 	o.key = VarKeyOf(o.name)
 	t.newObj = o
 	t.park(Pending{Op: OpVarInit, Val: val}, o, l)
@@ -141,37 +146,47 @@ func (t *Thread) create(o *object, l site, val int64) {
 // NewVar creates a shared integer variable initialized to init. Creation
 // records the synthetic initial write event (the reads-from source for
 // reads observing the initial value). Names must be unique per execution.
-func (t *Thread) NewVar(name string, init int64) *Var {
+func (t *Thread) NewVar(name string, init int64) *Var { return t.NewVarAt(callerLoc(1), name, init) }
+
+// NewVarAt is NewVar at site s.
+func (t *Thread) NewVarAt(s Site, name string, init int64) *Var {
 	o := &object{kind: objVar, name: name, val: init}
-	t.create(o, callerLoc(1), init)
+	t.create(o, s, init)
 	return &Var{obj: o, eng: t.eng}
 }
 
 // NewVars creates n shared variables named name[0..n-1], all initialized to
 // init — the engine's analogue of a shared array.
 func (t *Thread) NewVars(name string, n int, init int64) []*Var {
-	loc := callerLoc(1)
+	return t.NewVarsAt(callerLoc(1), name, n, init)
+}
+
+// NewVarsAt is NewVars at site s.
+func (t *Thread) NewVarsAt(s Site, name string, n int, init int64) []*Var {
 	vars := make([]*Var, n)
 	for i := range vars {
-		nm := fmt.Sprintf("%s[%d]", name, i)
-		o := &object{kind: objVar, name: nm, val: init}
-		t.create(o, loc, init)
-		vars[i] = &Var{obj: o, eng: t.eng}
+		vars[i] = t.NewVarAt(s, fmt.Sprintf("%s[%d]", name, i), init)
 	}
 	return vars
 }
 
 // NewMutex creates a mutex. Names must be unique per execution.
-func (t *Thread) NewMutex(name string) *Mutex {
+func (t *Thread) NewMutex(name string) *Mutex { return t.NewMutexAt(callerLoc(1), name) }
+
+// NewMutexAt is NewMutex at site s.
+func (t *Thread) NewMutexAt(s Site, name string) *Mutex {
 	o := &object{kind: objMutex, name: name}
-	t.create(o, callerLoc(1), 0)
+	t.create(o, s, 0)
 	return &Mutex{obj: o, eng: t.eng}
 }
 
 // NewCond creates a condition variable bound to m.
-func (t *Thread) NewCond(name string, m *Mutex) *Cond {
+func (t *Thread) NewCond(name string, m *Mutex) *Cond { return t.NewCondAt(callerLoc(1), name, m) }
+
+// NewCondAt is NewCond at site s.
+func (t *Thread) NewCondAt(s Site, name string, m *Mutex) *Cond {
 	o := &object{kind: objCond, name: name, mutex: m}
-	t.create(o, callerLoc(1), 0)
+	t.create(o, s, 0)
 	return &Cond{obj: o, eng: t.eng}
 }
 
@@ -179,58 +194,33 @@ func (t *Thread) NewCond(name string, m *Mutex) *Cond {
 
 // Read loads the variable's current value. One scheduling point; records a
 // read event whose reads-from edge points at the last write.
-func (t *Thread) Read(v *Var) int64 {
-	t.park(Pending{Op: OpRead}, v.obj, callerLoc(1))
-	return t.retVal
-}
+func (t *Thread) Read(v *Var) int64 { return t.ReadAt(callerLoc(1), v) }
 
-// ReadAt is Read with an explicit source location, for PUT helpers that
-// want call-site-independent abstract events.
-func (t *Thread) ReadAt(v *Var, loc string) int64 {
-	t.park(Pending{Op: OpRead}, v.obj, siteOf(loc))
+// ReadAt is Read at site s.
+func (t *Thread) ReadAt(s Site, v *Var) int64 {
+	t.park(Pending{Op: OpRead}, v.obj, s)
 	return t.retVal
 }
 
 // Write stores val into the variable. One scheduling point.
-func (t *Thread) Write(v *Var, val int64) {
-	t.park(Pending{Op: OpWrite, Val: val}, v.obj, callerLoc(1))
-}
+func (t *Thread) Write(v *Var, val int64) { t.WriteAt(callerLoc(1), v, val) }
 
-// WriteAt is Write with an explicit source location.
-func (t *Thread) WriteAt(v *Var, val int64, loc string) {
-	t.park(Pending{Op: OpWrite, Val: val}, v.obj, siteOf(loc))
-}
-
-// AddAt is Add with an explicit source location for both halves.
-func (t *Thread) AddAt(v *Var, delta int64, loc string) int64 {
-	l := siteOf(loc)
-	t.park(Pending{Op: OpRead}, v.obj, l)
-	nv := t.retVal + delta
-	t.park(Pending{Op: OpWrite, Val: nv}, v.obj, l)
-	return nv
-}
-
-// CASAt is CAS with an explicit source location.
-func (t *Thread) CASAt(v *Var, old, new int64, loc string) (int64, bool) {
-	t.park(Pending{Op: OpRead, RMW: RMWCAS, CASOld: old, Val: new}, v.obj, siteOf(loc))
-	return t.retVal, t.retOK
-}
-
-// AtomicAddAt is AtomicAdd with an explicit source location.
-func (t *Thread) AtomicAddAt(v *Var, delta int64, loc string) int64 {
-	t.park(Pending{Op: OpRead, RMW: RMWAdd, Val: delta}, v.obj, siteOf(loc))
-	return t.retVal
+// WriteAt is Write at site s.
+func (t *Thread) WriteAt(s Site, v *Var, val int64) {
+	t.park(Pending{Op: OpWrite, Val: val}, v.obj, s)
 }
 
 // Add performs a NON-atomic increment: a read scheduling point followed by
 // an independent write scheduling point, exactly like a compiled `x += d`
 // (load; add; store). Other threads may interleave between the halves —
 // the classic lost-update race.
-func (t *Thread) Add(v *Var, delta int64) int64 {
-	loc := callerLoc(1)
-	t.park(Pending{Op: OpRead}, v.obj, loc)
+func (t *Thread) Add(v *Var, delta int64) int64 { return t.AddAt(callerLoc(1), v, delta) }
+
+// AddAt is Add at site s, for both halves.
+func (t *Thread) AddAt(s Site, v *Var, delta int64) int64 {
+	t.park(Pending{Op: OpRead}, v.obj, s)
 	nv := t.retVal + delta
-	t.park(Pending{Op: OpWrite, Val: nv}, v.obj, loc)
+	t.park(Pending{Op: OpWrite, Val: nv}, v.obj, s)
 	return nv
 }
 
@@ -238,22 +228,31 @@ func (t *Thread) Add(v *Var, delta int64) int64 {
 // read event and, iff the read value equals old, a write event with no
 // preemption in between. Returns the observed value and whether the swap
 // happened.
-func (t *Thread) CAS(v *Var, old, new int64) (int64, bool) {
-	t.park(Pending{Op: OpRead, RMW: RMWCAS, CASOld: old, Val: new}, v.obj, callerLoc(1))
+func (t *Thread) CAS(v *Var, old, new int64) (int64, bool) { return t.CASAt(callerLoc(1), v, old, new) }
+
+// CASAt is CAS at site s.
+func (t *Thread) CASAt(s Site, v *Var, old, new int64) (int64, bool) {
+	t.park(Pending{Op: OpRead, RMW: RMWCAS, CASOld: old, Val: new}, v.obj, s)
 	return t.retVal, t.retOK
 }
 
 // AtomicAdd performs an atomic fetch-and-add in one scheduling point,
 // returning the previous value.
-func (t *Thread) AtomicAdd(v *Var, delta int64) int64 {
-	t.park(Pending{Op: OpRead, RMW: RMWAdd, Val: delta}, v.obj, callerLoc(1))
+func (t *Thread) AtomicAdd(v *Var, delta int64) int64 { return t.AtomicAddAt(callerLoc(1), v, delta) }
+
+// AtomicAddAt is AtomicAdd at site s.
+func (t *Thread) AtomicAddAt(s Site, v *Var, delta int64) int64 {
+	t.park(Pending{Op: OpRead, RMW: RMWAdd, Val: delta}, v.obj, s)
 	return t.retVal
 }
 
 // AtomicSwap atomically exchanges the variable's value in one scheduling
 // point, returning the previous value.
-func (t *Thread) AtomicSwap(v *Var, new int64) int64 {
-	t.park(Pending{Op: OpRead, RMW: RMWSwap, Val: new}, v.obj, callerLoc(1))
+func (t *Thread) AtomicSwap(v *Var, new int64) int64 { return t.AtomicSwapAt(callerLoc(1), v, new) }
+
+// AtomicSwapAt is AtomicSwap at site s.
+func (t *Thread) AtomicSwapAt(s Site, v *Var, new int64) int64 {
+	t.park(Pending{Op: OpRead, RMW: RMWSwap, Val: new}, v.obj, s)
 	return t.retVal
 }
 
@@ -261,249 +260,247 @@ func (t *Thread) AtomicSwap(v *Var, new int64) int64 {
 
 // Lock acquires the mutex; the pending lock is enabled only while the mutex
 // is free, so contention is a genuine scheduling choice.
-func (t *Thread) Lock(m *Mutex) {
-	t.park(Pending{Op: OpLock}, m.obj, callerLoc(1))
-}
+func (t *Thread) Lock(m *Mutex) { t.LockAt(callerLoc(1), m) }
 
-// LockAt is Lock with an explicit source location.
-func (t *Thread) LockAt(m *Mutex, loc string) {
-	t.park(Pending{Op: OpLock}, m.obj, siteOf(loc))
-}
+// LockAt is Lock at site s.
+func (t *Thread) LockAt(s Site, m *Mutex) { t.park(Pending{Op: OpLock}, m.obj, s) }
 
 // Unlock releases the mutex. Unlocking a mutex the thread does not hold is
 // reported as a crash (undefined behaviour in pthreads).
-func (t *Thread) Unlock(m *Mutex) {
-	t.park(Pending{Op: OpUnlock}, m.obj, callerLoc(1))
-}
+func (t *Thread) Unlock(m *Mutex) { t.UnlockAt(callerLoc(1), m) }
 
-// UnlockAt is Unlock with an explicit source location.
-func (t *Thread) UnlockAt(m *Mutex, loc string) {
-	t.park(Pending{Op: OpUnlock}, m.obj, siteOf(loc))
+// UnlockAt is Unlock at site s.
+func (t *Thread) UnlockAt(s Site, m *Mutex) { t.park(Pending{Op: OpUnlock}, m.obj, s) }
+
+// TryLock attempts to acquire the mutex without blocking, reporting
+// whether it succeeded. The attempt is a scheduling point either way.
+func (t *Thread) TryLock(m *Mutex) bool { return t.TryLockAt(callerLoc(1), m) }
+
+// TryLockAt is TryLock at site s.
+func (t *Thread) TryLockAt(s Site, m *Mutex) bool {
+	t.park(Pending{Op: OpTryLock}, m.obj, s)
+	return t.retOK
 }
 
 // Wait atomically releases the condition's mutex and blocks until signaled,
 // then reacquires the mutex before returning (two events: OpWait and
 // OpLockRe). The caller must hold the mutex.
-func (t *Thread) Wait(c *Cond) {
-	loc := callerLoc(1)
-	t.park(Pending{Op: OpWait}, c.obj, loc)
-	t.signaled = false
-	t.park(Pending{Op: OpLockRe}, c.obj.mutex.obj, loc)
-}
+func (t *Thread) Wait(c *Cond) { t.WaitAt(callerLoc(1), c) }
 
-// WaitAt is Wait with an explicit source location.
-func (t *Thread) WaitAt(c *Cond, loc string) {
-	l := siteOf(loc)
-	t.park(Pending{Op: OpWait}, c.obj, l)
+// WaitAt is Wait at site s, for both events.
+func (t *Thread) WaitAt(s Site, c *Cond) {
+	t.park(Pending{Op: OpWait}, c.obj, s)
 	t.signaled = false
-	t.park(Pending{Op: OpLockRe}, c.obj.mutex.obj, l)
+	t.park(Pending{Op: OpLockRe}, c.obj.mutex.obj, s)
 }
 
 // Signal wakes the longest-waiting thread blocked on the condition, if any;
 // a signal with no waiters is lost (pthread semantics — the source of
 // several SCTBench bugs).
-func (t *Thread) Signal(c *Cond) {
-	t.park(Pending{Op: OpSignal}, c.obj, callerLoc(1))
-}
+func (t *Thread) Signal(c *Cond) { t.SignalAt(callerLoc(1), c) }
 
-// SignalAt is Signal with an explicit source location.
-func (t *Thread) SignalAt(c *Cond, loc string) {
-	t.park(Pending{Op: OpSignal}, c.obj, siteOf(loc))
-}
+// SignalAt is Signal at site s.
+func (t *Thread) SignalAt(s Site, c *Cond) { t.park(Pending{Op: OpSignal}, c.obj, s) }
 
 // Broadcast wakes all threads currently blocked on the condition.
-func (t *Thread) Broadcast(c *Cond) {
-	t.park(Pending{Op: OpBroadcast}, c.obj, callerLoc(1))
-}
+func (t *Thread) Broadcast(c *Cond) { t.BroadcastAt(callerLoc(1), c) }
 
-// BroadcastAt is Broadcast with an explicit source location.
-func (t *Thread) BroadcastAt(c *Cond, loc string) {
-	t.park(Pending{Op: OpBroadcast}, c.obj, siteOf(loc))
-}
+// BroadcastAt is Broadcast at site s.
+func (t *Thread) BroadcastAt(s Site, c *Cond) { t.park(Pending{Op: OpBroadcast}, c.obj, s) }
 
 // --- threads -------------------------------------------------------------------
 
 // Go spawns a child thread executing body. The child is created parked at
 // its OpBegin event; its body runs only once the scheduler picks it.
-func (t *Thread) Go(name string, body Program) *Thread {
+func (t *Thread) Go(name string, body Program) *Thread { return t.GoAt(callerLoc(1), name, body) }
+
+// GoAt is Go at site s.
+func (t *Thread) GoAt(s Site, name string, body Program) *Thread {
 	child := &Thread{name: name, eng: t.eng, body: body}
 	t.newChild = child
-	t.park(Pending{Op: OpSpawn}, nil, callerLoc(1))
+	t.park(Pending{Op: OpSpawn}, nil, s)
 	return child
 }
 
 // Join blocks until the child thread has finished; enabled only once the
 // target has exited.
-func (t *Thread) Join(child *Thread) {
-	t.park(Pending{Op: OpJoin, Target: child.id}, nil, callerLoc(1))
+func (t *Thread) Join(child *Thread) { t.JoinAt(callerLoc(1), child) }
+
+// JoinAt is Join at site s.
+func (t *Thread) JoinAt(s Site, child *Thread) {
+	t.park(Pending{Op: OpJoin, Target: child.id}, nil, s)
 }
 
 // JoinAll joins each thread in order.
-func (t *Thread) JoinAll(children ...*Thread) {
-	loc := callerLoc(1)
+func (t *Thread) JoinAll(children ...*Thread) { t.JoinAllAt(callerLoc(1), children...) }
+
+// JoinAllAt is JoinAll at site s, for every join.
+func (t *Thread) JoinAllAt(s Site, children ...*Thread) {
 	for _, c := range children {
-		t.park(Pending{Op: OpJoin, Target: c.id}, nil, loc)
+		t.JoinAt(s, c)
 	}
 }
 
 // Yield is a pure scheduling point (sched_yield analogue).
-func (t *Thread) Yield() {
-	t.park(Pending{Op: OpYield}, nil, callerLoc(1))
-}
+func (t *Thread) Yield() { t.YieldAt(callerLoc(1)) }
 
-// YieldAt is Yield with an explicit source location.
-func (t *Thread) YieldAt(loc string) {
-	t.park(Pending{Op: OpYield}, nil, siteOf(loc))
-}
+// YieldAt is Yield at site s.
+func (t *Thread) YieldAt(s Site) { t.park(Pending{Op: OpYield}, nil, s) }
 
 // --- oracles --------------------------------------------------------------------
 
 // Assert checks a PUT invariant over already-read (thread-local) values.
-// A passing assert is not a scheduling point; a failing assert ends the
-// execution with an assertion-violation failure — the paper's primary bug
-// oracle.
+// A passing assert is not a scheduling point and never resolves its
+// location; a failing assert ends the execution with an
+// assertion-violation failure — the paper's primary bug oracle.
 func (t *Thread) Assert(cond bool, msg string) {
-	if cond {
-		return
+	if !cond {
+		t.AssertAt(callerLoc(1), cond, msg)
 	}
-	t.park(Pending{Op: OpFail, FailKind: FailAssert, FailMsg: msg}, nil, callerLoc(1))
 }
 
-// AssertAt is Assert with an explicit source location for the failure
-// event, so interpreted programs (internal/progen) get per-statement
-// abstract events instead of one shared interpreter call site.
-func (t *Thread) AssertAt(cond bool, msg, loc string) {
-	if cond {
-		return
+// AssertAt is Assert at site s for the failure event, so interpreted
+// programs (internal/progen) get per-statement abstract events instead of
+// one shared interpreter call site.
+func (t *Thread) AssertAt(s Site, cond bool, msg string) {
+	if !cond {
+		t.FailAt(s, FailAssert, msg)
 	}
-	t.park(Pending{Op: OpFail, FailKind: FailAssert, FailMsg: msg}, nil, siteOf(loc))
 }
 
 // Assertf is Assert with formatted message construction on failure only.
 func (t *Thread) Assertf(cond bool, format string, args ...any) {
-	if cond {
-		return
+	if !cond {
+		t.AssertfAt(callerLoc(1), cond, format, args...)
 	}
-	t.park(Pending{Op: OpFail, FailKind: FailAssert, FailMsg: fmt.Sprintf(format, args...)}, nil, callerLoc(1))
+}
+
+// AssertfAt is Assertf at site s.
+func (t *Thread) AssertfAt(s Site, cond bool, format string, args ...any) {
+	if !cond {
+		t.FailAt(s, FailAssert, fmt.Sprintf(format, args...))
+	}
 }
 
 // FailMemory reports a simulated memory-safety violation (use-after-free,
 // null dereference, double free) — the crash oracle for the ConVul-style
 // programs.
-func (t *Thread) FailMemory(msg string) {
-	t.park(Pending{Op: OpFail, FailKind: FailMemory, FailMsg: msg}, nil, callerLoc(1))
-}
+func (t *Thread) FailMemory(msg string) { t.FailAt(callerLoc(1), FailMemory, msg) }
+
+// FailMemoryAt is FailMemory at site s.
+func (t *Thread) FailMemoryAt(s Site, msg string) { t.FailAt(s, FailMemory, msg) }
 
 // Fail reports an explicit crash with the given kind.
-func (t *Thread) Fail(kind FailureKind, msg string) {
-	t.park(Pending{Op: OpFail, FailKind: kind, FailMsg: msg}, nil, callerLoc(1))
+func (t *Thread) Fail(kind FailureKind, msg string) { t.FailAt(callerLoc(1), kind, msg) }
+
+// FailAt is Fail at site s.
+func (t *Thread) FailAt(s Site, kind FailureKind, msg string) {
+	t.park(Pending{Op: OpFail, FailKind: kind, FailMsg: msg}, nil, s)
 }
 
 // --- reader-writer locks --------------------------------------------------------
 
 // NewRWMutex creates a reader-writer lock. Names must be unique per
 // execution.
-func (t *Thread) NewRWMutex(name string) *RWMutex {
+func (t *Thread) NewRWMutex(name string) *RWMutex { return t.NewRWMutexAt(callerLoc(1), name) }
+
+// NewRWMutexAt is NewRWMutex at site s.
+func (t *Thread) NewRWMutexAt(s Site, name string) *RWMutex {
 	o := &object{kind: objRWMutex, name: name}
-	t.create(o, callerLoc(1), 0)
+	t.create(o, s, 0)
 	return &RWMutex{obj: o, eng: t.eng}
 }
 
 // RLock acquires the lock in shared mode; enabled while no writer holds
 // it (readers never block each other).
-func (t *Thread) RLock(m *RWMutex) {
-	t.park(Pending{Op: OpRLock}, m.obj, callerLoc(1))
-}
+func (t *Thread) RLock(m *RWMutex) { t.RLockAt(callerLoc(1), m) }
 
-// RLockAt is RLock with an explicit source location.
-func (t *Thread) RLockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpRLock}, m.obj, siteOf(loc))
-}
+// RLockAt is RLock at site s.
+func (t *Thread) RLockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpRLock}, m.obj, s) }
 
 // RUnlock releases a shared hold.
-func (t *Thread) RUnlock(m *RWMutex) {
-	t.park(Pending{Op: OpRUnlock}, m.obj, callerLoc(1))
-}
+func (t *Thread) RUnlock(m *RWMutex) { t.RUnlockAt(callerLoc(1), m) }
 
-// RUnlockAt is RUnlock with an explicit source location.
-func (t *Thread) RUnlockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpRUnlock}, m.obj, siteOf(loc))
-}
+// RUnlockAt is RUnlock at site s.
+func (t *Thread) RUnlockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpRUnlock}, m.obj, s) }
 
 // WLock acquires the lock exclusively; enabled only once every reader and
 // writer has released.
-func (t *Thread) WLock(m *RWMutex) {
-	t.park(Pending{Op: OpWLock}, m.obj, callerLoc(1))
-}
+func (t *Thread) WLock(m *RWMutex) { t.WLockAt(callerLoc(1), m) }
 
-// WLockAt is WLock with an explicit source location.
-func (t *Thread) WLockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpWLock}, m.obj, siteOf(loc))
-}
+// WLockAt is WLock at site s.
+func (t *Thread) WLockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpWLock}, m.obj, s) }
 
 // WUnlock releases the exclusive hold.
-func (t *Thread) WUnlock(m *RWMutex) {
-	t.park(Pending{Op: OpWUnlock}, m.obj, callerLoc(1))
-}
+func (t *Thread) WUnlock(m *RWMutex) { t.WUnlockAt(callerLoc(1), m) }
 
-// WUnlockAt is WUnlock with an explicit source location.
-func (t *Thread) WUnlockAt(m *RWMutex, loc string) {
-	t.park(Pending{Op: OpWUnlock}, m.obj, siteOf(loc))
-}
-
-// TryLock attempts to acquire the mutex without blocking, reporting
-// whether it succeeded. The attempt is a scheduling point either way.
-func (t *Thread) TryLock(m *Mutex) bool {
-	t.park(Pending{Op: OpTryLock}, m.obj, callerLoc(1))
-	return t.retOK
-}
+// WUnlockAt is WUnlock at site s.
+func (t *Thread) WUnlockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpWUnlock}, m.obj, s) }
 
 // --- semaphores ------------------------------------------------------------------
 
 // NewSemaphore creates a counting semaphore with the given initial count.
 func (t *Thread) NewSemaphore(name string, initial int64) *Semaphore {
+	return t.NewSemaphoreAt(callerLoc(1), name, initial)
+}
+
+// NewSemaphoreAt is NewSemaphore at site s.
+func (t *Thread) NewSemaphoreAt(s Site, name string, initial int64) *Semaphore {
 	o := &object{kind: objSemaphore, name: name, val: initial}
-	t.create(o, callerLoc(1), initial)
+	t.create(o, s, initial)
 	return &Semaphore{obj: o, eng: t.eng}
 }
 
 // SemWait decrements the semaphore, blocking while the count is zero
 // (sem_wait).
-func (t *Thread) SemWait(s *Semaphore) {
-	t.park(Pending{Op: OpSemWait}, s.obj, callerLoc(1))
-}
+func (t *Thread) SemWait(sem *Semaphore) { t.SemWaitAt(callerLoc(1), sem) }
+
+// SemWaitAt is SemWait at site s.
+func (t *Thread) SemWaitAt(s Site, sem *Semaphore) { t.park(Pending{Op: OpSemWait}, sem.obj, s) }
 
 // SemPost increments the semaphore, potentially unblocking a waiter
 // (sem_post).
-func (t *Thread) SemPost(s *Semaphore) {
-	t.park(Pending{Op: OpSemPost}, s.obj, callerLoc(1))
-}
+func (t *Thread) SemPost(sem *Semaphore) { t.SemPostAt(callerLoc(1), sem) }
+
+// SemPostAt is SemPost at site s.
+func (t *Thread) SemPostAt(s Site, sem *Semaphore) { t.park(Pending{Op: OpSemPost}, sem.obj, s) }
 
 // --- barriers ---------------------------------------------------------------------
 
 // NewBarrier creates a barrier for the given number of parties.
 func (t *Thread) NewBarrier(name string, parties int) *Barrier {
+	return t.NewBarrierAt(callerLoc(1), name, parties)
+}
+
+// NewBarrierAt is NewBarrier at site s.
+func (t *Thread) NewBarrierAt(s Site, name string, parties int) *Barrier {
 	o := &object{kind: objBarrier, name: name, val: int64(parties)}
-	t.create(o, callerLoc(1), int64(parties))
+	t.create(o, s, int64(parties))
 	return &Barrier{obj: o, eng: t.eng}
 }
 
 // BarrierWait joins the barrier, blocking until all parties have arrived
 // (pthread_barrier_wait).
-func (t *Thread) BarrierWait(b *Barrier) {
-	t.park(Pending{Op: OpBarrier}, b.obj, callerLoc(1))
-}
+func (t *Thread) BarrierWait(b *Barrier) { t.BarrierWaitAt(callerLoc(1), b) }
+
+// BarrierWaitAt is BarrierWait at site s.
+func (t *Thread) BarrierWaitAt(s Site, b *Barrier) { t.park(Pending{Op: OpBarrier}, b.obj, s) }
 
 // --- channels ---------------------------------------------------------------------
 
 // NewChan creates a channel with the given buffer capacity (0 =
 // unbuffered rendezvous). Names must be unique per execution.
 func (t *Thread) NewChan(name string, capacity int) *Chan {
+	return t.NewChanAt(callerLoc(1), name, capacity)
+}
+
+// NewChanAt is NewChan at site s.
+func (t *Thread) NewChanAt(s Site, name string, capacity int) *Chan {
 	if capacity < 0 {
 		capacity = 0
 	}
 	o := &object{kind: objChan, name: name, cap: capacity}
-	t.create(o, callerLoc(1), int64(capacity))
+	t.create(o, s, int64(capacity))
 	return &Chan{obj: o, eng: t.eng}
 }
 
@@ -511,53 +508,39 @@ func (t *Thread) NewChan(name string, capacity int) *Chan {
 // receiver is parked on the channel (rendezvous), on a buffered channel
 // until there is capacity. Sending on a closed channel crashes with
 // FailSendClosed, matching Go.
-func (t *Thread) Send(c *Chan, v int64) {
-	t.park(Pending{Op: OpSend, Val: v}, c.obj, callerLoc(1))
-}
+func (t *Thread) Send(c *Chan, v int64) { t.SendAt(callerLoc(1), c, v) }
 
-// SendAt is Send with an explicit source location.
-func (t *Thread) SendAt(c *Chan, v int64, loc string) {
-	t.park(Pending{Op: OpSend, Val: v}, c.obj, siteOf(loc))
-}
+// SendAt is Send at site s.
+func (t *Thread) SendAt(s Site, c *Chan, v int64) { t.park(Pending{Op: OpSend, Val: v}, c.obj, s) }
 
 // Recv receives from the channel, blocking until a value is available or
 // the channel is closed. Like Go's v, ok := <-ch it returns the value and
 // whether it was a real send (false: closed and drained, v is 0).
-func (t *Thread) Recv(c *Chan) (int64, bool) {
-	t.park(Pending{Op: OpRecv}, c.obj, callerLoc(1))
-	return t.retVal, t.retOK
-}
+func (t *Thread) Recv(c *Chan) (int64, bool) { return t.RecvAt(callerLoc(1), c) }
 
-// RecvAt is Recv with an explicit source location.
-func (t *Thread) RecvAt(c *Chan, loc string) (int64, bool) {
-	t.park(Pending{Op: OpRecv}, c.obj, siteOf(loc))
+// RecvAt is Recv at site s.
+func (t *Thread) RecvAt(s Site, c *Chan) (int64, bool) {
+	t.park(Pending{Op: OpRecv}, c.obj, s)
 	return t.retVal, t.retOK
 }
 
 // Close closes the channel. Parked senders become enabled and crash with
 // FailSendClosed when scheduled; receivers drain the buffer and then
 // observe (0, false). Closing twice crashes with FailCloseClosed.
-func (t *Thread) Close(c *Chan) {
-	t.park(Pending{Op: OpClose}, c.obj, callerLoc(1))
-}
+func (t *Thread) Close(c *Chan) { t.CloseAt(callerLoc(1), c) }
 
-// CloseAt is Close with an explicit source location.
-func (t *Thread) CloseAt(c *Chan, loc string) {
-	t.park(Pending{Op: OpClose}, c.obj, siteOf(loc))
-}
+// CloseAt is Close at site s.
+func (t *Thread) CloseAt(s Site, c *Chan) { t.park(Pending{Op: OpClose}, c.obj, s) }
 
 // TrySend attempts a non-blocking send (select { case ch <- v: default: }),
 // reporting whether the value was delivered. On an unbuffered channel it
 // succeeds only against a parked receiver. Sending on a closed channel
 // crashes even when non-blocking, matching Go.
-func (t *Thread) TrySend(c *Chan, v int64) bool {
-	t.park(Pending{Op: OpTrySend, Val: v}, c.obj, callerLoc(1))
-	return t.retOK
-}
+func (t *Thread) TrySend(c *Chan, v int64) bool { return t.TrySendAt(callerLoc(1), c, v) }
 
-// TrySendAt is TrySend with an explicit source location.
-func (t *Thread) TrySendAt(c *Chan, v int64, loc string) bool {
-	t.park(Pending{Op: OpTrySend, Val: v}, c.obj, siteOf(loc))
+// TrySendAt is TrySend at site s.
+func (t *Thread) TrySendAt(s Site, c *Chan, v int64) bool {
+	t.park(Pending{Op: OpTrySend, Val: v}, c.obj, s)
 	return t.retOK
 }
 
@@ -567,14 +550,11 @@ func (t *Thread) TrySendAt(c *Chan, v int64, loc string) bool {
 // channel only yields closure this way: the engine's rendezvous is
 // sender-active, so a non-blocking receive never pairs with a blocked
 // sender (see DESIGN.md §15).
-func (t *Thread) TryRecv(c *Chan) (v int64, ok, recvd bool) {
-	t.park(Pending{Op: OpTryRecv}, c.obj, callerLoc(1))
-	return t.retVal, t.retOK, t.retRecvd
-}
+func (t *Thread) TryRecv(c *Chan) (v int64, ok, recvd bool) { return t.TryRecvAt(callerLoc(1), c) }
 
-// TryRecvAt is TryRecv with an explicit source location.
-func (t *Thread) TryRecvAt(c *Chan, loc string) (v int64, ok, recvd bool) {
-	t.park(Pending{Op: OpTryRecv}, c.obj, siteOf(loc))
+// TryRecvAt is TryRecv at site s.
+func (t *Thread) TryRecvAt(s Site, c *Chan) (v int64, ok, recvd bool) {
+	t.park(Pending{Op: OpTryRecv}, c.obj, s)
 	return t.retVal, t.retOK, t.retRecvd
 }
 
@@ -585,18 +565,13 @@ func (t *Thread) TryRecvAt(c *Chan, loc string) (v int64, ok, recvd bool) {
 // flag (Go's v, ok := <-ch). There is no default case: express
 // non-blocking arms with TrySend/TryRecv.
 func (t *Thread) Select(cases ...SelectCase) (idx int, v int64, ok bool) {
-	return t.selectAt(callerLoc(1), cases)
+	return t.SelectAt(callerLoc(1), cases...)
 }
 
-// SelectAt is Select with an explicit source location, recorded on
-// whichever case event fires.
-func (t *Thread) SelectAt(loc string, cases ...SelectCase) (idx int, v int64, ok bool) {
-	return t.selectAt(siteOf(loc), cases)
-}
-
-// selectAt parks at a select over cases at location l. The pending names
-// every channel it targets ("a,b"), which costs one key lookup per call.
-func (t *Thread) selectAt(l site, cases []SelectCase) (idx int, v int64, ok bool) {
+// SelectAt is Select at site s, recorded on whichever case event fires.
+// The pending names every channel it targets ("a,b"), which costs one key
+// lookup per call.
+func (t *Thread) SelectAt(s Site, cases ...SelectCase) (idx int, v int64, ok bool) {
 	if len(cases) == 0 {
 		panic("exec: select with no cases")
 	}
@@ -607,7 +582,7 @@ func (t *Thread) selectAt(l site, cases []SelectCase) (idx int, v int64, ok bool
 		}
 		names = append(names, c.Ch.obj.name...)
 	}
-	t.park(Pending{Op: OpSelect, VarName: string(names), Cases: cases}, nil, l)
+	t.park(Pending{Op: OpSelect, VarName: string(names), Cases: cases}, nil, s)
 	return t.retCase, t.retVal, t.retOK
 }
 
@@ -615,40 +590,33 @@ func (t *Thread) selectAt(l site, cases []SelectCase) (idx int, v int64, ok bool
 
 // NewWaitGroup creates a WaitGroup with a zero counter. Names must be
 // unique per execution.
-func (t *Thread) NewWaitGroup(name string) *WaitGroup {
+func (t *Thread) NewWaitGroup(name string) *WaitGroup { return t.NewWaitGroupAt(callerLoc(1), name) }
+
+// NewWaitGroupAt is NewWaitGroup at site s.
+func (t *Thread) NewWaitGroupAt(s Site, name string) *WaitGroup {
 	o := &object{kind: objWaitGroup, name: name}
-	t.create(o, callerLoc(1), 0)
+	t.create(o, s, 0)
 	return &WaitGroup{obj: o, eng: t.eng}
 }
 
 // WgAdd moves the WaitGroup counter by delta. A negative counter crashes,
 // matching sync.WaitGroup.
-func (t *Thread) WgAdd(w *WaitGroup, delta int64) {
-	t.park(Pending{Op: OpWgAdd, Val: delta}, w.obj, callerLoc(1))
-}
+func (t *Thread) WgAdd(w *WaitGroup, delta int64) { t.WgAddAt(callerLoc(1), w, delta) }
 
-// WgAddAt is WgAdd with an explicit source location.
-func (t *Thread) WgAddAt(w *WaitGroup, delta int64, loc string) {
-	t.park(Pending{Op: OpWgAdd, Val: delta}, w.obj, siteOf(loc))
+// WgAddAt is WgAdd at site s.
+func (t *Thread) WgAddAt(s Site, w *WaitGroup, delta int64) {
+	t.park(Pending{Op: OpWgAdd, Val: delta}, w.obj, s)
 }
 
 // WgDone is WgAdd(-1).
-func (t *Thread) WgDone(w *WaitGroup) {
-	t.park(Pending{Op: OpWgAdd, Val: -1}, w.obj, callerLoc(1))
-}
+func (t *Thread) WgDone(w *WaitGroup) { t.WgDoneAt(callerLoc(1), w) }
 
-// WgDoneAt is WgDone with an explicit source location.
-func (t *Thread) WgDoneAt(w *WaitGroup, loc string) {
-	t.park(Pending{Op: OpWgAdd, Val: -1}, w.obj, siteOf(loc))
-}
+// WgDoneAt is WgDone at site s.
+func (t *Thread) WgDoneAt(s Site, w *WaitGroup) { t.WgAddAt(s, w, -1) }
 
 // WgWait blocks until the WaitGroup counter is zero. Its event reads-from
 // the counter update (or init) that released it.
-func (t *Thread) WgWait(w *WaitGroup) {
-	t.park(Pending{Op: OpWgWait}, w.obj, callerLoc(1))
-}
+func (t *Thread) WgWait(w *WaitGroup) { t.WgWaitAt(callerLoc(1), w) }
 
-// WgWaitAt is WgWait with an explicit source location.
-func (t *Thread) WgWaitAt(w *WaitGroup, loc string) {
-	t.park(Pending{Op: OpWgWait}, w.obj, siteOf(loc))
-}
+// WgWaitAt is WgWait at site s.
+func (t *Thread) WgWaitAt(s Site, w *WaitGroup) { t.park(Pending{Op: OpWgWait}, w.obj, s) }

@@ -18,12 +18,12 @@ type env struct {
 	wg    *exec.WaitGroup
 }
 
-// Body builds the exec.Program interpreting the AST. Every statement
-// executes through the explicit-location thread API (ReadAt, WriteAt,
-// LockAt, ...) with its own synthetic location, so each statement is a
-// distinct abstract event op(x)@loc — exactly what the reads-from
-// machinery keys on.
+// Body builds the exec.Program interpreting the AST. Every statement runs
+// through the thread's …At forms at its own synthetic location, resolved
+// once when the statement was generated, so each statement is a distinct
+// abstract event op(x)@loc — exactly what the reads-from machinery keys on.
 func (p *Program) Body() exec.Program {
+	readSites := finalSites(p.NVars)
 	return func(t *exec.Thread) {
 		e := &env{
 			vars:  make([]*exec.Var, p.NVars),
@@ -49,7 +49,7 @@ func (p *Program) Body() exec.Program {
 		}
 		if p.UseWg {
 			e.wg = t.NewWaitGroup("wg")
-			t.WgAddAt(e.wg, int64(p.WgAdds), "main.wgadd")
+			t.WgAddAt(wgAddSite, e.wg, int64(p.WgAdds))
 		}
 		children := make([]*exec.Thread, len(p.Threads))
 		for i, body := range p.Threads {
@@ -60,58 +60,72 @@ func (p *Program) Body() exec.Program {
 			})
 		}
 		if p.UseWg {
-			t.WgWaitAt(e.wg, "main.wgwait")
+			t.WgWaitAt(wgWaitSite, e.wg)
 		}
 		t.JoinAll(children...)
 		// Sequential epilogue: read every final value, then assert.
 		finals := make([]int64, p.NVars)
 		for i, v := range e.vars {
-			finals[i] = t.ReadAt(v, fmt.Sprintf("main.final.%d", i))
+			finals[i] = t.ReadAt(readSites[i], v)
 		}
-		for i, a := range p.Finals {
-			t.AssertAt(a.Cmp.eval(finals[a.Var], a.Const),
-				fmt.Sprintf("x%d %s %d", a.Var, a.Cmp, a.Const),
-				fmt.Sprintf("main.assert.%d", i))
+		for _, a := range p.Finals {
+			t.AssertAt(a.site, a.Cmp.eval(finals[a.Var], a.Const), a.msg)
 		}
 	}
 }
 
+// Sites of main's wait-group events, shared by every program.
+var (
+	wgAddSite  = exec.SiteAt("main.wgadd")
+	wgWaitSite = exec.SiteAt("main.wgwait")
+)
+
+// finalSites returns the sites of main's reads of x0..x{n-1} after the
+// join.
+func finalSites(n int) []exec.Site {
+	sites := make([]exec.Site, n)
+	for i := range sites {
+		sites[i] = exec.SiteAt(fmt.Sprintf("main.final.%d", i))
+	}
+	return sites
+}
+
 // runStmts interprets one statement list on thread w.
 func runStmts(w *exec.Thread, stmts []Stmt, e *env, regs *[2]int64) {
-	for _, s := range stmts {
+	for i := range stmts {
+		s := &stmts[i]
 		switch s.Kind {
 		case StLoad:
-			regs[s.Reg] = w.ReadAt(e.vars[s.Var], s.Loc)
+			regs[s.Reg] = w.ReadAt(s.site, e.vars[s.Var])
 		case StStore:
-			w.WriteAt(e.vars[s.Var], s.Const, s.Loc)
+			w.WriteAt(s.site, e.vars[s.Var], s.Const)
 		case StStoreReg:
-			w.WriteAt(e.vars[s.Var], regs[s.Reg]+s.Delta, s.Loc)
+			w.WriteAt(s.site, e.vars[s.Var], regs[s.Reg]+s.Delta)
 		case StAddNA:
-			w.AddAt(e.vars[s.Var], s.Delta, s.Loc)
+			w.AddAt(s.site, e.vars[s.Var], s.Delta)
 		case StAtomicAdd:
-			w.AtomicAddAt(e.vars[s.Var], s.Delta, s.Loc)
+			w.AtomicAddAt(s.site, e.vars[s.Var], s.Delta)
 		case StCAS:
-			w.CASAt(e.vars[s.Var], s.Old, s.New, s.Loc)
+			w.CASAt(s.site, e.vars[s.Var], s.Old, s.New)
 		case StYield:
-			w.YieldAt(s.Loc)
+			w.YieldAt(s.site)
 		case StAssert:
-			w.AssertAt(s.Cmp.eval(regs[s.Reg], s.Const),
-				fmt.Sprintf("r%d %s %d", s.Reg, s.Cmp, s.Const), s.Loc)
+			w.AssertAt(s.site, s.Cmp.eval(regs[s.Reg], s.Const), s.msg)
 		case StLocked:
-			w.LockAt(e.mus[s.Mutex], s.Loc)
+			w.LockAt(s.site, e.mus[s.Mutex])
 			runStmts(w, s.Body, e, regs)
-			w.UnlockAt(e.mus[s.Mutex], s.Loc)
+			w.UnlockAt(s.site, e.mus[s.Mutex])
 		case StSend:
-			w.SendAt(e.chans[s.Chan], s.Const, s.Loc)
+			w.SendAt(s.site, e.chans[s.Chan], s.Const)
 		case StRecv:
-			v, _ := w.RecvAt(e.chans[s.Chan], s.Loc)
+			v, _ := w.RecvAt(s.site, e.chans[s.Chan])
 			regs[s.Reg] = v
 		case StClose:
-			w.CloseAt(e.chans[s.Chan], s.Loc)
+			w.CloseAt(s.site, e.chans[s.Chan])
 		case StTrySend:
-			w.TrySendAt(e.chans[s.Chan], s.Const, s.Loc)
+			w.TrySendAt(s.site, e.chans[s.Chan], s.Const)
 		case StTryRecv:
-			v, _, recvd := w.TryRecvAt(e.chans[s.Chan], s.Loc)
+			v, _, recvd := w.TryRecvAt(s.site, e.chans[s.Chan])
 			if recvd {
 				regs[s.Reg] = v
 			}
@@ -122,26 +136,26 @@ func runStmts(w *exec.Thread, stmts []Stmt, e *env, regs *[2]int64) {
 			} else {
 				cases = append(cases, exec.RecvCase(e.chans[s.Chan2]))
 			}
-			_, v, ok := w.SelectAt(s.Loc, cases...)
+			_, v, ok := w.SelectAt(s.site, cases...)
 			if ok {
 				regs[s.Reg] = v
 			}
 		case StWgDone:
-			w.WgDoneAt(e.wg, s.Loc)
+			w.WgDoneAt(s.site, e.wg)
 		case StCondWait:
-			w.WaitAt(e.conds[s.Cond], s.Loc)
+			w.WaitAt(s.site, e.conds[s.Cond])
 		case StSignal:
-			w.SignalAt(e.conds[s.Cond], s.Loc)
+			w.SignalAt(s.site, e.conds[s.Cond])
 		case StBroadcast:
-			w.BroadcastAt(e.conds[s.Cond], s.Loc)
+			w.BroadcastAt(s.site, e.conds[s.Cond])
 		case StRLocked:
-			w.RLockAt(e.rws[s.RW], s.Loc)
+			w.RLockAt(s.site, e.rws[s.RW])
 			runStmts(w, s.Body, e, regs)
-			w.RUnlockAt(e.rws[s.RW], s.Loc)
+			w.RUnlockAt(s.site, e.rws[s.RW])
 		case StWLocked:
-			w.WLockAt(e.rws[s.RW], s.Loc)
+			w.WLockAt(s.site, e.rws[s.RW])
 			runStmts(w, s.Body, e, regs)
-			w.WUnlockAt(e.rws[s.RW], s.Loc)
+			w.WUnlockAt(s.site, e.rws[s.RW])
 		default:
 			panic(fmt.Sprintf("progen: unknown statement kind %d", s.Kind))
 		}

@@ -182,6 +182,12 @@ type Stmt struct {
 	// Loc is the statement's synthetic source location ("w2.3"):
 	// distinct per statement, so each one is its own abstract event.
 	Loc string
+
+	// site is Loc resolved and msg an assert's failure message, both
+	// built with the statement so the interpreter builds neither per
+	// event.
+	site exec.Site
+	msg  string
 }
 
 // FinalAssert is a sequential assertion main runs on a variable's final
@@ -190,6 +196,9 @@ type FinalAssert struct {
 	Var   int
 	Cmp   Cmp
 	Const int64
+
+	site exec.Site // main.assert.<index in Program.Finals>
+	msg  string
 }
 
 // Program is one generated program: the AST plus the interpreter over it
@@ -363,7 +372,8 @@ func (g *Generator) gen() *Program {
 		}
 		p.Threads[t] = g.stmts(p, b, 0, -1, -1, t+1, &counter)
 		if p.UseWg && p.WgDoners[t] {
-			p.Threads[t] = append(p.Threads[t], Stmt{Kind: StWgDone, Loc: fmt.Sprintf("w%d.done", t+1)})
+			loc := fmt.Sprintf("w%d.done", t+1)
+			p.Threads[t] = append(p.Threads[t], Stmt{Kind: StWgDone, Loc: loc, site: exec.SiteAt(loc)})
 		}
 	}
 
@@ -371,11 +381,14 @@ func (g *Generator) gen() *Program {
 	if r.Intn(10) < 7 {
 		n := 1 + r.Intn(2)
 		for i := 0; i < n; i++ {
-			p.Finals = append(p.Finals, FinalAssert{
+			a := FinalAssert{
 				Var:   r.Intn(p.NVars),
 				Cmp:   g.cmp(),
 				Const: int64(r.Intn(6) - 1),
-			})
+			}
+			a.site = exec.SiteAt(fmt.Sprintf("main.assert.%d", i))
+			a.msg = fmt.Sprintf("x%d %s %d", a.Var, a.Cmp, a.Const)
+			p.Finals = append(p.Finals, a)
 		}
 	}
 	return p
@@ -491,6 +504,10 @@ func (g *Generator) stmts(p *Program, budget, depth, held, heldRW, tid int, coun
 			budget -= 2 + inner
 		default:
 			continue
+		}
+		s.site = exec.SiteAt(s.Loc)
+		if s.Kind == StAssert {
+			s.msg = fmt.Sprintf("r%d %s %d", s.Reg, s.Cmp, s.Const)
 		}
 		out = append(out, s)
 	}
