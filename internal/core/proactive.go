@@ -74,8 +74,7 @@ func (m *machine) vote(v *exec.View, votes []int) {
 		// w out of the picture.
 		readVote, writeVote = 1, -1
 	}
-	for i := range v.Enabled {
-		p := &v.Enabled[i]
+	for i, p := range v.Enabled {
 		instRead := p.Key == m.read && p.IsReadLike()
 		if instRead {
 			votes[i] += readVote
@@ -93,8 +92,8 @@ func (m *machine) vote(v *exec.View, votes []int) {
 // readEnabled reports whether some enabled pending instantiates the
 // constraint's read.
 func (m *machine) readEnabled(v *exec.View) bool {
-	for i := range v.Enabled {
-		if p := &v.Enabled[i]; p.Key == m.read && p.IsReadLike() {
+	for _, p := range v.Enabled {
+		if p.Key == m.read && p.IsReadLike() {
 			return true
 		}
 	}
@@ -191,7 +190,7 @@ func (s *Proactive) Pick(v *exec.View) int {
 		restrict[i] = x == max
 	}
 	idx := s.pos.ArgMax(v.Enabled, restrict)
-	s.pos.ResetRacing(v.Enabled, &v.Enabled[idx])
+	s.pos.ResetRacing(v.Enabled, v.Enabled[idx])
 	return idx
 }
 

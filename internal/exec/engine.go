@@ -41,6 +41,11 @@ type Config struct {
 	Recycle *Recycler
 }
 
+// checkEnabled, when non-nil, runs before every scheduling decision with
+// the engine's enabled set up to date. Only tests set it, to cross-check
+// the incrementally kept set against one recomputed from scratch.
+var checkEnabled func(*Engine)
+
 // DefaultMaxSteps is the per-execution event budget used when
 // Config.MaxSteps is zero.
 const DefaultMaxSteps = 20000
@@ -85,12 +90,25 @@ type Engine struct {
 	// supplied), polled once per scheduling step.
 	done <-chan struct{}
 
-	// Per-step scratch, reused across the whole execution (and, through
-	// Config.Recycle, across executions): the candidate list, the
-	// scheduler's View, and its Enabled slice are rebuilt in place every
-	// scheduling point instead of allocated fresh.
-	candBuf []*Thread
-	view    View
+	// cands is the enabled set: the pendings of every parked thread
+	// whose pending is enabled, in thread-ID order, pointing at each
+	// thread's own pending. It is kept up to date step by step (see
+	// settle) instead of rebuilt; view hands it to the scheduler.
+	cands []*Pending
+	view  View
+
+	// Step bookkeeping for settle: the objects the current step changed,
+	// whose waiters it re-evaluates; how many threads entered or left the
+	// set this step; and whether cands must be rebuilt from the threads'
+	// ready flags because too many did to patch it in place.
+	touched  []*object
+	touchBuf [4]*object
+	flips    int
+	stale    bool
+
+	// selects lists the threads parked at a select: they wait on several
+	// channels at once, so they sit on no single object's waiters.
+	selects waitList
 
 	failure   *Failure
 	truncated bool
@@ -113,6 +131,8 @@ func Run(name string, p Program, cfg Config) *Result {
 		name:  name,
 		trace: &Trace{intern: cfg.Intern},
 	}
+	e.touched = e.touchBuf[:0]
+	e.view.eng = e
 	if cfg.Ctx != nil {
 		e.done = cfg.Ctx.Done()
 	}
@@ -120,7 +140,7 @@ func Run(name string, p Program, cfg Config) *Result {
 		// Adopt the previous execution's backing arrays and sizes: traces
 		// of one program barely vary, so these capacities fit immediately.
 		e.trace.Events, e.trace.Decisions = r.take()
-		e.view.Enabled, e.candBuf = r.takeScratch()
+		e.cands = r.takeEnabled()
 		e.threads = make([]*Thread, 0, r.prevThreads)
 		e.objs = make([]*object, 0, r.prevObjs)
 		e.objByKey = make(map[VarKey]*object, r.prevObjs)
@@ -133,13 +153,16 @@ func Run(name string, p Program, cfg Config) *Result {
 	e.addThread(main)
 	main.car = acquireCarrier(main)
 	e.resume(main)
+	if e.failure == nil {
+		e.settle(main)
+	}
 
 	e.loop()
 	e.teardown()
 
 	cfg.Scheduler.End(e.trace)
 	if r := cfg.Recycle; r != nil {
-		r.record(len(e.threads), len(e.objs), e.trace.Len(), e.view.Enabled, e.candBuf)
+		r.record(len(e.threads), len(e.objs), e.trace.Len(), e.cands)
 	}
 	if t := cfg.Telemetry; t != nil {
 		t.Add(telemetry.MEngineExecutions, 1)
@@ -166,9 +189,9 @@ func (e *Engine) addThread(th *Thread) {
 
 func (e *Engine) thread(id ThreadID) *Thread { return e.threads[id-1] }
 
-// loop is the main scheduling loop: collect enabled pendings, let the
-// scheduler pick, execute one step. Each step runs the chosen thread to
-// its next park or exit before returning.
+// loop is the main scheduling loop: let the scheduler pick from the
+// enabled set, execute one step, bring the set up to date. Each step runs
+// the chosen thread to its next park or exit before returning.
 func (e *Engine) loop() {
 	for {
 		if e.failure != nil {
@@ -182,8 +205,10 @@ func (e *Engine) loop() {
 			default:
 			}
 		}
-		cands := e.enabledThreads()
-		if len(cands) == 0 {
+		if checkEnabled != nil {
+			checkEnabled(e)
+		}
+		if len(e.cands) == 0 {
 			if blocked := e.parkedThreads(); len(blocked) > 0 {
 				e.failure = e.deadlockFailure(blocked)
 			}
@@ -193,19 +218,21 @@ func (e *Engine) loop() {
 			e.truncated = true
 			return
 		}
-		// Rebuild the scheduler's view in place: the View and its Enabled
-		// slice are only valid for the duration of Pick (see Scheduler).
-		enabled := e.view.Enabled[:0]
-		for _, th := range cands {
-			enabled = append(enabled, th.pending)
-		}
-		e.view = View{Step: e.trace.Len(), Enabled: enabled, eng: e}
+		// The View and its Enabled slice are only valid for the duration
+		// of Pick (see Scheduler); the scheduler gets the set's header, so
+		// reslicing v.Enabled cannot corrupt it.
+		e.view.Step, e.view.Enabled = e.trace.Len(), e.cands
 		idx := e.cfg.Scheduler.Pick(&e.view)
-		if idx < 0 || idx >= len(cands) {
+		if idx < 0 || idx >= len(e.cands) {
 			panic(fmt.Sprintf("exec: scheduler %q returned out-of-range index %d (enabled %d)",
-				e.cfg.Scheduler.Name(), idx, len(cands)))
+				e.cfg.Scheduler.Name(), idx, len(e.cands)))
 		}
-		e.step(cands[idx])
+		th := e.thread(e.cands[idx].Thread)
+		th.unwait()
+		e.step(th)
+		if e.failure == nil {
+			e.settle(th)
+		}
 	}
 }
 
@@ -220,18 +247,165 @@ func (e *Engine) parkedThreads() []*Thread {
 	return out
 }
 
-// enabledThreads returns parked threads whose pending event is enabled, in
-// thread-ID order (the deterministic candidate order seen by schedulers).
-// The returned slice is engine-owned scratch, overwritten each step.
-func (e *Engine) enabledThreads() []*Thread {
-	out := e.candBuf[:0]
-	for _, th := range e.threads {
-		if th.state == tParked && e.enabled(th) {
-			out = append(out, th)
+// waitList is an intrusive doubly linked list of parked threads, linked
+// through Thread.wnext and Thread.wprev: a thread is on at most one list
+// at a time, so joining or leaving one allocates nothing. Order carries
+// no meaning.
+//
+// The lists are how the engine keeps its enabled set without rescanning
+// every thread. A parked thread's enabledness changes only when the
+// thread itself parks on a new pending, when an object its pending names
+// changes state, or when its join target exits. So each object lists the
+// threads parked on a pending whose enabledness depends on it (its
+// waiters, object.parked); selects, which name several channels, are
+// listed in Engine.selects, and joins in the target's joiners. After
+// each step the engine re-evaluates only the stepped thread and the
+// waiters of the objects the step touched (see settle). The candidate
+// order, and with it every scheduler decision, is the one a scan of
+// every thread at every step gives.
+type waitList struct{ head *Thread }
+
+// push adds th, which must be on no list.
+func (l *waitList) push(th *Thread) {
+	th.wnext, th.wprev, th.waiting = l.head, nil, l
+	if l.head != nil {
+		l.head.wprev = th
+	}
+	l.head = th
+}
+
+// unwait takes th off the list it is on, if any.
+func (th *Thread) unwait() {
+	l := th.waiting
+	if l == nil {
+		return
+	}
+	if th.wprev != nil {
+		th.wprev.wnext = th.wnext
+	} else {
+		l.head = th.wnext
+	}
+	if th.wnext != nil {
+		th.wnext.wprev = th.wprev
+	}
+	th.wnext, th.wprev, th.waiting = nil, nil, nil
+}
+
+// touch queues o's waiters for re-evaluation at the end of the step.
+func (e *Engine) touch(o *object) {
+	if n := len(e.touched); n == 0 || e.touched[n-1] != o {
+		e.touched = append(e.touched, o)
+	}
+}
+
+// enqueue puts th, just parked, on the waiters of whatever its pending's
+// enabledness depends on. A new receiver can enable a sender and a new
+// arrival can open a barrier, so those also touch their objects.
+func (e *Engine) enqueue(th *Thread) {
+	p := &th.pending
+	switch p.Op {
+	case OpLock, OpLockRe, OpRLock, OpWLock, OpSemWait, OpSend, OpWgWait:
+		e.objs[p.Var-1].parked.push(th)
+	case OpRecv, OpBarrier:
+		o := e.objs[p.Var-1]
+		o.parked.push(th)
+		e.touch(o)
+	case OpJoin:
+		e.thread(p.Target).joiners.push(th)
+	case OpSelect:
+		e.selects.push(th)
+		for _, c := range p.Cases {
+			e.touch(c.Ch.obj)
 		}
 	}
-	e.candBuf = out
-	return out
+}
+
+// settle brings the enabled set up to date after th ran: th parked on a
+// new pending (or exited), and the step touched some objects. Only th,
+// its joiners if it exited, and the waiters of the touched objects can
+// have changed enabledness; a touched channel can also change any
+// select's.
+func (e *Engine) settle(th *Thread) {
+	if th.state == tParked {
+		e.enqueue(th)
+	} else {
+		for j := th.joiners.head; j != nil; j = j.wnext {
+			e.refresh(j)
+		}
+	}
+	e.refresh(th)
+	chans := false
+	for _, o := range e.touched {
+		for w := o.parked.head; w != nil; w = w.wnext {
+			e.refresh(w)
+		}
+		chans = chans || o.kind == objChan
+	}
+	if chans {
+		for w := e.selects.head; w != nil; w = w.wnext {
+			e.refresh(w)
+		}
+	}
+	e.touched = e.touched[:0]
+	if e.stale {
+		e.rebuild()
+	}
+	e.flips = 0
+}
+
+// maxFlips is how many threads may enter or leave the enabled set in one
+// step before settle stops patching the set in place (a binary search and
+// a shift each) and rebuilds it once from the threads' ready flags — the
+// cheaper choice when, say, a lock release enables a hundred waiters.
+const maxFlips = 8
+
+// refresh re-evaluates th's enabledness and adds it to or removes it from
+// the enabled set if that changed.
+func (e *Engine) refresh(th *Thread) {
+	on := th.state == tParked && e.enabled(th)
+	if on == th.ready {
+		return
+	}
+	th.ready = on
+	if e.stale {
+		return
+	}
+	if e.flips++; e.flips > maxFlips {
+		e.stale = true
+		return
+	}
+	en := e.cands
+	lo, hi := 0, len(en)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); en[m].Thread < th.id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if on {
+		en = append(en, nil)
+		copy(en[lo+1:], en[lo:])
+		en[lo] = &th.pending
+	} else {
+		copy(en[lo:], en[lo+1:])
+		en[len(en)-1] = nil
+		en = en[:len(en)-1]
+	}
+	e.cands = en
+}
+
+// rebuild refills the enabled set from the threads' ready flags.
+func (e *Engine) rebuild() {
+	en := e.cands[:0]
+	for _, th := range e.threads {
+		if th.ready {
+			en = append(en, &th.pending)
+		}
+	}
+	clear(en[len(en):cap(en)])
+	e.cands = en
+	e.stale = false
 }
 
 // enabled implements the enabledness rules: locks need a free mutex,
@@ -257,19 +431,9 @@ func (e *Engine) enabled(th *Thread) bool {
 		return e.objs[p.Var-1].val > 0
 	case OpBarrier:
 		o := e.objs[p.Var-1]
-		if o.releasing[th] {
-			return true
-		}
-		return e.barrierArrivals(o) >= int(o.val)
+		return th.released || e.barrierArrivals(o) >= int(o.val)
 	case OpSend:
-		o := e.objs[p.Var-1]
-		if o.closed {
-			return true // crashes with send-on-closed when scheduled
-		}
-		if o.cap > 0 {
-			return len(o.buf) < o.cap
-		}
-		return e.chanReceiver(o, th) != nil
+		return e.sendReady(e.objs[p.Var-1], th)
 	case OpRecv:
 		if th.chanMatched {
 			return true
@@ -293,34 +457,48 @@ func (e *Engine) enabled(th *Thread) bool {
 	}
 }
 
+// sendReady reports whether th could send on o now. A send on a closed
+// channel counts as ready: firing it crashes with send-on-closed.
+func (e *Engine) sendReady(o *object, th *Thread) bool {
+	if o.closed {
+		return true
+	}
+	if o.cap > 0 {
+		return len(o.buf) < o.cap
+	}
+	return e.chanReceiver(o, th) != nil
+}
+
 // chanReceiver returns the lowest-ID parked thread able to complete a
 // rendezvous on the unbuffered channel o: an unmatched thread pending a
 // receive on o, or a select containing a receive case on o. The sender
 // itself is excluded (a thread cannot rendezvous with itself); nil when
-// no receiver is available.
+// no receiver is available. Receivers are among o's waiters and the
+// parked selects, so only those are searched.
 func (e *Engine) chanReceiver(o *object, sender *Thread) *Thread {
-	for _, th := range e.threads {
-		if th == sender || th.state != tParked || th.chanMatched {
+	var best *Thread
+	for th := o.parked.head; th != nil; th = th.wnext {
+		if th.pending.Op == OpRecv && th != sender && !th.chanMatched && (best == nil || th.id < best.id) {
+			best = th
+		}
+	}
+	for th := e.selects.head; th != nil; th = th.wnext {
+		if th == sender || th.chanMatched || best != nil && th.id > best.id {
 			continue
 		}
-		p := &th.pending
-		if p.Op == OpRecv && p.Var == o.id {
-			return th
-		}
-		if p.Op == OpSelect {
-			for _, c := range p.Cases {
-				if !c.Send && c.Ch.obj == o {
-					return th
-				}
+		for _, c := range th.pending.Cases {
+			if !c.Send && c.Ch.obj == o {
+				best = th
+				break
 			}
 		}
 	}
-	return nil
+	return best
 }
 
 // recvCaseIndex returns the index of the first receive case on o in the
 // select pending p. The match that set chanMatched guarantees one exists.
-func recvCaseIndex(p Pending, o *object) int {
+func recvCaseIndex(p *Pending, o *object) int {
 	for i, c := range p.Cases {
 		if !c.Send && c.Ch.obj == o {
 			return i
@@ -330,29 +508,22 @@ func recvCaseIndex(p Pending, o *object) int {
 }
 
 // caseReady reports whether one select arm of thread th could fire right
-// now. A send arm on a closed channel counts as ready: firing it crashes
-// with send-on-closed, exactly like a plain send.
+// now.
 func (e *Engine) caseReady(c SelectCase, th *Thread) bool {
 	o := c.Ch.obj
 	if c.Send {
-		if o.closed {
-			return true
-		}
-		if o.cap > 0 {
-			return len(o.buf) < o.cap
-		}
-		return e.chanReceiver(o, th) != nil
+		return e.sendReady(o, th)
 	}
 	return len(o.buf) > 0 || o.closed
 }
 
 // barrierArrivals counts the threads parked at the barrier for the
-// *current* generation — waiters already released but not yet scheduled
-// belong to the previous generation and must not count.
+// *current* generation — its waiters, less those already released but not
+// yet scheduled, which belong to the previous generation.
 func (e *Engine) barrierArrivals(o *object) int {
 	n := 0
-	for _, th := range e.threads {
-		if th.state == tParked && th.pending.Op == OpBarrier && th.pending.Var == o.id && !o.releasing[th] {
+	for th := o.parked.head; th != nil; th = th.wnext {
+		if !th.released {
 			n++
 		}
 	}
@@ -360,11 +531,12 @@ func (e *Engine) barrierArrivals(o *object) int {
 }
 
 // record appends an event to the trace, assigns its ID, and reports it to
-// the scheduler. Returns the event ID.
-func (e *Engine) record(ev Event) int {
+// the scheduler. Returns the event ID. ev is taken by pointer so that
+// building it at the call site copies nothing.
+func (e *Engine) record(ev *Event) int {
 	ev.ID = e.trace.Len() + 1
-	e.trace.Events = append(e.trace.Events, ev)
-	e.cfg.Scheduler.Executed(ev)
+	e.trace.Events = append(e.trace.Events, *ev)
+	e.cfg.Scheduler.Executed(*ev)
 	return ev.ID
 }
 
@@ -375,7 +547,7 @@ func (e *Engine) resume(th *Thread) {
 	e.switchTo(th)
 	if th.state == tParked && th.pending.Op == OpFail {
 		p := &th.pending
-		e.record(Event{Thread: th.id, Op: OpFail, Loc: p.Loc, Key: p.Key})
+		e.record(&Event{Thread: th.id, Op: OpFail, Loc: p.Loc, Key: p.Key})
 		e.failure = &Failure{Kind: p.FailKind, Msg: p.FailMsg, Thread: th.id, Loc: p.Loc}
 	}
 }
@@ -401,9 +573,12 @@ func (e *Engine) misuse(th *Thread, msg string) {
 }
 
 // step executes the chosen thread's pending event: applies its semantics to
-// the shared state, records trace events, and resumes the thread.
+// the shared state, records trace events, and resumes the thread. It
+// touches every object whose change of state can change another parked
+// thread's enabledness. p points at th's pending, which the resume
+// overwrites, so each case reads it before resuming.
 func (e *Engine) step(th *Thread) {
-	p := th.pending
+	p := &th.pending
 	e.trace.Decisions = append(e.trace.Decisions, th.id)
 	switch p.Op {
 	case OpVarInit:
@@ -417,12 +592,12 @@ func (e *Engine) step(th *Thread) {
 		o.id = VarID(len(e.objs))
 		e.objByKey[o.key] = o
 		ev := Event{Thread: th.id, Op: OpVarInit, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val}
-		o.lastWrite = e.record(ev)
+		o.lastWrite = e.record(&ev)
 		e.resume(th)
 
 	case OpRead:
 		o := e.objs[p.Var-1]
-		e.record(Event{Thread: th.id, Op: OpRead, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val, RF: o.lastWrite, Atomic: p.RMW != RMWNone})
+		e.record(&Event{Thread: th.id, Op: OpRead, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val, RF: o.lastWrite, Atomic: p.RMW != RMWNone})
 		th.retVal = o.val
 		th.retOK = false
 		switch p.RMW {
@@ -430,22 +605,22 @@ func (e *Engine) step(th *Thread) {
 		case RMWCAS:
 			if o.val == p.CASOld {
 				o.val = p.Val
-				o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
+				o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
 				th.retOK = true
 			}
 		case RMWAdd:
 			o.val += p.Val
-			o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
+			o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
 		case RMWSwap:
 			o.val = p.Val
-			o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
+			o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.WriteKey, Val: o.val, Atomic: true})
 		}
 		e.resume(th)
 
 	case OpWrite:
 		o := e.objs[p.Var-1]
 		o.val = p.Val
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWrite, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
 		e.resume(th)
 
 	case OpLock:
@@ -454,7 +629,8 @@ func (e *Engine) step(th *Thread) {
 		// carries a reads-from edge and is a reads-from source.
 		o := e.objs[p.Var-1]
 		o.holder = th
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpUnlock:
@@ -464,7 +640,8 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.holder = nil
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpWait:
@@ -475,16 +652,18 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		m.holder = nil
+		e.touch(m)
 		o.waiters = append(o.waiters, th)
 		// The wait releases the mutex: its event becomes the mutex
 		// word's last write, so the next acquisition reads-from it.
-		m.lastWrite = e.record(Event{Thread: th.id, Op: OpWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		m.lastWrite = e.record(&Event{Thread: th.id, Op: OpWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th) // thread immediately reparks at OpLockRe
 
 	case OpLockRe:
 		o := e.objs[p.Var-1]
 		o.holder = th
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpLockRe, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpLockRe, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpSignal:
@@ -493,8 +672,9 @@ func (e *Engine) step(th *Thread) {
 			w := o.waiters[0]
 			o.waiters = o.waiters[1:]
 			w.signaled = true
+			e.touch(o.mutex.obj) // w is parked reacquiring the mutex
 		}
-		e.record(Event{Thread: th.id, Op: OpSignal, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		e.record(&Event{Thread: th.id, Op: OpSignal, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpBroadcast:
@@ -502,8 +682,11 @@ func (e *Engine) step(th *Thread) {
 		for _, w := range o.waiters {
 			w.signaled = true
 		}
+		if len(o.waiters) > 0 {
+			e.touch(o.mutex.obj)
+		}
 		o.waiters = nil
-		e.record(Event{Thread: th.id, Op: OpBroadcast, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		e.record(&Event{Thread: th.id, Op: OpBroadcast, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpSpawn:
@@ -512,20 +695,21 @@ func (e *Engine) step(th *Thread) {
 		e.addThread(child)
 		child.state = tParked
 		child.pending = Pending{Thread: child.id, Op: OpBegin, Loc: p.Loc, Key: p.Key.withOp(OpBegin)}
-		e.record(Event{Thread: th.id, Op: OpSpawn, Loc: p.Loc, Key: p.Key, Target: child.id})
+		e.refresh(child)
+		e.record(&Event{Thread: th.id, Op: OpSpawn, Loc: p.Loc, Key: p.Key, Target: child.id})
 		e.resume(th)
 
 	case OpBegin:
-		e.record(Event{Thread: th.id, Op: OpBegin, Loc: p.Loc, Key: p.Key})
+		e.record(&Event{Thread: th.id, Op: OpBegin, Loc: p.Loc, Key: p.Key})
 		th.car = acquireCarrier(th)
 		e.resume(th)
 
 	case OpJoin:
-		e.record(Event{Thread: th.id, Op: OpJoin, Loc: p.Loc, Key: p.Key, Target: p.Target})
+		e.record(&Event{Thread: th.id, Op: OpJoin, Loc: p.Loc, Key: p.Key, Target: p.Target})
 		e.resume(th)
 
 	case OpYield:
-		e.record(Event{Thread: th.id, Op: OpYield, Loc: p.Loc, Key: p.Key})
+		e.record(&Event{Thread: th.id, Op: OpYield, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpTryLock:
@@ -533,12 +717,13 @@ func (e *Engine) step(th *Thread) {
 		ev := Event{Thread: th.id, Op: OpTryLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key}
 		if o.holder == nil {
 			o.holder = th
+			e.touch(o)
 			ev.Val = 1
 			ev.RF = o.lastWrite
-			o.lastWrite = e.record(ev)
+			o.lastWrite = e.record(&ev)
 			th.retOK = true
 		} else {
-			e.record(ev) // failed attempt: no edge, no word update
+			e.record(&ev) // failed attempt: no edge, no word update
 			th.retOK = false
 		}
 		e.resume(th)
@@ -546,7 +731,8 @@ func (e *Engine) step(th *Thread) {
 	case OpRLock:
 		o := e.objs[p.Var-1]
 		o.readers++
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpRLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpRLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpRUnlock:
@@ -556,13 +742,15 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.readers--
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpRUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpRUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpWLock:
 		o := e.objs[p.Var-1]
 		o.writer = th
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWLock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpWUnlock:
@@ -572,46 +760,47 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.writer = nil
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWUnlock, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpSemWait:
 		o := e.objs[p.Var-1]
 		o.val--
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpSemWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val, RF: o.lastWrite})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpSemWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val, RF: o.lastWrite})
 		e.resume(th)
 
 	case OpSemPost:
 		o := e.objs[p.Var-1]
 		o.val++
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpSemPost, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpSemPost, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
 		e.resume(th)
 
 	case OpBarrier:
 		o := e.objs[p.Var-1]
-		if !o.releasing[th] {
+		if !th.released {
 			// Final arrival: open the gate for everyone parked here.
-			if o.releasing == nil {
-				o.releasing = make(map[*Thread]bool)
+			for other := o.parked.head; other != nil; other = other.wnext {
+				other.released = true
 			}
-			for _, other := range e.threads {
-				if other.state == tParked && other.pending.Op == OpBarrier && other.pending.Var == o.id {
-					o.releasing[other] = true
-				}
-			}
+			e.touch(o)
 		}
-		delete(o.releasing, th)
-		e.record(Event{Thread: th.id, Op: OpBarrier, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		th.released = false
+		e.record(&Event{Thread: th.id, Op: OpBarrier, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpSend:
 		o := e.objs[p.Var-1]
+		e.touch(o)
 		if e.execSend(th, o, p.Val, p.Loc, p.Key.loc()) {
 			e.resume(th)
 		}
 
 	case OpRecv:
 		o := e.objs[p.Var-1]
+		e.touch(o)
 		e.execRecv(th, o, p.Loc, p.Key.loc())
 		e.resume(th)
 
@@ -623,7 +812,8 @@ func (e *Engine) step(th *Thread) {
 			return
 		}
 		o.closed = true
-		o.closeEv = e.record(Event{Thread: th.id, Op: OpClose, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
+		e.touch(o)
+		o.closeEv = e.record(&Event{Thread: th.id, Op: OpClose, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key})
 		e.resume(th)
 
 	case OpTrySend:
@@ -633,29 +823,31 @@ func (e *Engine) step(th *Thread) {
 				Msg: fmt.Sprintf("send on closed channel %q", o.name), Thread: th.id, Loc: p.Loc}
 			return
 		}
+		e.touch(o)
 		ev := Event{Thread: th.id, Op: OpTrySend, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: p.Val}
 		th.retOK = false
 		switch {
 		case o.cap > 0 && len(o.buf) < o.cap:
 			ev.Ok = true
-			id := e.record(ev)
+			id := e.record(&ev)
 			o.buf = append(o.buf, chanElem{val: p.Val, src: id})
 			th.retOK = true
 		case o.cap == 0:
 			if rcv := e.chanReceiver(o, th); rcv != nil {
 				ev.Ok = true
-				e.deliver(rcv, o, p.Val, e.record(ev))
+				e.deliver(rcv, o, p.Val, e.record(&ev))
 				th.retOK = true
 			} else {
-				e.record(ev) // would block: recorded no-op, no edge
+				e.record(&ev) // would block: recorded no-op, no edge
 			}
 		default:
-			e.record(ev) // buffer full: recorded no-op, no edge
+			e.record(&ev) // buffer full: recorded no-op, no edge
 		}
 		e.resume(th)
 
 	case OpTryRecv:
 		o := e.objs[p.Var-1]
+		e.touch(o)
 		ev := Event{Thread: th.id, Op: OpTryRecv, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key}
 		th.retVal, th.retOK, th.retRecvd = 0, false, false
 		switch {
@@ -668,10 +860,14 @@ func (e *Engine) step(th *Thread) {
 			ev.RF = o.closeEv // closed and drained: reads-from the close
 			th.retRecvd = true
 		}
-		e.record(ev)
+		e.record(&ev)
 		e.resume(th)
 
 	case OpSelect:
+		// th stops being a receiver on each of its channels.
+		for _, c := range p.Cases {
+			e.touch(c.Ch.obj)
+		}
 		if th.chanMatched {
 			// A sender already committed this select to its matched
 			// receive case; complete the handoff.
@@ -710,12 +906,13 @@ func (e *Engine) step(th *Thread) {
 			e.misuse(th, fmt.Sprintf("negative WaitGroup counter on %q", o.name))
 			return
 		}
-		o.lastWrite = e.record(Event{Thread: th.id, Op: OpWgAdd, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
+		e.touch(o)
+		o.lastWrite = e.record(&Event{Thread: th.id, Op: OpWgAdd, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, Val: o.val})
 		e.resume(th)
 
 	case OpWgWait:
 		o := e.objs[p.Var-1]
-		e.record(Event{Thread: th.id, Op: OpWgWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
+		e.record(&Event{Thread: th.id, Op: OpWgWait, Var: o.id, VarStr: o.name, Loc: p.Loc, Key: p.Key, RF: o.lastWrite})
 		e.resume(th)
 
 	default:
@@ -736,7 +933,7 @@ func (e *Engine) execSend(th *Thread, o *object, val int64, loc string, lk locKe
 	}
 	ev := Event{Thread: th.id, Op: OpSend, Var: o.id, VarStr: o.name, Loc: loc, Key: makeEventKey(OpSend, o.key, lk), Val: val}
 	if o.cap > 0 {
-		id := e.record(ev)
+		id := e.record(&ev)
 		o.buf = append(o.buf, chanElem{val: val, src: id})
 		return true
 	}
@@ -744,7 +941,7 @@ func (e *Engine) execSend(th *Thread, o *object, val int64, loc string, lk locKe
 	if rcv == nil {
 		panic("exec: unbuffered send scheduled with no receiver parked")
 	}
-	e.deliver(rcv, o, val, e.record(ev))
+	e.deliver(rcv, o, val, e.record(&ev))
 	return true
 }
 
@@ -756,7 +953,11 @@ func (e *Engine) deliver(rcv *Thread, o *object, val int64, sendID int) {
 	rcv.chanVal = val
 	rcv.chanRF = sendID
 	if rcv.pending.Op == OpSelect {
-		rcv.chanCase = recvCaseIndex(rcv.pending, o)
+		rcv.chanCase = recvCaseIndex(&rcv.pending, o)
+		// A matched select stops being a receiver on its other channels.
+		for _, c := range rcv.pending.Cases {
+			e.touch(c.Ch.obj)
+		}
 	} else {
 		rcv.chanCase = 0
 	}
@@ -779,7 +980,7 @@ func (e *Engine) execRecv(th *Thread, o *object, loc string, lk locKey) {
 	default: // closed and drained: the zero value, reading-from the close
 		ev.RF = o.closeEv
 	}
-	e.record(ev)
+	e.record(&ev)
 	th.retVal, th.retOK = ev.Val, ev.Ok
 }
 

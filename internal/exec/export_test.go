@@ -8,3 +8,12 @@ var (
 	SettledGoroutines = settledGoroutines
 	SettledBaseline   = settledBaseline
 )
+
+// CheckEnabledSet turns the per-step cross-check of the engine's enabled
+// set against a from-scratch scan on or off (see crossCheckEnabled).
+func CheckEnabledSet(on bool) {
+	checkEnabled = nil
+	if on {
+		checkEnabled = crossCheckEnabled
+	}
+}

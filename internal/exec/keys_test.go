@@ -76,8 +76,7 @@ func wantWriteKey(p *exec.Pending) exec.EventKey {
 }
 
 func (k *keyChecker) Pick(v *exec.View) int {
-	for i := range v.Enabled {
-		p := &v.Enabled[i]
+	for _, p := range v.Enabled {
 		if want := exec.KeyOf(p.Abstract()); p.Key != want {
 			k.errorf("step %d: pending %v of t%d has key %#x, want %#x", v.Step, p.Abstract(), p.Thread, p.Key, want)
 		}

@@ -30,7 +30,8 @@ type object struct {
 	name string
 	key  VarKey // key of name, looked up once at creation
 
-	// data variables
+	// data variables (val doubles as a semaphore's live count and a
+	// barrier's party count)
 	val       int64
 	lastWrite int // trace ID of the last write (init write included)
 
@@ -45,15 +46,16 @@ type object struct {
 	readers int
 	writer  *Thread
 
-	// barriers (val doubles as the party count; semaphores use val as
-	// the live count)
-	releasing map[*Thread]bool
-
 	// channels (val doubles as the WaitGroup counter)
 	cap     int        // buffer capacity (0 = rendezvous)
 	buf     []chanElem // FIFO buffered elements
 	closed  bool
 	closeEv int // trace ID of the OpClose event, once closed
+
+	// parked lists the threads parked on a pending whose enabledness
+	// depends on this object: lock, reacquire, rwlock, semaphore, barrier,
+	// send, receive and WaitGroup waits.
+	parked waitList
 }
 
 // Var is a shared integer variable: the PUT-visible handle for one shared

@@ -22,8 +22,10 @@ const (
 // engine exposes the enabled Pendings to the Scheduler each step; picking
 // one grants its thread a single step.
 //
-// Fields are laid out so the struct packs into 128 bytes: the
-// engine copies every enabled Pending into the View at each step.
+// Fields are laid out so the struct packs into 128 bytes. Each thread's
+// Pending is built in place when it parks and never copied after: the
+// View hands schedulers pointers to it, and every per-event loop reads it
+// through them.
 type Pending struct {
 	Thread ThreadID
 	Var    VarID
@@ -113,7 +115,9 @@ type View struct {
 	// Step is the number of events executed so far.
 	Step int
 	// Enabled lists the enabled pending events, ordered by thread ID.
-	Enabled []Pending
+	// Each points at its parked thread's own pending, which the engine
+	// overwrites when that thread next parks.
+	Enabled []*Pending
 
 	eng *Engine
 }
@@ -188,9 +192,12 @@ type Scheduler interface {
 	Begin(seed int64)
 	// Pick returns the index into v.Enabled of the event to execute.
 	// The engine guarantees len(v.Enabled) > 0 and treats out-of-range
-	// returns as a scheduler bug (panic). The View and its Enabled slice
-	// are engine-owned scratch, valid only for the duration of the call;
-	// schedulers must copy anything they keep.
+	// returns as a scheduler bug (panic). The View, its Enabled slice and
+	// the Pendings it points at are engine-owned and read-only, valid
+	// only for the duration of the call: the engine keeps the slice as
+	// its enabled set and rewrites a Pending when its thread parks again.
+	// Schedulers must copy (the fields of) anything they keep, never a
+	// *Pending.
 	Pick(v *View) int
 	// Executed reports the event (or, for RMWs, the read half followed
 	// by a second call with the write half) that just ran.

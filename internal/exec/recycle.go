@@ -15,11 +15,10 @@ type Recycler struct {
 	events    []Event
 	decisions []ThreadID
 
-	// The engine's per-step scratch: the scheduler's Enabled slice and
-	// the matching candidate threads. Wide programs would otherwise grow
-	// them again from nil in every execution.
-	enabled []Pending
-	cands   []*Thread
+	// The engine's enabled set, handed to the scheduler as View.Enabled.
+	// Wide programs would otherwise grow it again from nil in every
+	// execution.
+	enabled []*Pending
 
 	// Size hints recorded at the end of each run; the next run pre-sizes
 	// its thread table, object registry, and trace from them.
@@ -40,23 +39,22 @@ func (r *Recycler) take() (events []Event, decisions []ThreadID) {
 	return events, decisions
 }
 
-// takeScratch hands the pooled per-step scratch to a starting engine,
+// takeEnabled hands the pooled enabled-set array to a starting engine,
 // detached like take's arrays.
-func (r *Recycler) takeScratch() (enabled []Pending, cands []*Thread) {
-	enabled, cands = r.enabled, r.cands
-	r.enabled, r.cands = nil, nil
-	return enabled, cands
+func (r *Recycler) takeEnabled() []*Pending {
+	enabled := r.enabled
+	r.enabled = nil
+	return enabled
 }
 
 // record stores the finished engine's sizes as hints for the next run and
-// takes back its per-step scratch. The scratch is cleared to its full
-// capacity first, so the pool keeps no PUT threads, channels or strings
-// alive between executions.
-func (r *Recycler) record(threads, objs, steps int, enabled []Pending, cands []*Thread) {
+// takes back its enabled-set array. The array is cleared to its full
+// capacity first, so the pool keeps no PUT threads alive between
+// executions.
+func (r *Recycler) record(threads, objs, steps int, enabled []*Pending) {
 	r.prevThreads, r.prevObjs, r.prevSteps = threads, objs, steps
 	clear(enabled[:cap(enabled)])
-	clear(cands[:cap(cands)])
-	r.enabled, r.cands = enabled[:0], cands[:0]
+	r.enabled = enabled[:0]
 }
 
 // Reclaim returns t's backing arrays to the recycler and invalidates the

@@ -1,6 +1,9 @@
 package exec
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Program is the body of a virtual thread. The main program and every
 // spawned thread have this signature; all interaction with shared state
@@ -34,29 +37,40 @@ type Thread struct {
 
 	seq     int
 	pending Pending
-	state   tstate
 	car     *carrier // coroutine hosting the body; nil before OpBegin and after exit
 
 	// engine-managed blocking state
-	signaled bool    // condition wait has been signaled; may reacquire
-	exited   bool    // body returned
 	newObj   *object // object being registered by an OpVarInit park
 	newChild *Thread // child being registered by an OpSpawn park
+	state    tstate
+	signaled bool // condition wait has been signaled; may reacquire
+	released bool // parked at a barrier its final arrival has opened
+	exited   bool // body returned
+
+	// enabled-set bookkeeping (see settle): ready reports that the thread
+	// is in the enabled set; waiting is the list it is parked on (an
+	// object's parked list, a join target's joiners, or the engine's
+	// selects), linked through wnext and wprev; joiners lists the threads
+	// parked joining this one.
+	ready        bool
+	waiting      *waitList
+	wnext, wprev *Thread
+	joiners      waitList
 
 	// channel rendezvous transfer slot: a sender executing against this
 	// parked receiver (a plain recv or a select with a matching recv
 	// case) deposits the value here; the receiver's pending becomes
 	// enabled and completes the handoff when scheduled.
-	chanMatched bool
 	chanVal     int64
 	chanRF      int // trace ID of the matching send event
 	chanCase    int // select case index the match bound (0 for plain recv)
+	chanMatched bool
 
 	// results handed back by the engine on grant
-	retVal   int64
 	retOK    bool
 	retRecvd bool // TryRecv: a receive happened (value or closed), vs would-block
-	retCase  int  // Select: index of the fired case
+	retVal   int64
+	retCase  int // Select: index of the fired case
 }
 
 // ID returns the thread's ID (main is 1; children numbered in spawn order).
@@ -65,16 +79,34 @@ func (t *Thread) ID() ThreadID { return t.id }
 // Name returns the thread's name as given at spawn.
 func (t *Thread) Name() string { return t.name }
 
-// park publishes the pending event p — on shared object o (nil for none)
-// at location l — and suspends the thread's carrier until the engine
-// grants the step (or aborts the execution). It stamps the pending's keys
-// from o's and l's, so parking hashes no string; only a select, whose
-// pending names all its channels, looks its name up. A zero l would stamp
-// location key 0, which stands for "no event", so it panics.
-func (t *Thread) park(p Pending, o *object, l Site) {
+// park publishes the pending event op, which takes no operands, on
+// shared object o (nil for none) at location l, and suspends the thread
+// until the engine grants the step (see publish).
+func (t *Thread) park(op Op, o *object, l Site) {
+	t.pend(op)
+	t.publish(o, l)
+}
+
+// pend starts the thread's next pending event, op, in place, and returns
+// it for the caller to fill in the operands before publish. The engine's
+// enabled set points at the pending, so it is never copied.
+func (t *Thread) pend(op Op) *Pending {
+	t.pending = Pending{Op: op}
+	return &t.pending
+}
+
+// publish publishes the pending event started by pend — on shared object
+// o (nil for none) at location l — and suspends the thread's carrier
+// until the engine grants the step (or aborts the execution). It stamps
+// the pending's keys from o's and l's, so parking hashes no string; only
+// a select, whose pending names all its channels, looks its name up. A
+// zero l would stamp location key 0, which stands for "no event", so it
+// panics.
+func (t *Thread) publish(o *object, l Site) {
 	if l.key == 0 {
 		panic("exec: event at the zero Site; resolve sites with exec.SiteAt")
 	}
+	p := &t.pending
 	var vk VarKey
 	switch {
 	case o != nil:
@@ -88,7 +120,6 @@ func (t *Thread) park(p Pending, o *object, l Site) {
 	t.seq++
 	p.Thread = t.id
 	p.Seq = t.seq
-	t.pending = p
 	if !t.car.yield(struct{}{}) || t.eng.abort {
 		panic(abortPanic{})
 	}
@@ -140,7 +171,8 @@ func (t *Thread) run() {
 func (t *Thread) create(o *object, l Site, val int64) {
 	o.key = VarKeyOf(o.name)
 	t.newObj = o
-	t.park(Pending{Op: OpVarInit, Val: val}, o, l)
+	t.pend(OpVarInit).Val = val
+	t.publish(o, l)
 }
 
 // NewVar creates a shared integer variable initialized to init. Creation
@@ -161,11 +193,18 @@ func (t *Thread) NewVars(name string, n int, init int64) []*Var {
 	return t.NewVarsAt(callerLoc(1), name, n, init)
 }
 
-// NewVarsAt is NewVars at site s.
+// NewVarsAt is NewVars at site s. The n objects and handles are each
+// allocated as one slab.
 func (t *Thread) NewVarsAt(s Site, name string, n int, init int64) []*Var {
+	objs := make([]object, n)
+	handles := make([]Var, n)
 	vars := make([]*Var, n)
 	for i := range vars {
-		vars[i] = t.NewVarAt(s, fmt.Sprintf("%s[%d]", name, i), init)
+		o := &objs[i]
+		o.kind, o.name, o.val = objVar, name+"["+strconv.Itoa(i)+"]", init
+		t.create(o, s, init)
+		handles[i] = Var{obj: o, eng: t.eng}
+		vars[i] = &handles[i]
 	}
 	return vars
 }
@@ -198,7 +237,7 @@ func (t *Thread) Read(v *Var) int64 { return t.ReadAt(callerLoc(1), v) }
 
 // ReadAt is Read at site s.
 func (t *Thread) ReadAt(s Site, v *Var) int64 {
-	t.park(Pending{Op: OpRead}, v.obj, s)
+	t.park(OpRead, v.obj, s)
 	return t.retVal
 }
 
@@ -207,7 +246,8 @@ func (t *Thread) Write(v *Var, val int64) { t.WriteAt(callerLoc(1), v, val) }
 
 // WriteAt is Write at site s.
 func (t *Thread) WriteAt(s Site, v *Var, val int64) {
-	t.park(Pending{Op: OpWrite, Val: val}, v.obj, s)
+	t.pend(OpWrite).Val = val
+	t.publish(v.obj, s)
 }
 
 // Add performs a NON-atomic increment: a read scheduling point followed by
@@ -218,9 +258,10 @@ func (t *Thread) Add(v *Var, delta int64) int64 { return t.AddAt(callerLoc(1), v
 
 // AddAt is Add at site s, for both halves.
 func (t *Thread) AddAt(s Site, v *Var, delta int64) int64 {
-	t.park(Pending{Op: OpRead}, v.obj, s)
+	t.park(OpRead, v.obj, s)
 	nv := t.retVal + delta
-	t.park(Pending{Op: OpWrite, Val: nv}, v.obj, s)
+	t.pend(OpWrite).Val = nv
+	t.publish(v.obj, s)
 	return nv
 }
 
@@ -232,7 +273,9 @@ func (t *Thread) CAS(v *Var, old, new int64) (int64, bool) { return t.CASAt(call
 
 // CASAt is CAS at site s.
 func (t *Thread) CASAt(s Site, v *Var, old, new int64) (int64, bool) {
-	t.park(Pending{Op: OpRead, RMW: RMWCAS, CASOld: old, Val: new}, v.obj, s)
+	p := t.pend(OpRead)
+	p.RMW, p.CASOld, p.Val = RMWCAS, old, new
+	t.publish(v.obj, s)
 	return t.retVal, t.retOK
 }
 
@@ -242,7 +285,9 @@ func (t *Thread) AtomicAdd(v *Var, delta int64) int64 { return t.AtomicAddAt(cal
 
 // AtomicAddAt is AtomicAdd at site s.
 func (t *Thread) AtomicAddAt(s Site, v *Var, delta int64) int64 {
-	t.park(Pending{Op: OpRead, RMW: RMWAdd, Val: delta}, v.obj, s)
+	p := t.pend(OpRead)
+	p.RMW, p.Val = RMWAdd, delta
+	t.publish(v.obj, s)
 	return t.retVal
 }
 
@@ -252,7 +297,9 @@ func (t *Thread) AtomicSwap(v *Var, new int64) int64 { return t.AtomicSwapAt(cal
 
 // AtomicSwapAt is AtomicSwap at site s.
 func (t *Thread) AtomicSwapAt(s Site, v *Var, new int64) int64 {
-	t.park(Pending{Op: OpRead, RMW: RMWSwap, Val: new}, v.obj, s)
+	p := t.pend(OpRead)
+	p.RMW, p.Val = RMWSwap, new
+	t.publish(v.obj, s)
 	return t.retVal
 }
 
@@ -263,14 +310,14 @@ func (t *Thread) AtomicSwapAt(s Site, v *Var, new int64) int64 {
 func (t *Thread) Lock(m *Mutex) { t.LockAt(callerLoc(1), m) }
 
 // LockAt is Lock at site s.
-func (t *Thread) LockAt(s Site, m *Mutex) { t.park(Pending{Op: OpLock}, m.obj, s) }
+func (t *Thread) LockAt(s Site, m *Mutex) { t.park(OpLock, m.obj, s) }
 
 // Unlock releases the mutex. Unlocking a mutex the thread does not hold is
 // reported as a crash (undefined behaviour in pthreads).
 func (t *Thread) Unlock(m *Mutex) { t.UnlockAt(callerLoc(1), m) }
 
 // UnlockAt is Unlock at site s.
-func (t *Thread) UnlockAt(s Site, m *Mutex) { t.park(Pending{Op: OpUnlock}, m.obj, s) }
+func (t *Thread) UnlockAt(s Site, m *Mutex) { t.park(OpUnlock, m.obj, s) }
 
 // TryLock attempts to acquire the mutex without blocking, reporting
 // whether it succeeded. The attempt is a scheduling point either way.
@@ -278,7 +325,7 @@ func (t *Thread) TryLock(m *Mutex) bool { return t.TryLockAt(callerLoc(1), m) }
 
 // TryLockAt is TryLock at site s.
 func (t *Thread) TryLockAt(s Site, m *Mutex) bool {
-	t.park(Pending{Op: OpTryLock}, m.obj, s)
+	t.park(OpTryLock, m.obj, s)
 	return t.retOK
 }
 
@@ -289,9 +336,9 @@ func (t *Thread) Wait(c *Cond) { t.WaitAt(callerLoc(1), c) }
 
 // WaitAt is Wait at site s, for both events.
 func (t *Thread) WaitAt(s Site, c *Cond) {
-	t.park(Pending{Op: OpWait}, c.obj, s)
+	t.park(OpWait, c.obj, s)
 	t.signaled = false
-	t.park(Pending{Op: OpLockRe}, c.obj.mutex.obj, s)
+	t.park(OpLockRe, c.obj.mutex.obj, s)
 }
 
 // Signal wakes the longest-waiting thread blocked on the condition, if any;
@@ -300,13 +347,13 @@ func (t *Thread) WaitAt(s Site, c *Cond) {
 func (t *Thread) Signal(c *Cond) { t.SignalAt(callerLoc(1), c) }
 
 // SignalAt is Signal at site s.
-func (t *Thread) SignalAt(s Site, c *Cond) { t.park(Pending{Op: OpSignal}, c.obj, s) }
+func (t *Thread) SignalAt(s Site, c *Cond) { t.park(OpSignal, c.obj, s) }
 
 // Broadcast wakes all threads currently blocked on the condition.
 func (t *Thread) Broadcast(c *Cond) { t.BroadcastAt(callerLoc(1), c) }
 
 // BroadcastAt is Broadcast at site s.
-func (t *Thread) BroadcastAt(s Site, c *Cond) { t.park(Pending{Op: OpBroadcast}, c.obj, s) }
+func (t *Thread) BroadcastAt(s Site, c *Cond) { t.park(OpBroadcast, c.obj, s) }
 
 // --- threads -------------------------------------------------------------------
 
@@ -318,7 +365,7 @@ func (t *Thread) Go(name string, body Program) *Thread { return t.GoAt(callerLoc
 func (t *Thread) GoAt(s Site, name string, body Program) *Thread {
 	child := &Thread{name: name, eng: t.eng, body: body}
 	t.newChild = child
-	t.park(Pending{Op: OpSpawn}, nil, s)
+	t.park(OpSpawn, nil, s)
 	return child
 }
 
@@ -328,7 +375,8 @@ func (t *Thread) Join(child *Thread) { t.JoinAt(callerLoc(1), child) }
 
 // JoinAt is Join at site s.
 func (t *Thread) JoinAt(s Site, child *Thread) {
-	t.park(Pending{Op: OpJoin, Target: child.id}, nil, s)
+	t.pend(OpJoin).Target = child.id
+	t.publish(nil, s)
 }
 
 // JoinAll joins each thread in order.
@@ -345,7 +393,7 @@ func (t *Thread) JoinAllAt(s Site, children ...*Thread) {
 func (t *Thread) Yield() { t.YieldAt(callerLoc(1)) }
 
 // YieldAt is Yield at site s.
-func (t *Thread) YieldAt(s Site) { t.park(Pending{Op: OpYield}, nil, s) }
+func (t *Thread) YieldAt(s Site) { t.park(OpYield, nil, s) }
 
 // --- oracles --------------------------------------------------------------------
 
@@ -395,7 +443,9 @@ func (t *Thread) Fail(kind FailureKind, msg string) { t.FailAt(callerLoc(1), kin
 
 // FailAt is Fail at site s.
 func (t *Thread) FailAt(s Site, kind FailureKind, msg string) {
-	t.park(Pending{Op: OpFail, FailKind: kind, FailMsg: msg}, nil, s)
+	p := t.pend(OpFail)
+	p.FailKind, p.FailMsg = kind, msg
+	t.publish(nil, s)
 }
 
 // --- reader-writer locks --------------------------------------------------------
@@ -416,26 +466,26 @@ func (t *Thread) NewRWMutexAt(s Site, name string) *RWMutex {
 func (t *Thread) RLock(m *RWMutex) { t.RLockAt(callerLoc(1), m) }
 
 // RLockAt is RLock at site s.
-func (t *Thread) RLockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpRLock}, m.obj, s) }
+func (t *Thread) RLockAt(s Site, m *RWMutex) { t.park(OpRLock, m.obj, s) }
 
 // RUnlock releases a shared hold.
 func (t *Thread) RUnlock(m *RWMutex) { t.RUnlockAt(callerLoc(1), m) }
 
 // RUnlockAt is RUnlock at site s.
-func (t *Thread) RUnlockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpRUnlock}, m.obj, s) }
+func (t *Thread) RUnlockAt(s Site, m *RWMutex) { t.park(OpRUnlock, m.obj, s) }
 
 // WLock acquires the lock exclusively; enabled only once every reader and
 // writer has released.
 func (t *Thread) WLock(m *RWMutex) { t.WLockAt(callerLoc(1), m) }
 
 // WLockAt is WLock at site s.
-func (t *Thread) WLockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpWLock}, m.obj, s) }
+func (t *Thread) WLockAt(s Site, m *RWMutex) { t.park(OpWLock, m.obj, s) }
 
 // WUnlock releases the exclusive hold.
 func (t *Thread) WUnlock(m *RWMutex) { t.WUnlockAt(callerLoc(1), m) }
 
 // WUnlockAt is WUnlock at site s.
-func (t *Thread) WUnlockAt(s Site, m *RWMutex) { t.park(Pending{Op: OpWUnlock}, m.obj, s) }
+func (t *Thread) WUnlockAt(s Site, m *RWMutex) { t.park(OpWUnlock, m.obj, s) }
 
 // --- semaphores ------------------------------------------------------------------
 
@@ -456,14 +506,14 @@ func (t *Thread) NewSemaphoreAt(s Site, name string, initial int64) *Semaphore {
 func (t *Thread) SemWait(sem *Semaphore) { t.SemWaitAt(callerLoc(1), sem) }
 
 // SemWaitAt is SemWait at site s.
-func (t *Thread) SemWaitAt(s Site, sem *Semaphore) { t.park(Pending{Op: OpSemWait}, sem.obj, s) }
+func (t *Thread) SemWaitAt(s Site, sem *Semaphore) { t.park(OpSemWait, sem.obj, s) }
 
 // SemPost increments the semaphore, potentially unblocking a waiter
 // (sem_post).
 func (t *Thread) SemPost(sem *Semaphore) { t.SemPostAt(callerLoc(1), sem) }
 
 // SemPostAt is SemPost at site s.
-func (t *Thread) SemPostAt(s Site, sem *Semaphore) { t.park(Pending{Op: OpSemPost}, sem.obj, s) }
+func (t *Thread) SemPostAt(s Site, sem *Semaphore) { t.park(OpSemPost, sem.obj, s) }
 
 // --- barriers ---------------------------------------------------------------------
 
@@ -484,7 +534,7 @@ func (t *Thread) NewBarrierAt(s Site, name string, parties int) *Barrier {
 func (t *Thread) BarrierWait(b *Barrier) { t.BarrierWaitAt(callerLoc(1), b) }
 
 // BarrierWaitAt is BarrierWait at site s.
-func (t *Thread) BarrierWaitAt(s Site, b *Barrier) { t.park(Pending{Op: OpBarrier}, b.obj, s) }
+func (t *Thread) BarrierWaitAt(s Site, b *Barrier) { t.park(OpBarrier, b.obj, s) }
 
 // --- channels ---------------------------------------------------------------------
 
@@ -511,7 +561,10 @@ func (t *Thread) NewChanAt(s Site, name string, capacity int) *Chan {
 func (t *Thread) Send(c *Chan, v int64) { t.SendAt(callerLoc(1), c, v) }
 
 // SendAt is Send at site s.
-func (t *Thread) SendAt(s Site, c *Chan, v int64) { t.park(Pending{Op: OpSend, Val: v}, c.obj, s) }
+func (t *Thread) SendAt(s Site, c *Chan, v int64) {
+	t.pend(OpSend).Val = v
+	t.publish(c.obj, s)
+}
 
 // Recv receives from the channel, blocking until a value is available or
 // the channel is closed. Like Go's v, ok := <-ch it returns the value and
@@ -520,7 +573,7 @@ func (t *Thread) Recv(c *Chan) (int64, bool) { return t.RecvAt(callerLoc(1), c) 
 
 // RecvAt is Recv at site s.
 func (t *Thread) RecvAt(s Site, c *Chan) (int64, bool) {
-	t.park(Pending{Op: OpRecv}, c.obj, s)
+	t.park(OpRecv, c.obj, s)
 	return t.retVal, t.retOK
 }
 
@@ -530,7 +583,7 @@ func (t *Thread) RecvAt(s Site, c *Chan) (int64, bool) {
 func (t *Thread) Close(c *Chan) { t.CloseAt(callerLoc(1), c) }
 
 // CloseAt is Close at site s.
-func (t *Thread) CloseAt(s Site, c *Chan) { t.park(Pending{Op: OpClose}, c.obj, s) }
+func (t *Thread) CloseAt(s Site, c *Chan) { t.park(OpClose, c.obj, s) }
 
 // TrySend attempts a non-blocking send (select { case ch <- v: default: }),
 // reporting whether the value was delivered. On an unbuffered channel it
@@ -540,7 +593,8 @@ func (t *Thread) TrySend(c *Chan, v int64) bool { return t.TrySendAt(callerLoc(1
 
 // TrySendAt is TrySend at site s.
 func (t *Thread) TrySendAt(s Site, c *Chan, v int64) bool {
-	t.park(Pending{Op: OpTrySend, Val: v}, c.obj, s)
+	t.pend(OpTrySend).Val = v
+	t.publish(c.obj, s)
 	return t.retOK
 }
 
@@ -554,7 +608,7 @@ func (t *Thread) TryRecv(c *Chan) (v int64, ok, recvd bool) { return t.TryRecvAt
 
 // TryRecvAt is TryRecv at site s.
 func (t *Thread) TryRecvAt(s Site, c *Chan) (v int64, ok, recvd bool) {
-	t.park(Pending{Op: OpTryRecv}, c.obj, s)
+	t.park(OpTryRecv, c.obj, s)
 	return t.retVal, t.retOK, t.retRecvd
 }
 
@@ -582,7 +636,9 @@ func (t *Thread) SelectAt(s Site, cases ...SelectCase) (idx int, v int64, ok boo
 		}
 		names = append(names, c.Ch.obj.name...)
 	}
-	t.park(Pending{Op: OpSelect, VarName: string(names), Cases: cases}, nil, s)
+	p := t.pend(OpSelect)
+	p.VarName, p.Cases = string(names), cases
+	t.publish(nil, s)
 	return t.retCase, t.retVal, t.retOK
 }
 
@@ -605,7 +661,8 @@ func (t *Thread) WgAdd(w *WaitGroup, delta int64) { t.WgAddAt(callerLoc(1), w, d
 
 // WgAddAt is WgAdd at site s.
 func (t *Thread) WgAddAt(s Site, w *WaitGroup, delta int64) {
-	t.park(Pending{Op: OpWgAdd, Val: delta}, w.obj, s)
+	t.pend(OpWgAdd).Val = delta
+	t.publish(w.obj, s)
 }
 
 // WgDone is WgAdd(-1).
@@ -619,4 +676,4 @@ func (t *Thread) WgDoneAt(s Site, w *WaitGroup) { t.WgAddAt(s, w, -1) }
 func (t *Thread) WgWait(w *WaitGroup) { t.WgWaitAt(callerLoc(1), w) }
 
 // WgWaitAt is WgWait at site s.
-func (t *Thread) WgWaitAt(s Site, w *WaitGroup) { t.park(Pending{Op: OpWgWait}, w.obj, s) }
+func (t *Thread) WgWaitAt(s Site, w *WaitGroup) { t.park(OpWgWait, w.obj, s) }

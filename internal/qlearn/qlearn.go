@@ -112,7 +112,7 @@ func (s *Scheduler) setq(state uint64, a exec.ThreadID, v float64) {
 }
 
 // maxq returns max_a' Q(s, a') over the available actions.
-func (s *Scheduler) maxq(state uint64, actions []exec.Pending) float64 {
+func (s *Scheduler) maxq(state uint64, actions []*exec.Pending) float64 {
 	best := 0.0
 	first := true
 	for _, p := range actions {

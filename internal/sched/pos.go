@@ -56,7 +56,7 @@ func (s *POS) Pick(v *exec.View) int {
 	best := s.ArgMax(v.Enabled, nil)
 	// Reset scores of racing events (the chosen event's own score dies
 	// with its instance: the thread's next pending has a larger seq).
-	s.ResetRacing(v.Enabled, &v.Enabled[best])
+	s.ResetRacing(v.Enabled, v.Enabled[best])
 	return best
 }
 
@@ -64,11 +64,10 @@ func (s *POS) Pick(v *exec.View) int {
 // assigning fresh random scores to first-seen events. If restrict is
 // non-nil, only indices i with restrict[i] true compete (used by RFF to run
 // POS within a priority class); restrict must contain at least one true.
-func (s *POS) ArgMax(candidates []exec.Pending, restrict []bool) int {
+func (s *POS) ArgMax(candidates []*exec.Pending, restrict []bool) int {
 	best := -1
 	var bestScore float64
-	for i := range candidates {
-		p := &candidates[i]
+	for i, p := range candidates {
 		sl := s.slot(p.Thread)
 		if !sl.set || sl.seq != p.Seq {
 			*sl = scoreSlot{seq: p.Seq, set: true, score: s.rng.Float64()}
@@ -86,9 +85,9 @@ func (s *POS) ArgMax(candidates []exec.Pending, restrict []bool) int {
 
 // ResetRacing re-draws the scores of candidates racing with chosen; exposed
 // for RFF, which performs its own Pick but must preserve POS's reset rule.
-func (s *POS) ResetRacing(candidates []exec.Pending, chosen *exec.Pending) {
-	for i := range candidates {
-		if p := &candidates[i]; exec.Races(p, chosen) {
+func (s *POS) ResetRacing(candidates []*exec.Pending, chosen *exec.Pending) {
+	for _, p := range candidates {
+		if exec.Races(p, chosen) {
 			s.unset(p)
 		}
 	}

@@ -19,9 +19,10 @@ import (
 )
 
 // perfPrograms is the workload mix used by the perf benchmarks: a small
-// data-race subject, a lock-heavy mid-size subject, and the headline
-// SafeStack subject with long traces.
-var perfPrograms = []string{"CS/reorder_10", "CS/twostage_20", "SafeStack"}
+// data-race subject, a lock-heavy mid-size subject, the headline
+// SafeStack subject with long traces, and a 101-thread subject whose
+// per-step cost must not grow with the thread count.
+var perfPrograms = []string{"CS/reorder_10", "CS/twostage_20", "SafeStack", "CS/reorder_100"}
 
 // BenchmarkPerfExecuteObserve measures the full fuzzing inner loop —
 // mutate, execute under the proactive scheduler, observe feedback, extend
